@@ -9,6 +9,13 @@ for a real-valued loss L with conjugate sensitivity c = dL/dconj(X),
 
 which is exactly dL/dd under the Wirtinger convention used throughout.
 
+linearize(d) returns that map as a pullback c -> vjp(d, c): everything
+that depends on d alone (the input check, tanh' factors, the base
+encoding and its norm under power normalization) is computed once, so
+pushing many cotangents through one point, as the Hutchinson probes of
+jacobian_frobenius2 do, costs one matrix-vector product each. vjp(d, c)
+is linearize(d)(c).
+
 LinearEncoder applies a fixed complex matrix; SaturatingEncoder squashes
 real and imaginary parts elementwise through tanh (a smooth, bounded
 nonlinearity); PowerNormalizedEncoder rescales any base encoder so the
@@ -32,26 +39,30 @@ class Encoder:
     def encode(self, d: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def vjp(self, d: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+    def linearize(self, d: np.ndarray):
+        """Pullback c -> 2 Re(J^H vec c) of the Jacobian J at d."""
         raise NotImplementedError
 
-    def jacobian(self, d: np.ndarray) -> np.ndarray:
-        """Dense Jacobian (m x n complex, m = N_t*K*T), via vjp row extraction.
+    def vjp(self, d: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+        return self.linearize(d)(cotangent)
 
-        Row k of J is recovered from two vjp calls with one-hot cotangents:
-        Re J_k = vjp(e_k)/2 and Im J_k = vjp(i e_k)/2. Concrete encoders
+    def jacobian(self, d: np.ndarray) -> np.ndarray:
+        """Dense Jacobian (m x n complex, m = N_t*K*T), by pullback row extraction.
+
+        Row k of J is recovered from two pullbacks of one-hot cotangents:
+        Re J_k = pull(e_k)/2 and Im J_k = pull(i e_k)/2. Concrete encoders
         override this with their analytic Jacobian.
         """
-        d = self._check_input(d)
+        pull = self.linearize(d)
         m = self.output_shape[0] * self.output_shape[1]
         J = np.empty((m, self.input_dim), dtype=np.complex128)
         e = np.zeros(self.output_shape, dtype=np.complex128)
         flat = e.ravel()
         for k in range(m):
             flat[k] = 1.0
-            re = self.vjp(d, e)
+            re = pull(e)
             flat[k] = 1.0j
-            im = self.vjp(d, e)
+            im = pull(e)
             flat[k] = 0.0
             J[k] = 0.5 * (re + 1j * im)
         return J
@@ -87,10 +98,18 @@ class LinearEncoder(Encoder):
         d = self._check_input(d)
         return (self.A @ d).reshape(self.output_shape)
 
-    def vjp(self, d: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+    def linearize(self, d: np.ndarray):
         self._check_input(d)
-        c = self._check_cotangent(cotangent)
-        return 2.0 * (self.A.conj().T @ c.ravel()).real
+
+        def pullback(cotangent):
+            # Re(c^H A) = Re(A^H c) without a conjugate copy of A.
+            return 2.0 * (self._check_cotangent(cotangent).ravel().conj() @ self.A).real
+
+        return pullback
+
+    # Each concrete class binds vjp in its own body, so it can be wrapped
+    # per class (perfbench/spans.py times LinearEncoder.vjp apart).
+    vjp = Encoder.vjp
 
     def jacobian(self, d: np.ndarray) -> np.ndarray:
         self._check_input(d)
@@ -124,14 +143,19 @@ class SaturatingEncoder(Encoder):
         z = self._pre(d)
         return (np.tanh(z.real) + 1j * np.tanh(z.imag)).reshape(self.output_shape)
 
-    def vjp(self, d: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-        d = self._check_input(d)
-        c = self._check_cotangent(cotangent).ravel()
-        z = self._pre(d)
+    def linearize(self, d: np.ndarray):
+        z = self._pre(self._check_input(d))
         dr = 1.0 - np.tanh(z.real) ** 2  # tanh' on each part
         di = 1.0 - np.tanh(z.imag) ** 2
-        out = self.A.real.T @ (dr * c.real) + self.A.imag.T @ (di * c.imag)
-        return 2.0 * self.gain * out
+
+        def pullback(cotangent):
+            c = self._check_cotangent(cotangent).ravel()
+            out = self.A.real.T @ (dr * c.real) + self.A.imag.T @ (di * c.imag)
+            return 2.0 * self.gain * out
+
+        return pullback
+
+    vjp = Encoder.vjp
 
     def jacobian(self, d: np.ndarray) -> np.ndarray:
         d = self._check_input(d)
@@ -165,18 +189,24 @@ class PowerNormalizedEncoder(Encoder):
             raise ValueError("base encoder output is zero; no feasible power scaling")
         return (self._target / nrm) * F
 
-    def vjp(self, d: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-        c = self._check_cotangent(cotangent)
+    def linearize(self, d: np.ndarray):
         F = self.base.encode(d)
         nrm = np.linalg.norm(F)
         if nrm == 0:
             raise ValueError("base encoder output is zero; no feasible power scaling")
         scale = self._target / nrm
+        base_pull = self.base.linearize(d)
+        radial = base_pull(F)  # = 2 Re(J^H F)
+
         # d(c F)/dd = c J + F (grad c)^T with grad c = -c Re(J^H F)/||F||^2.
-        base_part = scale * self.base.vjp(d, c)
-        w = float(np.sum((c.conj() * F).real))  # Re <c, F>
-        radial = self.base.vjp(d, F)  # = 2 Re(J^H F)
-        return base_part - (scale * w / nrm**2) * radial
+        def pullback(cotangent):
+            c = self._check_cotangent(cotangent)
+            w = float(np.sum((c.conj() * F).real))  # Re <c, F>
+            return scale * base_pull(c) - (scale * w / nrm**2) * radial
+
+        return pullback
+
+    vjp = Encoder.vjp
 
     def jacobian(self, d: np.ndarray) -> np.ndarray:
         F = self.base.encode(d).ravel()
@@ -221,13 +251,26 @@ def jacobian_frobenius2(
     if enc.input_dim * m <= exact_threshold:
         J = enc.jacobian(d)
         return float(np.sum((J * J.conj()).real))
+    return _hutchinson_frobenius2(enc.linearize(d), enc.output_shape, probes, rng)
+
+
+def _hutchinson_frobenius2(pullback, probe_shape, probes, rng, to_cotangent=None) -> float:
+    """Hutchinson estimate of ||G J||_F^2, where pullback(c) = 2 Re(J^H vec c)
+    and to_cotangent(V) = G^H V (G is the identity when None).
+
+    Each of the `probes` real Rademacher probes V of shape probe_shape is
+    drawn with one rng.integers call, in order, and costs two pullbacks.
+    """
     if rng is None:
         raise ValueError("rng is required for the Hutchinson estimate")
     acc = 0.0
     for _ in range(probes):
-        V = rng.integers(0, 2, size=enc.output_shape) * 2.0 - 1.0
-        g_re = enc.vjp(d, V.astype(np.complex128))
-        g_im = enc.vjp(d, 1j * V)
+        V = rng.integers(0, 2, size=probe_shape) * 2.0 - 1.0
+        W = V.astype(np.complex128)
+        if to_cotangent is not None:
+            W = to_cotangent(W)
+        g_re = pullback(W)
+        g_im = pullback(1j * W)
         acc += 0.25 * (np.dot(g_re, g_re) + np.dot(g_im, g_im))
     return float(acc / probes)
 

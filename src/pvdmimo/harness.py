@@ -291,7 +291,9 @@ def _build_prior(spec: dict, domain: str, shape, truth: np.ndarray | None) -> Sc
             mean_arr = np.full(shape, complex(mean) if domain == "complex" else float(mean))
         return GaussianPrior(mean_arr, spec["var"], domain)
     if kind == "mixture":
-        means = np.asarray(spec["means"], dtype=np.float64)
+        # Each mean is a scalar or a full vector; scalars fill the vector.
+        means = np.stack([np.broadcast_to(np.asarray(m, dtype=np.float64), shape)
+                          for m in spec["means"]])
         return GaussianMixturePrior(means, spec["var"], spec["weights"], domain)
     raise ConfigError(f"unknown prior type {kind!r}")
 

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import MimoDims, BlockFadingChannel, complex_normal
-from .encoder import Encoder, jacobian_frobenius2
+from .encoder import Encoder, _hutchinson_frobenius2
 from .priors import ScorePrior
 
 
@@ -272,7 +272,8 @@ def aggregated_noise_variance(
        + var_H var_D N_r ||J||_F^2] / (N_r K T),
 
     with the Jacobian norms computed exactly below the size threshold and
-    otherwise by Hutchinson probes pushed through the encoder vjp.
+    otherwise by Hutchinson probes pushed through one encoder pullback
+    (`Encoder.linearize` at D0j): all ||J|| probes, then all ||HJ|| probes.
     """
     if var_H < 0 or var_D < 0:
         raise ValueError("error variances must be non-negative")
@@ -290,17 +291,10 @@ def aggregated_noise_variance(
             HJ = np.einsum("krc,kctn->krtn", H0j, cols)
             hj_frob2 = float(np.sum((HJ * HJ.conj()).real))
         else:
-            if rng is None:
-                raise ValueError("rng is required for the Hutchinson estimate")
-            j_frob2 = jacobian_frobenius2(enc, D0j, probes, rng, exact_threshold)
-            acc = 0.0
-            for _ in range(probes):
-                V = rng.integers(0, 2, size=(N_r * K, T)) * 2.0 - 1.0
-                W = _blocks_adjoint(H0j, V.astype(np.complex128))
-                g_re = enc.vjp(D0j, W)
-                g_im = enc.vjp(D0j, 1j * W)
-                acc += 0.25 * (np.dot(g_re, g_re) + np.dot(g_im, g_im))
-            hj_frob2 = acc / probes
+            pullback = enc.linearize(D0j)
+            j_frob2 = _hutchinson_frobenius2(pullback, enc.output_shape, probes, rng)
+            hj_frob2 = _hutchinson_frobenius2(
+                pullback, (N_r * K, T), probes, rng, lambda V: _blocks_adjoint(H0j, V))
         total += var_D * hj_frob2 + var_H * var_D * N_r * j_frob2
     return total / (N_r * K * T)
 

@@ -65,6 +65,20 @@ def test_byte_identical_csv(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_scalar_mixture_means_fill_the_source(tmp_path):
+    # scalar means broadcast to length n and give the rows of the vector form
+    n = tiny_config()["dims"]["n"]
+    prior = {"type": "mixture", "var": 0.25, "weights": [0.5, 0.5]}
+    scalar = tiny_config(trials=2, prior_source=dict(prior, means=[1.0, -1.0]))
+    vector = tiny_config(trials=2, prior_source=dict(prior, means=[[1.0] * n, [-1.0] * n]))
+    assert validate_dict(scalar) == []
+    p1, p2 = tmp_path / "scalar.csv", tmp_path / "vector.csv"
+    records = run_experiment(scalar, out=p1)
+    run_experiment(vector, out=p2)
+    assert [r.error for r in records] == [""] * len(records)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_csv_schema(tmp_path):
     path = tmp_path / "out.csv"
     run_experiment(tiny_config(trials=2), out=path)
