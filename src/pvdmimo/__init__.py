@@ -39,7 +39,6 @@ from .pvd import (
     precisions,
     run,
     sample_variational,
-    schedule_value,
     transition_scores,
     tweedie,
     update_means,

@@ -77,6 +77,26 @@ def _lmmse_block_covariance(
     return h.reshape(N_r, N_t, order="F")
 
 
+def _lmmse_blocks(Y, X, sigma_h2: float, sigma_n2: float, Sigma) -> np.ndarray:
+    """Per-block LMMSE of H_k from Y_k = H_k X_k + N; a 2-D X is shared by all blocks."""
+    Y = np.asarray(Y, dtype=np.complex128)
+    X = np.asarray(X, dtype=np.complex128)
+    single = Y.ndim == 2
+    Yb = Y[None, ...] if single else Y
+    if X.ndim == 2:
+        X = np.broadcast_to(X, (Yb.shape[0],) + X.shape)
+    if Yb.shape[0] != X.shape[0]:
+        raise ValueError("Y and X must have the same number of blocks")
+    if Sigma is None and sigma_h2 <= 0:
+        raise ValueError("sigma_h2 must be > 0")
+    if Sigma is not None:
+        Sigma = np.asarray(Sigma, dtype=np.complex128)
+    est = np.stack([_lmmse_block(Yk, Xk, sigma_h2, sigma_n2) if Sigma is None
+                    else _lmmse_block_covariance(Yk, Xk, Sigma, sigma_n2)
+                    for Yk, Xk in zip(Yb, X)])
+    return est[0] if single else est
+
+
 def lmmse_channel(
     Y_p: np.ndarray,
     X_p: np.ndarray,
@@ -92,20 +112,7 @@ def lmmse_channel(
     Passing a full covariance Sigma over vec(H_k) switches to the
     generalized LMMSE for correlated channels.
     """
-    Y_p = np.asarray(Y_p, dtype=np.complex128)
-    X_p = np.asarray(X_p, dtype=np.complex128)
-    single = Y_p.ndim == 2
-    blocks = Y_p[None, ...] if single else Y_p
-    if Sigma is not None:
-        est = np.stack([
-            _lmmse_block_covariance(Yk, X_p, np.asarray(Sigma, dtype=np.complex128), sigma_n2)
-            for Yk in blocks
-        ])
-    else:
-        if sigma_h2 <= 0:
-            raise ValueError("sigma_h2 must be > 0")
-        est = np.stack([_lmmse_block(Yk, X_p, sigma_h2, sigma_n2) for Yk in blocks])
-    return est[0] if single else est
+    return _lmmse_blocks(Y_p, X_p, sigma_h2, sigma_n2, Sigma)
 
 
 def oracle_lmmse(
@@ -113,25 +120,17 @@ def oracle_lmmse(
     X_true: np.ndarray,
     sigma_h2: float,
     sigma_n2: float,
+    Sigma: np.ndarray | None = None,
 ) -> np.ndarray:
     """LMMSE channel estimate using the true transmitted signal as pilot.
 
     Y is (K, N_r, T) (or (N_r, T) for one block) and X_true the matching
     (K, N_t, T) true signal blocks. This is the oracle bound discussed
     alongside the blind scheme: no estimator seeing only Y can do better
-    in NMSE under the matched Gaussian prior.
+    in NMSE under the matched Gaussian prior. Sigma works as in
+    lmmse_channel.
     """
-    Y = np.asarray(Y, dtype=np.complex128)
-    X_true = np.asarray(X_true, dtype=np.complex128)
-    single = Y.ndim == 2
-    Yb = Y[None, ...] if single else Y
-    Xb = X_true[None, ...] if single else X_true
-    if Yb.shape[0] != Xb.shape[0]:
-        raise ValueError("Y and X_true must have the same number of blocks")
-    est = np.stack([
-        _lmmse_block(Yk, Xk, sigma_h2, sigma_n2) for Yk, Xk in zip(Yb, Xb)
-    ])
-    return est[0] if single else est
+    return _lmmse_blocks(Y, X_true, sigma_h2, sigma_n2, Sigma)
 
 
 def two_stage_decode(

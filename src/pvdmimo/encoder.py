@@ -182,19 +182,20 @@ class PowerNormalizedEncoder(Encoder):
         self.input_dim = base.input_dim
         self._target = np.sqrt(P * self.output_shape[0] * self.output_shape[1])
 
-    def encode(self, d: np.ndarray) -> np.ndarray:
-        F = self.base.encode(d)
+    def _scale(self, F: np.ndarray) -> tuple[float, float]:
+        """(c, ||F||_F) for a base encoding F, with c = sqrt(P m) / ||F||_F."""
         nrm = np.linalg.norm(F)
         if nrm == 0:
             raise ValueError("base encoder output is zero; no feasible power scaling")
-        return (self._target / nrm) * F
+        return self._target / nrm, nrm
+
+    def encode(self, d: np.ndarray) -> np.ndarray:
+        F = self.base.encode(d)
+        return self._scale(F)[0] * F
 
     def linearize(self, d: np.ndarray):
         F = self.base.encode(d)
-        nrm = np.linalg.norm(F)
-        if nrm == 0:
-            raise ValueError("base encoder output is zero; no feasible power scaling")
-        scale = self._target / nrm
+        scale, nrm = self._scale(F)
         base_pull = self.base.linearize(d)
         radial = base_pull(F)  # = 2 Re(J^H F)
 
@@ -210,10 +211,7 @@ class PowerNormalizedEncoder(Encoder):
 
     def jacobian(self, d: np.ndarray) -> np.ndarray:
         F = self.base.encode(d).ravel()
-        nrm = np.linalg.norm(F)
-        if nrm == 0:
-            raise ValueError("base encoder output is zero; no feasible power scaling")
-        scale = self._target / nrm
+        scale, nrm = self._scale(F)
         J = self.base.jacobian(d)
         grad_c = -(scale / nrm**2) * (J.conj().T @ F).real
         return scale * J + np.outer(F, grad_c)

@@ -2,11 +2,14 @@
 
 A JSON config (a plain key/value tree, schema documented in the README)
 describes the link dimensions, channel model, encoder, priors, reverse
-process, baselines, SNR grid, and trial count. run_experiment executes
-every (snr, trial) cell with its own generator derived deterministically
-from (master seed, snr index, trial index), scores each enabled method,
-and writes one CSV row per (trial, method). Per-trial failures are
-recorded as error-flagged rows and never abort the sweep. sweep repeats
+process, baselines, SNR grid, and trial count. run_experiment builds the
+link once (the fixed transmitter: encoders with their power calibration,
+pilots, channel covariances), then executes every (snr, trial) cell with
+its own generator derived deterministically from (master seed, snr index,
+trial index), scores each enabled method on the cell's scene, and writes
+one CSV row per (trial, method). A fault in the link fails the run;
+per-trial failures are recorded as error-flagged rows and never abort the
+sweep. sweep repeats
 an experiment across values of one numeric config field (with optional
 linked fields) and aggregates summary statistics per value.
 """
@@ -45,8 +48,6 @@ from .encoder import (
     load_encoder,
 )
 from .priors import GaussianMixturePrior, GaussianPrior, ScorePrior
-
-METHOD_ORDER = ["pvd", "lmmse", "oracle_lmmse"]
 
 DEFAULT_CONFIG: dict = {
     "dims": {"N_r": 4, "N_t": 1, "K": 1, "T": 16, "N_u": 1, "n": 8, "P": 1.0},
@@ -122,14 +123,10 @@ class ExperimentConfig:
 
     @property
     def methods(self) -> list[str]:
-        enabled = []
-        if self.raw["pvd"]["enabled"]:
-            enabled.append("pvd")
-        if self.raw["baselines"]["lmmse"]:
-            enabled.append("lmmse")
-        if self.raw["baselines"]["oracle_lmmse"]:
-            enabled.append("oracle_lmmse")
-        return enabled
+        """Enabled methods, in method-table (row) order."""
+        raw = self.raw
+        return [m for m in _METHODS
+                if (raw["pvd"]["enabled"] if m == "pvd" else raw["baselines"][m])]
 
     def pvd_config(self) -> pv.PvdConfig:
         p = self.raw["pvd"]
@@ -162,15 +159,26 @@ def validate_dict(user: dict) -> list[str]:
     model = ch.get("model")
     check(model in ("rayleigh", "kronecker"), "channel.model",
           "must be 'rayleigh' or 'kronecker'")
-    if model == "kronecker":
-        for key in ("R_rx", "R_tx"):
-            check(key in ch, f"channel.{key}", "required for the kronecker model")
+    kron = (("R_rx", d.get("N_r")), ("R_tx", d.get("N_t"))) if model == "kronecker" else ()
+    for key, size in kron:
+        try:
+            shape = _as_complex_matrix(ch[key]).shape
+        except (KeyError, TypeError, ValueError, IndexError):
+            shape = None
+        check(shape == (size, size), f"channel.{key}", f"the kronecker model needs a "
+              f"{size}x{size} matrix of numbers or [re, im] pairs")
 
     enc = cfg["encoder"]
     check(enc.get("type") in ("linear", "saturating"), "encoder.type",
           "must be 'linear' or 'saturating'")
     if enc.get("type") == "saturating":
         check(enc.get("gain", 1.0) > 0, "encoder.gain", "must be > 0")
+    init = None if enc.get("file") else enc.get("init", "gaussian")
+    check(init in (None, "gaussian", "identity"), "encoder.init",
+          "must be 'gaussian' or 'identity'")
+    if init == "identity":
+        m = math.prod(d.get(k, 0) for k in ("N_t", "K", "T"))
+        check(d.get("n") == m, "encoder.init", f"'identity' needs n == N_t*K*T = {m}")
 
     for key in ("prior_channel", "prior_source"):
         p = cfg[key]
@@ -214,6 +222,11 @@ def validate_dict(user: dict) -> list[str]:
     if b.get("lmmse"):
         check(b.get("N_p", 0) < d.get("T", 0), "baselines.N_p",
               "must leave at least one data slot (N_p < T)")
+        # Its data encoder spans T - N_p slots; identity and file encoders fit T only.
+        check(init != "identity", "baselines.lmmse",
+              "an identity encoder cannot fit the T - N_p data slots of the pilot chain")
+        check(not enc.get("file"), "baselines.lmmse",
+              "an encoder file cannot fit the T - N_p data slots of the pilot chain")
 
     check(cfg.get("power_mode", "exact") in ("exact", "average"), "power_mode",
           "must be 'exact' (per-realization normalization) or 'average' (fixed calibration)")
@@ -235,7 +248,7 @@ def load_config(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Scene construction
+# The link: what stays fixed across the trials of one experiment
 # ---------------------------------------------------------------------------
 
 def _build_base_encoder(spec: dict, out_shape: tuple[int, int], n: int,
@@ -248,32 +261,39 @@ def _build_base_encoder(spec: dict, out_shape: tuple[int, int], n: int,
                 f"{out_shape}/{n}")
         return enc
     m = out_shape[0] * out_shape[1]
-    init = spec.get("init", "gaussian")
-    if init == "identity":
-        if m != n:
-            raise ConfigError("identity encoder init requires n == N_t*K*T")
+    if spec.get("init", "gaussian") == "identity":  # validate_dict checks m == n
         A = np.eye(m, dtype=np.complex128)
-    elif init == "gaussian":
-        A = complex_normal(rng, (m, n), 1.0) / np.sqrt(n)
     else:
-        raise ConfigError(f"unknown encoder init {init!r}")
+        A = complex_normal(rng, (m, n), 1.0) / np.sqrt(n)
     gain = float(spec.get("gain", 1.0))
     if spec["type"] == "linear":
         return LinearEncoder(gain * A, out_shape)
     return SaturatingEncoder(A, gain, out_shape)
 
 
-def _calibration_scale(base: Encoder, sampler, P: float, rng: np.random.Generator,
-                       n_draws: int = 256) -> float:
-    """Fixed scale making the average per-symbol power equal P under the prior."""
-    m = base.output_shape[0] * base.output_shape[1]
-    acc = 0.0
-    for _ in range(n_draws):
-        acc += float(np.linalg.norm(base.encode(sampler(rng))) ** 2)
-    mean_power = acc / n_draws
+def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], source: ScorePrior,
+                  stream: int, cal_stream: int, exact: bool, n_draws: int = 256) -> Encoder:
+    """Base encoder from seed stream `stream`, held to the power budget P.
+
+    exact: per-realization normalization, part of the map the receiver
+    differentiates. Otherwise a linear encoder gets the fixed scale that
+    gives average power P over n_draws source draws (seed stream
+    `cal_stream`), so the map stays linear; a saturating one is used as-is.
+    """
+    seed = cfg.raw["seed"] & 0xFFFFFFFF
+    base = _build_base_encoder(cfg.raw["encoder"], out_shape, cfg.dims.n, np.random.default_rng(
+        np.random.SeedSequence([seed, 0xE2C0DE, stream])))
+    if exact:
+        return PowerNormalizedEncoder(base, cfg.dims.P)
+    if not isinstance(base, LinearEncoder):
+        return base
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCA11B, cal_stream]))
+    mean_power = sum(float(np.linalg.norm(base.encode(source.sample(rng))) ** 2)
+                     for _ in range(n_draws)) / n_draws
     if mean_power == 0:
         raise ConfigError("encoder output power is zero under the source prior")
-    return math.sqrt(P * m / mean_power)
+    m = out_shape[0] * out_shape[1]
+    return LinearEncoder(math.sqrt(cfg.dims.P * m / mean_power) * base.A, base.output_shape)
 
 
 def _build_prior(spec: dict, domain: str, shape, truth: np.ndarray | None) -> ScorePrior:
@@ -298,186 +318,174 @@ def _build_prior(spec: dict, domain: str, shape, truth: np.ndarray | None) -> Sc
     raise ConfigError(f"unknown prior type {kind!r}")
 
 
-def _source_sampler(cfg: dict, n: int):
-    """Callable rng -> true source draw, from source_draw or prior_source."""
-    spec = cfg.get("source_draw") or cfg["prior_source"]
+@dataclass
+class _Link:
+    """What stays fixed across the trials of one run.
+
+    The transmitter is fixed: its encoders depend on the config and the
+    master seed only, so they and their power calibration are built once.
+    """
+
+    encoders: list[Encoder]  # per user, over all T slots
+    source: ScorePrior  # draws the true sources
+    kron: tuple[np.ndarray, np.ndarray] | None = None  # (R_rx, R_tx); None: Rayleigh
+    cov_vec: np.ndarray | None = None  # covariance of vec(H_k)
+    pilots: bl.PilotMatrix | None = None  # the pilot chain, when baselines.lmmse is on
+    pilot_encoder: Encoder | None = None  # data encoder over the T - N_p data slots
+    pilot_prior: GaussianPrior | None = None  # None: no closed-form source decode
+
+
+def _build_link(cfg: ExperimentConfig) -> _Link:
+    raw, dims = cfg.raw, cfg.dims
+    spec = raw.get("source_draw") or raw["prior_source"]
     if isinstance(spec.get("mean"), str):
         raise ConfigError("cannot draw the true source from a 'truth'-anchored prior")
-    prior = _build_prior(spec, "real", (n,), None)
-    return lambda rng: prior.sample(rng)
-
-
-def _trial_seed(master: int, snr_idx: int, trial: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([master & 0xFFFFFFFF, snr_idx, trial])
+    source = _build_prior(spec, "real", (dims.n,), None)
+    exact = raw.get("power_mode", "exact") == "exact"
+    link = _Link([_link_encoder(cfg, dims.signal_shape, source, i, 1 + i, exact)
+                  for i in range(dims.N_u)], source)
+    if raw["channel"]["model"] == "kronecker":
+        R_rx, R_tx = (_as_complex_matrix(raw["channel"][k]) for k in ("R_rx", "R_tx"))
+        link.kron, link.cov_vec = (R_rx, R_tx), np.kron(R_tx.T, R_rx)
+    if raw["baselines"]["lmmse"]:
+        # Calibrated in either power mode, so a linear map decodes in closed form.
+        N_p = raw["baselines"]["N_p"]
+        link.pilots = bl.make_pilots(dims.N_t, N_p, dims.P)
+        link.pilot_encoder = _link_encoder(cfg, (dims.N_t * dims.K, dims.T - N_p), source,
+                                           0, 0, exact=False)
+        prior = raw["prior_source"]
+        if isinstance(link.pilot_encoder, LinearEncoder) and prior["type"] == "gaussian" \
+                and not isinstance(prior.get("mean"), str):
+            link.pilot_prior = _build_prior(prior, "real", (dims.n,), None)
+    return link
 
 
 # ---------------------------------------------------------------------------
-# Single trial
+# Single trial: a scene, then every enabled method on it
 # ---------------------------------------------------------------------------
 
-def _run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int):
-    """Execute one (snr, trial) cell; returns (records, diagnostics rows)."""
-    raw = cfg.raw
+@dataclass
+class _Scene:
+    """One (snr, trial) realization, shared by the methods of the cell."""
+
+    dims: MimoDims  # with the cell's noise power sigma_n2
+    rng: np.random.Generator
+    channels: list[BlockFadingChannel]
+    sources: list[np.ndarray]
+    X: list[np.ndarray]  # per-user transmitted signals
+    noise: np.ndarray
+    Y: np.ndarray
+    snr_db: float  # empirical
+    priors_H: list[ScorePrior]
+    priors_D: list[ScorePrior]
+    steps: list = field(default_factory=list)  # PVD per-step trace
+
+
+def _scene(cfg: ExperimentConfig, link: _Link, snr_db: float,
+           rng: np.random.Generator) -> _Scene:
+    """Draw channel, sources and noise from rng, in that order."""
+    dims, raw = cfg.dims, cfg.raw
+    channels = draw_rayleigh(dims, rng) if link.kron is None \
+        else draw_kronecker_correlated(dims, *link.kron, rng)
+    sources = [link.source.sample(rng) for _ in range(dims.N_u)]
+    X = [enc.encode(d) for enc, d in zip(link.encoders, sources)]
+    signal = sum(apply_channel(ch, x) for ch, x in zip(channels, X))
+    sig_power = float(np.linalg.norm(signal) ** 2)
+    sigma_n2 = sig_power / (dims.N_r * dims.K * dims.T * 10.0 ** (snr_db / 10.0))
+    noise = complex_normal(rng, dims.output_shape, 1.0) * math.sqrt(sigma_n2)
+    return _Scene(
+        dataclasses.replace(dims, sigma_n2=sigma_n2), rng, channels, sources, X,
+        noise, signal + noise, mt.snr_db(signal, noise),
+        [_build_prior(raw["prior_channel"], "complex", (dims.K, dims.N_r, dims.N_t), ch.blocks)
+         for ch in channels],
+        [_build_prior(raw["prior_source"], "real", (dims.n,), d) for d in sources])
+
+
+def _pvd(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
+    result = pv.run(sc.Y, link.encoders, sc.priors_H, sc.priors_D, sc.dims,
+                    cfg.pvd_config(), sc.rng)
+    fields = {
+        "nmse_db": mt.nmse_db([c.blocks for c in sc.channels],
+                              [c.blocks for c in result.channels]),
+        "source_mse": float(np.mean([mt.source_mse(dt, de) for dt, de
+                                     in zip(sc.sources, result.sources)])),
+        "residual": result.residual,
+        "cbr": mt.cbr(cfg.dims, cfg.dims.T),
+    }
+    sc.steps = result.diagnostics
+    return fields
+
+
+def _lmmse(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
+    """Two-stage pilot chain on the same channel and noise realization."""
+    dims, N_p, sigma_n2 = cfg.dims, link.pilots.N_p, sc.dims.sigma_n2
+    T_d = dims.T - N_p
+    X = np.empty((dims.K, dims.N_t, dims.T), dtype=np.complex128)
+    X[:, :, :N_p] = link.pilots.X_p
+    X[:, :, N_p:] = link.pilot_encoder.encode(sc.sources[0]).reshape(dims.K, dims.N_t, T_d)
+    signal = apply_channel(sc.channels[0], X.reshape(dims.N_t * dims.K, dims.T))
+    Yb = (signal + sc.noise).reshape(dims.K, dims.N_r, dims.T)
+    H_hat = bl.lmmse_channel(Yb[:, :, :N_p], link.pilots.X_p, 1.0, sigma_n2,
+                             Sigma=link.cov_vec)
+    fields = {"nmse_db": mt.nmse_db([sc.channels[0].blocks], [H_hat]),
+              "snr_db": mt.snr_db(signal, sc.noise), "cbr": mt.cbr(dims, T_d)}
+    if link.pilot_prior is not None:
+        D_hat = bl.two_stage_decode(Yb[:, :, N_p:], H_hat, link.pilot_encoder,
+                                    link.pilot_prior, sigma_n2)
+        fields["source_mse"] = mt.source_mse(sc.sources[0], D_hat)
+    return fields
+
+
+def _oracle_lmmse(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
     dims = cfg.dims
+    H_hat = bl.oracle_lmmse(sc.Y.reshape(dims.K, dims.N_r, dims.T),
+                            sc.X[0].reshape(dims.K, dims.N_t, dims.T),
+                            1.0, sc.dims.sigma_n2, Sigma=link.cov_vec)
+    return {"nmse_db": mt.nmse_db([sc.channels[0].blocks], [H_hat]),
+            "cbr": mt.cbr(dims, dims.T)}
+
+
+# Each method maps (cfg, link, scene) to the fields of its record; the table
+# order is the row order within a cell.
+_METHODS = {"pvd": _pvd, "lmmse": _lmmse, "oracle_lmmse": _oracle_lmmse}
+
+
+def _run_trial(cfg: ExperimentConfig, link: _Link, snr_idx: int, trial: int):
+    """Execute one (snr, trial) cell; returns (records, diagnostics rows).
+
+    A failure while building the scene flags the row of every method; a
+    failing method flags its own row.
+    """
+    raw = cfg.raw
     snr_target = float(raw["snr_db"][snr_idx])
-    ss = _trial_seed(raw["seed"], snr_idx, trial)
+    ss = np.random.SeedSequence([raw["seed"] & 0xFFFFFFFF, snr_idx, trial])
     seed_int = int(ss.generate_state(1)[0])
-    rng = np.random.default_rng(ss)
-
-    records: list[mt.MetricsRecord] = []
-    diag_rows: list[list] = []
-    methods = cfg.methods
-
-    def error_rows(message: str):
-        for method in methods:
-            records.append(mt.MetricsRecord(
-                trial=trial, seed=seed_int, snr_db=snr_target,
-                cbr=float("nan"), nmse_db=float("nan"), source_mse=float("nan"),
-                residual=float("nan"), method=method, wall_ms=None, error=message,
-            ))
-        return records, diag_rows
-
+    nan = float("nan")
+    blank = {"snr_db": snr_target, "cbr": nan, "nmse_db": nan, "source_mse": nan,
+             "residual": nan}
     try:
         if [snr_idx, trial] in [list(t) for t in raw.get("force_error_trials", [])]:
             raise RuntimeError("forced divergent trial")
-
-        # Scene: channel, true sources, encoders, priors.
-        if raw["channel"]["model"] == "kronecker":
-            R_rx = _as_complex_matrix(raw["channel"]["R_rx"])
-            R_tx = _as_complex_matrix(raw["channel"]["R_tx"])
-            channels = draw_kronecker_correlated(dims, R_rx, R_tx, rng)
-            cov_vec = np.kron(R_tx.T, R_rx)
-        else:
-            channels = draw_rayleigh(dims, rng)
-            cov_vec = None
-        sampler = _source_sampler(raw, dims.n)
-        sources = [sampler(rng) for _ in range(dims.N_u)]
-
-        enc_rngs = [np.random.default_rng(np.random.SeedSequence(
-            [raw["seed"] & 0xFFFFFFFF, 0xE2C0DE, i])) for i in range(dims.N_u)]
-        bases = [_build_base_encoder(raw["encoder"], dims.signal_shape, dims.n, r)
-                 for r in enc_rngs]
-        if raw.get("power_mode", "exact") == "exact":
-            # Every realization meets the power budget with equality; the
-            # normalization is part of the map the receiver differentiates.
-            encs_pvd: list[Encoder] = [PowerNormalizedEncoder(b, dims.P) for b in bases]
-        else:
-            # Fixed calibration: power P holds on average under the source
-            # prior, the map stays linear in the source.
-            encs_pvd = []
-            for i, b in enumerate(bases):
-                cal_rng = np.random.default_rng(np.random.SeedSequence(
-                    [raw["seed"] & 0xFFFFFFFF, 0xCA11B, 1 + i]))
-                scale = _calibration_scale(b, _source_sampler(raw, dims.n), dims.P, cal_rng)
-                if isinstance(b, LinearEncoder):
-                    encs_pvd.append(LinearEncoder(scale * b.A, b.output_shape))
-                else:
-                    encs_pvd.append(b)
-
-        X_list = [enc.encode(d) for enc, d in zip(encs_pvd, sources)]
-        signal = sum(apply_channel(ch, X) for ch, X in zip(channels, X_list))
-        sig_power = float(np.linalg.norm(signal) ** 2)
-        sigma_n2 = sig_power / (dims.N_r * dims.K * dims.T * 10.0 ** (snr_target / 10.0))
-        noise_unit = complex_normal(rng, dims.output_shape, 1.0)
-        N = noise_unit * math.sqrt(sigma_n2)
-        Y = signal + N
-        dims_t = dataclasses.replace(dims, sigma_n2=sigma_n2)
-
-        priors_H = [_build_prior(raw["prior_channel"], "complex",
-                                 (dims.K, dims.N_r, dims.N_t), ch.blocks)
-                    for ch in channels]
-        priors_D = [_build_prior(raw["prior_source"], "real", (dims.n,), d)
-                    for d in sources]
-
-        for method in methods:
-            t0 = time.perf_counter()
-            err = ""
-            nmse = smse = resid = float("nan")
-            ratio = float("nan")
-            snr_emp = mt.snr_db(signal, N)
-            try:
-                if method == "pvd":
-                    result = pv.run(Y, encs_pvd, priors_H, priors_D, dims_t,
-                                    cfg.pvd_config(), rng)
-                    nmse = mt.nmse_db([c.blocks for c in channels],
-                                      [c.blocks for c in result.channels])
-                    smse = float(np.mean([mt.source_mse(dt, de) for dt, de
-                                          in zip(sources, result.sources)]))
-                    resid = result.residual
-                    ratio = mt.cbr(dims, dims.T)
-                    if raw["diagnostics"]:
-                        for rec in result.diagnostics:
-                            diag_rows.append([snr_target, trial, rec.j,
-                                              rec.sigma_H, rec.sigma_D, rec.residual,
-                                              rec.grad_norm_H, rec.grad_norm_D])
-                elif method == "lmmse":
-                    rec = _pilot_trial(cfg, channels[0], sources[0], bases[0],
-                                       noise_unit, sigma_n2, cov_vec, raw)
-                    nmse, smse, snr_emp = rec
-                    ratio = mt.cbr(dims, dims.T - raw["baselines"]["N_p"])
-                elif method == "oracle_lmmse":
-                    Xb = X_list[0].reshape(dims.K, dims.N_t, dims.T)
-                    Yb = Y.reshape(dims.K, dims.N_r, dims.T)
-                    H_hat = bl.oracle_lmmse(Yb, Xb, 1.0, sigma_n2) if cov_vec is None \
-                        else np.stack([bl._lmmse_block_covariance(Yk, Xk, cov_vec, sigma_n2)
-                                       for Yk, Xk in zip(Yb, Xb)])
-                    nmse = mt.nmse_db([channels[0].blocks], [H_hat])
-                    ratio = mt.cbr(dims, dims.T)
-            except Exception as exc:  # noqa: BLE001 - record-and-continue policy
-                err = f"{type(exc).__name__}: {exc}"
-            wall = (time.perf_counter() - t0) * 1e3 if raw["record_timing"] else None
-            records.append(mt.MetricsRecord(
-                trial=trial, seed=seed_int, snr_db=snr_emp, cbr=ratio,
-                nmse_db=nmse, source_mse=smse, residual=resid,
-                method=method, wall_ms=wall, error=err,
-            ))
-        return records, diag_rows
+        sc = _scene(cfg, link, snr_target, np.random.default_rng(ss))
     except Exception as exc:  # noqa: BLE001 - record-and-continue policy
-        records.clear()
-        return error_rows(f"{type(exc).__name__}: {exc}")
+        return [mt.MetricsRecord(trial=trial, seed=seed_int, method=method, wall_ms=None,
+                                 error=f"{type(exc).__name__}: {exc}", **blank)
+                for method in cfg.methods], []
 
-
-def _pilot_trial(cfg: ExperimentConfig, channel: BlockFadingChannel, source, base,
-                 noise_unit, sigma_n2, cov_vec, raw):
-    """Two-stage pilot pipeline on the same channel/noise realization."""
-    dims = cfg.dims
-    N_p = raw["baselines"]["N_p"]
-    T_d = dims.T - N_p
-    pilot = bl.make_pilots(dims.N_t, N_p, dims.P)
-
-    # Data encoder over the reduced slot count. Linear encoders get a fixed
-    # calibration scale so the average per-symbol power is P while the map
-    # stays linear (closed-form decoding); the bounded saturating encoder is
-    # used as-is.
-    enc_rng = np.random.default_rng(np.random.SeedSequence(
-        [raw["seed"] & 0xFFFFFFFF, 0xE2C0DE, 0]))
-    base_d = _build_base_encoder(raw["encoder"], (dims.N_t * dims.K, T_d), dims.n, enc_rng)
-    if isinstance(base_d, LinearEncoder):
-        cal_rng = np.random.default_rng(np.random.SeedSequence(
-            [raw["seed"] & 0xFFFFFFFF, 0xCA11B, 0]))
-        scale = _calibration_scale(base_d, _source_sampler(raw, dims.n), dims.P, cal_rng)
-        enc_d: Encoder = LinearEncoder(scale * base_d.A, base_d.output_shape)
-    else:
-        enc_d = base_d
-
-    X = np.empty((dims.K, dims.N_t, dims.T), dtype=np.complex128)
-    X[:, :, :N_p] = pilot.X_p
-    X[:, :, N_p:] = enc_d.encode(source).reshape(dims.K, dims.N_t, T_d)
-    signal = apply_channel(channel, X.reshape(dims.N_t * dims.K, dims.T))
-    N = noise_unit * math.sqrt(sigma_n2)
-    Y = signal + N
-
-    Yb = Y.reshape(dims.K, dims.N_r, dims.T)
-    H_hat = bl.lmmse_channel(Yb[:, :, :N_p], pilot.X_p, 1.0, sigma_n2, Sigma=cov_vec)
-    nmse = mt.nmse_db([channel.blocks], [H_hat])
-    smse = float("nan")
-    if isinstance(enc_d, LinearEncoder):
-        prior_spec = raw["prior_source"]
-        if prior_spec["type"] == "gaussian" and not isinstance(prior_spec.get("mean"), str):
-            prior = _build_prior(prior_spec, "real", (dims.n,), None)
-            D_hat = bl.two_stage_decode(Yb[:, :, N_p:], H_hat, enc_d, prior, sigma_n2)
-            smse = mt.source_mse(source, D_hat)
-    return nmse, smse, mt.snr_db(signal, N)
+    records = []
+    for method in cfg.methods:
+        t0 = time.perf_counter()
+        fields, err = dict(blank, snr_db=sc.snr_db), ""
+        try:
+            fields.update(_METHODS[method](cfg, link, sc))
+        except Exception as exc:  # noqa: BLE001 - record-and-continue policy
+            err = f"{type(exc).__name__}: {exc}"
+        wall = (time.perf_counter() - t0) * 1e3 if raw["record_timing"] else None
+        records.append(mt.MetricsRecord(trial=trial, seed=seed_int, method=method,
+                                        wall_ms=wall, error=err, **fields))
+    diag_rows = [[snr_target, trial, s.j, s.sigma_H, s.sigma_D, s.residual, s.grad_norm_H,
+                  s.grad_norm_D] for s in sc.steps] if raw["diagnostics"] else []
+    return records, diag_rows
 
 
 # ---------------------------------------------------------------------------
@@ -507,39 +515,41 @@ def _write_csv(path, rows: list[list[str]], header: list[str]) -> None:
         w.writerows(rows)
 
 
-def _pool_task(args):
-    cfg_raw, snr_idx, trial = args
+_worker: tuple[ExperimentConfig, _Link] | None = None  # set in pool processes only
+
+
+def _init_worker(cfg_raw: dict) -> None:
+    global _worker
     cfg = ExperimentConfig.from_dict(cfg_raw)
-    return snr_idx, trial, _run_trial(cfg, snr_idx, trial)
+    _worker = cfg, _build_link(cfg)
+
+
+def _pool_task(cell):
+    return _run_trial(*_worker, *cell)
 
 
 def run_experiment(cfg: ExperimentConfig | dict, out=None) -> list[mt.MetricsRecord]:
     """Run every (snr, trial) cell and return records in deterministic order.
 
-    Writes the results CSV to `out` (or cfg.raw['out']) when given; with
-    diagnostics enabled a companion '<out>.diag.csv' carries the per-step
-    reverse-process trace of every PVD run.
+    The link is built once here and once in each worker process; a fault
+    there raises instead of flagging rows. Writes the results CSV to `out`
+    (or cfg.raw['out']) when given; with diagnostics enabled a companion
+    '<out>.diag.csv' carries the per-step reverse-process trace of every
+    PVD run.
     """
     if isinstance(cfg, dict):
         cfg = ExperimentConfig.from_dict(cfg)
     raw = cfg.raw
+    link = _build_link(cfg)
     cells = [(si, t) for si in range(len(raw["snr_db"])) for t in range(raw["trials"])]
-    results: dict[tuple[int, int], tuple] = {}
     if raw["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=raw["workers"]) as pool:
-            for si, t, res in pool.map(
-                    _pool_task, [(raw, si, t) for si, t in cells], chunksize=4):
-                results[(si, t)] = res
+        with ProcessPoolExecutor(max_workers=raw["workers"], initializer=_init_worker,
+                                 initargs=(raw,)) as pool:
+            results = list(pool.map(_pool_task, cells, chunksize=4))  # in cell order
     else:
-        for si, t in cells:
-            results[(si, t)] = _run_trial(cfg, si, t)
-
-    records: list[mt.MetricsRecord] = []
-    diag_rows: list[list] = []
-    for si, t in cells:  # deterministic (snr, trial, method) order
-        recs, diags = results[(si, t)]
-        records.extend(recs)
-        diag_rows.extend(diags)
+        results = [_run_trial(cfg, link, si, t) for si, t in cells]
+    records = [rec for recs, _ in results for rec in recs]  # (snr, trial, method) order
+    diag_rows = [row for _, rows in results for row in rows]
 
     out = out or raw.get("out")
     if out:

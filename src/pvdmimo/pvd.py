@@ -23,7 +23,6 @@ conjugate; under this convention the transition score is literally
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -72,11 +71,6 @@ class NoiseSchedule:
     def variance(self, j: int) -> float:
         s = self.value(j)
         return s * s
-
-
-def schedule_value(schedule: NoiseSchedule, j: int) -> float:
-    """sigma_j of the schedule (0 at j = 0)."""
-    return schedule.value(j)
 
 
 def precisions(sched_H: NoiseSchedule, sched_D: NoiseSchedule, j: int) -> tuple[float, float]:
@@ -393,14 +387,13 @@ def run(
     dims: MimoDims,
     config: PvdConfig,
     rng: np.random.Generator,
-    diagnostics_path=None,
 ) -> RecoveryResult:
     """Full reverse process: recover all users' channels and sources from Y.
 
     encoders / priors_H / priors_D may be single objects (shared by all
     users) or per-user sequences. The N_u = 1 case runs the identical code
-    path as the multi-user case. If diagnostics_path is given, the
-    per-step trace is also streamed to CSV.
+    path as the multi-user case. The per-step trace is returned in
+    `diagnostics`; writing it out is left to the caller.
     """
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.shape != dims.output_shape:
@@ -489,15 +482,12 @@ def run(
             grad_norm_H=last_gnorm_H, grad_norm_D=last_gnorm_D,
         ))
 
-    result = RecoveryResult(
+    return RecoveryResult(
         channels=[BlockFadingChannel(h) for h in state.H_mean],
         sources=[d.copy() for d in state.D_mean],
         residual=diag[-1].residual,
         diagnostics=diag,
     )
-    if diagnostics_path is not None:
-        _write_diagnostics(diagnostics_path, diag)
-    return result
 
 
 def _residual(Y, encoders, H_means, D_means) -> float:
@@ -506,12 +496,3 @@ def _residual(Y, encoders, H_means, D_means) -> float:
         for enc, H, D in zip(encoders, H_means, D_means)
     )
     return float(np.linalg.norm(Y - fit))
-
-
-def _write_diagnostics(path, diag: list[PvdStepDiag]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["j", "sigma_H", "sigma_D", "residual", "grad_norm_H", "grad_norm_D"])
-        for rec in diag:
-            w.writerow([rec.j, repr(rec.sigma_H), repr(rec.sigma_D),
-                        repr(rec.residual), repr(rec.grad_norm_H), repr(rec.grad_norm_D)])

@@ -153,6 +153,19 @@ def test_oracle_beats_pilot_on_same_trial():
     assert wins / trials > 0.75
 
 
+def test_oracle_covariance_matches_stacked_lmmse_channel():
+    # per-block X with a full covariance: the stacked one-block pilot estimates, bit for bit
+    rng = np.random.default_rng(8)
+    K, N_r, N_t, T, s2 = 3, 2, 2, 5, 0.3
+    R = np.array([[1.0, 0.4], [0.4, 1.0]])
+    Sigma = np.kron(R.T, np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 1.0]]))
+    X = complex_normal(rng, (K, N_t, T))
+    Y = np.einsum("krc,kct->krt", complex_normal(rng, (K, N_r, N_t)), X) \
+        + complex_normal(rng, (K, N_r, T), s2)
+    stacked = np.stack([lmmse_channel(Y[k], X[k], 1, s2, Sigma=Sigma) for k in range(K)])
+    assert np.array_equal(oracle_lmmse(Y, X, 1, s2, Sigma), stacked)
+
+
 # --- two-stage decode ------------------------------------------------------------
 
 def _linear_scene(rng, N_r=3, K=2, T=5, n=4):

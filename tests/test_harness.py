@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import pvdmimo
 from pvdmimo.cli import main as cli_main
 from pvdmimo.harness import (
     ConfigError,
@@ -189,6 +190,56 @@ def test_validate_multiuser_baselines_rejected():
     assert any("baselines" in v for v in out)
 
 
+def test_validate_encoder_init():
+    cfg = tiny_config(encoder={"type": "linear", "init": "identity"},
+                      baselines={"lmmse": False, "oracle_lmmse": True})
+    assert validate_dict(cfg) == ["encoder.init: 'identity' needs n == N_t*K*T = 8"]
+    cfg["dims"] = dict(cfg["dims"], n=8)
+    assert validate_dict(cfg) == []
+    cfg["encoder"] = {"type": "linear", "init": "orthogonal"}
+    assert validate_dict(cfg) == ["encoder.init: must be 'gaussian' or 'identity'"]
+
+
+def test_validate_identity_init_rejects_pilot_chain():
+    cfg = tiny_config(encoder={"type": "linear", "init": "identity"})
+    cfg["dims"] = dict(cfg["dims"], n=8)
+    out = validate_dict(cfg)
+    assert len(out) == 1 and out[0].startswith("baselines.lmmse: ")
+    assert "identity" in out[0]
+
+
+def test_validate_encoder_file_rejects_pilot_chain():
+    cfg = tiny_config(encoder={"type": "linear", "file": "enc.txt"})
+    out = validate_dict(cfg)
+    assert len(out) == 1 and out[0].startswith("baselines.lmmse: ")
+    assert "encoder file" in out[0]
+    cfg["baselines"] = {"lmmse": False, "oracle_lmmse": True}
+    assert validate_dict(cfg) == []
+
+
+def _kronecker(R_rx, R_tx):
+    return tiny_config(channel={"model": "kronecker", "R_rx": R_rx, "R_tx": R_tx})
+
+
+def test_validate_kronecker_rx_shape():
+    out = validate_dict(_kronecker([[1.0, 0.0, 0.0]] * 3, [[1.0]]))
+    assert out == ["channel.R_rx: the kronecker model needs a 2x2 matrix of numbers or [re, im] pairs"]
+
+
+def test_validate_kronecker_tx_shape():
+    out = validate_dict(_kronecker([[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 1.0]]))
+    assert out == ["channel.R_tx: the kronecker model needs a 1x1 matrix of numbers or [re, im] pairs"]
+    assert validate_dict(_kronecker([[1.0, [0.5, 0.1]], [[0.5, -0.1], 1.0]], [[1.0]])) == []
+
+
+def test_run_rejects_bad_link_instead_of_flagging_rows():
+    # a 2x2 R_rx for N_r = 4 used to pass and flag every row
+    cfg = _kronecker([[1.0, 0.5], [0.5, 1.0]], [[1.0]])
+    cfg["dims"] = dict(cfg["dims"], N_r=4)
+    with pytest.raises(ConfigError, match=r"channel\.R_rx"):
+        run_experiment(cfg)
+
+
 def test_config_error_raised_on_bad_dict():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(tiny_config(trials=-1))
@@ -235,8 +286,17 @@ def test_sweep_unknown_path_error():
         sweep(tiny_config(), "dims.bogus", [1])
 
 
-def test_workers_match_serial(tmp_path):
-    cfg = tiny_config(trials=4)
+@pytest.mark.parametrize("cfg", [
+    tiny_config(trials=4),
+    # per-worker link: calibrated encoders, pilot chain and covariance oracle
+    tiny_config(trials=4, power_mode="average",
+                dims={"N_r": 3, "N_t": 2, "K": 2, "T": 8, "N_u": 1, "n": 3, "P": 1.0},
+                channel={"model": "kronecker", "R_rx": [[1.0, 0.5, 0.25], [0.5, 1.0, 0.5],
+                                                        [0.25, 0.5, 1.0]],
+                         "R_tx": [[1.0, [0.3, 0.1]], [[0.3, -0.1], 1.0]]},
+                baselines={"lmmse": True, "oracle_lmmse": True, "N_p": 2}),
+], ids=["rayleigh", "kronecker-average-baselines"])
+def test_workers_match_serial(tmp_path, cfg):
     p1, p2 = tmp_path / "serial.csv", tmp_path / "pool.csv"
     run_experiment(dict(cfg, workers=1), out=p1)
     run_experiment(dict(cfg, workers=2), out=p2)
@@ -306,7 +366,10 @@ def test_cli_sweep(tmp_path):
 def test_cli_env_seed_override(tmp_path):
     out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     path = _write_cfg(tmp_path, tiny_config(trials=2))
-    env = dict(os.environ, PVDMIMO_SEED="777")
+    # the child imports the same pvdmimo as this process, however pytest found it
+    src = os.path.dirname(os.path.dirname(pvdmimo.__file__))
+    env = dict(os.environ, PVDMIMO_SEED="777",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-m", "pvdmimo.cli", "run", str(path),
                     "--out", str(out1)], env=env, check=True, capture_output=True)
     # same effect as writing the seed into the config

@@ -19,7 +19,6 @@ from pvdmimo.pvd import (
     precisions,
     run,
     sample_variational,
-    schedule_value,
     transition_scores,
     tweedie,
     update_means,
@@ -30,20 +29,20 @@ from pvdmimo.pvd import (
 
 def test_schedule_endpoint():
     s = NoiseSchedule(0.01, 100.0, 30)
-    assert schedule_value(s, 30) == pytest.approx(100.0)
-    assert schedule_value(s, 0) == 0.0
+    assert s.value(30) == pytest.approx(100.0)
+    assert s.value(0) == 0.0
 
 
 def test_schedule_geometric_midpoint():
     s = NoiseSchedule(0.01, 100.0, 30)
-    assert schedule_value(s, 15) == pytest.approx(1.0)
+    assert s.value(15) == pytest.approx(1.0)
 
 
 def test_schedule_j1_value():
     # independent evaluation: 0.01 * (100/0.01)^(1/30)
     s = NoiseSchedule(0.01, 100.0, 30)
     expect = 0.01 * math.exp(math.log(100.0 / 0.01) / 30.0)
-    assert schedule_value(s, 1) == pytest.approx(expect, rel=1e-12)
+    assert s.value(1) == pytest.approx(expect, rel=1e-12)
     assert expect == pytest.approx(0.013594, abs=1e-6)
 
 
@@ -518,13 +517,9 @@ def test_run_shape_validation():
             GaussianPrior(np.zeros(8), 1.0, "real"), dims, _tuned_cfg(), rng)
 
 
-def test_run_writes_diagnostics_csv(tmp_path):
+def test_run_returns_diagnostics():
     rng, dims, H, A, enc, d_true, Y, sn2 = _known_channel_scene(2)
-    path = tmp_path / "diag.csv"
     res = run(Y, enc, GaussianPrior(H, 1e-6, "complex"),
               GaussianPrior(np.zeros(8), 1.0, "real"), dims,
-              _tuned_cfg(J=10, J_in=5), rng, diagnostics_path=path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("j,sigma_H,sigma_D,residual")
-    assert len(lines) == 1 + 10
+              _tuned_cfg(J=10, J_in=5), rng)
     assert len(res.diagnostics) == 10
