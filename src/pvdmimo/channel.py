@@ -103,8 +103,9 @@ def draw_rayleigh(dims: MimoDims, rng: np.random.Generator) -> list[BlockFadingC
     ]
 
 
-def _hermitian_sqrt(R: np.ndarray, name: str) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition; validates R."""
+def hermitian_sqrt(R: np.ndarray, name: str) -> np.ndarray | None:
+    """Hermitian PSD square root via eigendecomposition (None for the exact
+    identity); raises ValueError naming `name` unless R is Hermitian PSD."""
     R = np.asarray(R, dtype=np.complex128)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise ValueError(f"{name} must be square, got shape {R.shape}")
@@ -132,8 +133,8 @@ def draw_kronecker_correlated(
     Hermitian positive semidefinite. Identity covariances reproduce
     draw_rayleigh bit-exactly under the same generator state.
     """
-    S_rx = _hermitian_sqrt(R_rx, "R_rx")
-    S_tx = _hermitian_sqrt(R_tx, "R_tx")
+    S_rx = hermitian_sqrt(R_rx, "R_rx")
+    S_tx = hermitian_sqrt(R_tx, "R_tx")
     if np.asarray(R_rx).shape[0] != dims.N_r:
         raise ValueError(f"R_rx must be {dims.N_r}x{dims.N_r}")
     if np.asarray(R_tx).shape[0] != dims.N_t:

@@ -9,12 +9,13 @@ for a real-valued loss L with conjugate sensitivity c = dL/dconj(X),
 
 which is exactly dL/dd under the Wirtinger convention used throughout.
 
-linearize(d) returns that map as a pullback c -> vjp(d, c): everything
-that depends on d alone (the input check, tanh' factors, the base
-encoding and its norm under power normalization) is computed once, so
-pushing many cotangents through one point, as the Hutchinson probes of
-jacobian_frobenius2 do, costs one matrix-vector product each. vjp(d, c)
-is linearize(d)(c).
+Every encoder is evaluated through one routine, linearize(d) ->
+Linearization, which checks d once and does the work that depends on d
+alone (tanh' factors; the base linearization, its norm and the radial term
+under power normalization). Its value is f(d), jacobian() the dense J, and
+calling it pulls a cotangent back for one matrix-vector product, however
+many are pushed through one point (as Hutchinson probes are). encode, vjp
+and jacobian are views of it.
 
 LinearEncoder applies a fixed complex matrix; SaturatingEncoder squashes
 real and imaginary parts elementwise through tanh (a smooth, bounded
@@ -30,42 +31,39 @@ import numpy as np
 from .channel import MimoDims
 
 
+class Linearization:
+    """An encoder at one point d: `value` = encode(d), calling it pulls a
+    cotangent back (c -> 2 Re(J^H vec c)), `jacobian()` is the dense J."""
+
+    __slots__ = ("d", "value", "_pull", "jacobian")
+
+    def __init__(self, d: np.ndarray, value: np.ndarray, pull, jacobian):
+        self.d, self.value, self._pull, self.jacobian = d, value, pull, jacobian
+
+    def __call__(self, cotangent) -> np.ndarray:
+        return self._pull(cotangent)
+
+
 class Encoder:
     """Interface: deterministic encode plus an exact adjoint of its linearization."""
 
     input_dim: int
     output_shape: tuple[int, int]
 
-    def encode(self, d: np.ndarray) -> np.ndarray:
+    def linearize(self, d: np.ndarray) -> Linearization:
         raise NotImplementedError
 
-    def linearize(self, d: np.ndarray):
-        """Pullback c -> 2 Re(J^H vec c) of the Jacobian J at d."""
-        raise NotImplementedError
+    # Views of linearize. Each concrete class binds them in its own body, so
+    # they can be wrapped per class (perfbench/spans.py times them apart).
+    def encode(self, d: np.ndarray) -> np.ndarray:
+        return self.linearize(d).value
 
     def vjp(self, d: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
         return self.linearize(d)(cotangent)
 
     def jacobian(self, d: np.ndarray) -> np.ndarray:
-        """Dense Jacobian (m x n complex, m = N_t*K*T), by pullback row extraction.
-
-        Row k of J is recovered from two pullbacks of one-hot cotangents:
-        Re J_k = pull(e_k)/2 and Im J_k = pull(i e_k)/2. Concrete encoders
-        override this with their analytic Jacobian.
-        """
-        pull = self.linearize(d)
-        m = self.output_shape[0] * self.output_shape[1]
-        J = np.empty((m, self.input_dim), dtype=np.complex128)
-        e = np.zeros(self.output_shape, dtype=np.complex128)
-        flat = e.ravel()
-        for k in range(m):
-            flat[k] = 1.0
-            re = pull(e)
-            flat[k] = 1.0j
-            im = pull(e)
-            flat[k] = 0.0
-            J[k] = 0.5 * (re + 1j * im)
-        return J
+        """Dense Jacobian, m x n complex with m = N_t*K*T."""
+        return self.linearize(d).jacobian()
 
     def _check_input(self, d) -> np.ndarray:
         d = np.asarray(d, dtype=np.float64).ravel()
@@ -82,6 +80,9 @@ class Encoder:
         return c
 
 
+_VIEWS = (Encoder.encode, Encoder.vjp, Encoder.jacobian)
+
+
 class LinearEncoder(Encoder):
     """X = reshape(A d), with A complex of shape (N_t*K*T, n)."""
 
@@ -94,26 +95,17 @@ class LinearEncoder(Encoder):
         self.output_shape = (int(rows), int(cols))
         self.input_dim = A.shape[1]
 
-    def encode(self, d: np.ndarray) -> np.ndarray:
+    def linearize(self, d: np.ndarray) -> Linearization:
         d = self._check_input(d)
-        return (self.A @ d).reshape(self.output_shape)
-
-    def linearize(self, d: np.ndarray):
-        self._check_input(d)
 
         def pullback(cotangent):
             # Re(c^H A) = Re(A^H c) without a conjugate copy of A.
             return 2.0 * (self._check_cotangent(cotangent).ravel().conj() @ self.A).real
 
-        return pullback
+        return Linearization(d, (self.A @ d).reshape(self.output_shape), pullback,
+                             lambda: self.A)
 
-    # Each concrete class binds vjp in its own body, so it can be wrapped
-    # per class (perfbench/spans.py times LinearEncoder.vjp apart).
-    vjp = Encoder.vjp
-
-    def jacobian(self, d: np.ndarray) -> np.ndarray:
-        self._check_input(d)
-        return self.A
+    encode, vjp, jacobian = _VIEWS
 
 
 class SaturatingEncoder(Encoder):
@@ -135,34 +127,25 @@ class SaturatingEncoder(Encoder):
         self.output_shape = (int(rows), int(cols))
         self.input_dim = A.shape[1]
 
-    def _pre(self, d: np.ndarray) -> np.ndarray:
-        return self.gain * (self.A @ d)
-
-    def encode(self, d: np.ndarray) -> np.ndarray:
+    def linearize(self, d: np.ndarray) -> Linearization:
         d = self._check_input(d)
-        z = self._pre(d)
-        return (np.tanh(z.real) + 1j * np.tanh(z.imag)).reshape(self.output_shape)
-
-    def linearize(self, d: np.ndarray):
-        z = self._pre(self._check_input(d))
-        dr = 1.0 - np.tanh(z.real) ** 2  # tanh' on each part
-        di = 1.0 - np.tanh(z.imag) ** 2
+        z = self.gain * (self.A @ d)
+        t_re, t_im = np.tanh(z.real), np.tanh(z.imag)
+        dr = 1.0 - t_re ** 2  # tanh' on each part
+        di = 1.0 - t_im ** 2
 
         def pullback(cotangent):
             c = self._check_cotangent(cotangent).ravel()
             out = self.A.real.T @ (dr * c.real) + self.A.imag.T @ (di * c.imag)
             return 2.0 * self.gain * out
 
-        return pullback
+        def jacobian():
+            return self.gain * (dr[:, None] * self.A.real + 1j * di[:, None] * self.A.imag)
 
-    vjp = Encoder.vjp
+        return Linearization(d, (t_re + 1j * t_im).reshape(self.output_shape), pullback,
+                             jacobian)
 
-    def jacobian(self, d: np.ndarray) -> np.ndarray:
-        d = self._check_input(d)
-        z = self._pre(d)
-        dr = 1.0 - np.tanh(z.real) ** 2
-        di = 1.0 - np.tanh(z.imag) ** 2
-        return self.gain * (dr[:, None] * self.A.real + 1j * di[:, None] * self.A.imag)
+    encode, vjp, jacobian = _VIEWS
 
 
 class PowerNormalizedEncoder(Encoder):
@@ -182,39 +165,29 @@ class PowerNormalizedEncoder(Encoder):
         self.input_dim = base.input_dim
         self._target = np.sqrt(P * self.output_shape[0] * self.output_shape[1])
 
-    def _scale(self, F: np.ndarray) -> tuple[float, float]:
-        """(c, ||F||_F) for a base encoding F, with c = sqrt(P m) / ||F||_F."""
+    def linearize(self, d: np.ndarray) -> Linearization:
+        base = self.base.linearize(d)
+        F = base.value
         nrm = np.linalg.norm(F)
         if nrm == 0:
             raise ValueError("base encoder output is zero; no feasible power scaling")
-        return self._target / nrm, nrm
-
-    def encode(self, d: np.ndarray) -> np.ndarray:
-        F = self.base.encode(d)
-        return self._scale(F)[0] * F
-
-    def linearize(self, d: np.ndarray):
-        F = self.base.encode(d)
-        scale, nrm = self._scale(F)
-        base_pull = self.base.linearize(d)
-        radial = base_pull(F)  # = 2 Re(J^H F)
+        scale = self._target / nrm
+        radial = base(F)  # = 2 Re(J^H F)
 
         # d(c F)/dd = c J + F (grad c)^T with grad c = -c Re(J^H F)/||F||^2.
         def pullback(cotangent):
             c = self._check_cotangent(cotangent)
             w = float(np.sum((c.conj() * F).real))  # Re <c, F>
-            return scale * base_pull(c) - (scale * w / nrm**2) * radial
+            return scale * base(c) - (scale * w / nrm**2) * radial
 
-        return pullback
+        def jacobian():
+            J, f = base.jacobian(), F.ravel()
+            grad_c = -(scale / nrm**2) * (J.conj().T @ f).real
+            return scale * J + np.outer(f, grad_c)
 
-    vjp = Encoder.vjp
+        return Linearization(base.d, scale * F, pullback, jacobian)
 
-    def jacobian(self, d: np.ndarray) -> np.ndarray:
-        F = self.base.encode(d).ravel()
-        scale, nrm = self._scale(F)
-        J = self.base.jacobian(d)
-        grad_c = -(scale / nrm**2) * (J.conj().T @ F).real
-        return scale * J + np.outer(F, grad_c)
+    encode, vjp, jacobian = _VIEWS
 
 
 def normalize_power(X: np.ndarray, dims: MimoDims) -> np.ndarray:
@@ -239,17 +212,17 @@ def jacobian_frobenius2(
 
     Exact (dense Jacobian) when n * N_t*K*T is at or below exact_threshold;
     otherwise an unbiased Hutchinson estimate using `probes` random +-1
-    probe matrices pushed through vjp: for a real Rademacher probe V,
+    probe matrices pushed through the pullback: for a real Rademacher probe V,
     ||J^H vec(V)||^2 = (||vjp(V)||^2 + ||vjp(iV)||^2) / 4 is unbiased for
     ||J||_F^2.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    m = enc.output_shape[0] * enc.output_shape[1]
-    if enc.input_dim * m <= exact_threshold:
-        J = enc.jacobian(d)
+    lin = enc.linearize(d)
+    if enc.input_dim * lin.value.size <= exact_threshold:
+        J = lin.jacobian()
         return float(np.sum((J * J.conj()).real))
-    return _hutchinson_frobenius2(enc.linearize(d), enc.output_shape, probes, rng)
+    return _hutchinson_frobenius2(lin, enc.output_shape, probes, rng)
 
 
 def _hutchinson_frobenius2(pullback, probe_shape, probes, rng, to_cotangent=None) -> float:

@@ -39,6 +39,7 @@ from .channel import (
     complex_normal,
     draw_kronecker_correlated,
     draw_rayleigh,
+    hermitian_sqrt,
 )
 from .encoder import (
     Encoder,
@@ -162,11 +163,17 @@ def validate_dict(user: dict) -> list[str]:
     kron = (("R_rx", d.get("N_r")), ("R_tx", d.get("N_t"))) if model == "kronecker" else ()
     for key, size in kron:
         try:
-            shape = _as_complex_matrix(ch[key]).shape
+            R = _as_complex_matrix(ch[key])
         except (KeyError, TypeError, ValueError, IndexError):
-            shape = None
-        check(shape == (size, size), f"channel.{key}", f"the kronecker model needs a "
+            R = None
+        fits = R is not None and R.shape == (size, size)
+        check(fits, f"channel.{key}", f"the kronecker model needs a "
               f"{size}x{size} matrix of numbers or [re, im] pairs")
+        try:
+            if fits:
+                hermitian_sqrt(R, key)  # the check the channel draw makes
+        except ValueError as exc:
+            out.append(f"channel.{key}: {exc}")
 
     enc = cfg["encoder"]
     check(enc.get("type") in ("linear", "saturating"), "encoder.type",
@@ -201,6 +208,8 @@ def validate_dict(user: dict) -> list[str]:
     if cfg["prior_source"].get("mean") == "truth":
         check(cfg.get("source_draw") is not None, "source_draw",
               "required when prior_source.mean is 'truth'")
+    check(not isinstance((cfg.get("source_draw") or {}).get("mean"), str), "source_draw.mean",
+          "must be numbers: the true source cannot be drawn from a 'truth'-anchored prior")
 
     p = cfg["pvd"]
     check(isinstance(p.get("J"), int) and p.get("J", 0) >= 2, "pvd.J", "must be an integer >= 2")

@@ -5,8 +5,13 @@ any smoothing level sigma >= 0:
 
   first_order(x, sigma)        gradient of ln of the sigma-smoothed density
   second_order_trace(x, sigma) trace of the Hessian of the same log-density
+  tweedie_chain_vjp(x, sigma, c) transpose Jacobian of the Tweedie map
   smoothed_log_density(x, sigma) the (unnormalized) log-density itself,
                                used as the differentiation oracle in tests
+
+The first three are views of one evaluation, at(x, sigma) -> PriorPoint,
+which computes the score and, on demand, the trace and the chain vjp from
+the same responsibilities and differences.
 
 Conventions. A prior is declared over a "real" or "complex" domain. For
 complex variables all gradients are Wirtinger derivatives with respect to
@@ -25,6 +30,8 @@ Laplacian over the stacked real coordinates.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 
@@ -40,22 +47,29 @@ def _abs2(x: np.ndarray) -> np.ndarray:
     return (x * x.conj()).real if np.iscomplexobj(x) else x * x
 
 
+class PriorPoint(NamedTuple):
+    """A prior evaluated at one point x and smoothing level sigma."""
+
+    score: np.ndarray  # first_order(x, sigma)
+    trace: Callable[[], float]  # () -> second_order_trace(x, sigma)
+    chain_vjp: Callable[[np.ndarray], np.ndarray]  # c -> tweedie_chain_vjp(x, sigma, c)
+
+
 class ScorePrior:
     """Interface: analytic scores of a sigma-smoothed density."""
 
     domain: str  # "real" or "complex"
 
-    def first_order(self, x, sigma: float) -> np.ndarray:
+    def at(self, x, sigma: float) -> PriorPoint:
         raise NotImplementedError
+
+    # Views of `at`. Each concrete class binds them in its own body, so they
+    # can be wrapped per class (perfbench/spans.py times them apart).
+    def first_order(self, x, sigma: float) -> np.ndarray:
+        return self.at(x, sigma).score
 
     def second_order_trace(self, x, sigma: float) -> float:
-        raise NotImplementedError
-
-    def smoothed_log_density(self, x, sigma: float) -> float:
-        raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        return self.at(x, sigma).trace()
 
     def tweedie_chain_vjp(self, x, sigma: float, cotangent) -> np.ndarray:
         """Apply the transpose Jacobian of the Tweedie map x -> x + sigma^2 S(x).
@@ -66,6 +80,12 @@ class ScorePrior:
         `cotangent` uses the same convention as first_order and the result
         is the chained gradient with respect to x.
         """
+        return self.at(x, sigma).chain_vjp(cotangent)
+
+    def smoothed_log_density(self, x, sigma: float) -> float:
+        raise NotImplementedError
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
     def _check(self, x, sigma: float) -> np.ndarray:
@@ -74,6 +94,9 @@ class ScorePrior:
         if self.domain == "complex":
             return _as_complex_array(x)
         return _as_float_array(x)
+
+
+_VIEWS = (ScorePrior.first_order, ScorePrior.second_order_trace, ScorePrior.tweedie_chain_vjp)
 
 
 class GaussianPrior(ScorePrior):
@@ -93,13 +116,15 @@ class GaussianPrior(ScorePrior):
     def _s2(self, sigma: float) -> float:
         return self.var0 + sigma * sigma
 
-    def first_order(self, x, sigma: float) -> np.ndarray:
+    def at(self, x, sigma: float) -> PriorPoint:
         x = self._check(x, sigma)
-        return (self.mean - x) / self._s2(sigma)
+        s2 = self._s2(sigma)
+        # dG/dy = -I/v in real coordinates; the chain factor collapses to
+        # the scalar var0 / (var0 + sigma^2) in both domains.
+        return PriorPoint((self.mean - x) / s2, lambda: -self.dim / s2,
+                          lambda cotangent: np.asarray(cotangent) * (self.var0 / s2))
 
-    def second_order_trace(self, x, sigma: float) -> float:
-        self._check(x, sigma)
-        return -self.dim / self._s2(sigma)
+    first_order, second_order_trace, tweedie_chain_vjp = _VIEWS
 
     def smoothed_log_density(self, x, sigma: float) -> float:
         x = self._check(x, sigma)
@@ -112,13 +137,6 @@ class GaussianPrior(ScorePrior):
             z = rng.standard_normal(self.mean.shape) + 1j * rng.standard_normal(self.mean.shape)
             return self.mean + z * np.sqrt(self.var0 / 2.0)
         return self.mean + rng.standard_normal(self.mean.shape) * np.sqrt(self.var0)
-
-    def tweedie_chain_vjp(self, x, sigma: float, cotangent) -> np.ndarray:
-        self._check(x, sigma)
-        # dG/dy = -I/v in real coordinates; the chain factor collapses to
-        # the scalar var0 / (var0 + sigma^2) in both domains.
-        factor = self.var0 / self._s2(sigma)
-        return np.asarray(cotangent) * factor
 
 
 class GaussianMixturePrior(ScorePrior):
@@ -156,34 +174,44 @@ class GaussianMixturePrior(ScorePrior):
         return self.var0 + sigma * sigma
 
     def _log_resp(self, x: np.ndarray, sigma: float):
-        """Log responsibilities and per-component quadratic exponents."""
+        """Log responsibilities, per-component differences M_c - x, and log Z."""
         s2 = self._s2(sigma)
         diffs = self.means - x[None, ...]
-        q = np.array([float(np.sum(_abs2(d))) for d in diffs])
+        q = np.sum(_abs2(diffs).reshape(self.n_components, -1), axis=1)
         expo = -q / s2 if self.domain == "complex" else -q / (2.0 * s2)
         logits = np.log(self.weights) + expo
         m = np.max(logits)
         logz = m + np.log(np.sum(np.exp(logits - m)))
         return logits - logz, diffs, logz
 
-    def first_order(self, x, sigma: float) -> np.ndarray:
+    def at(self, x, sigma: float) -> PriorPoint:
         x = self._check(x, sigma)
         log_r, diffs, _ = self._log_resp(x, sigma)
         r = np.exp(log_r)
         s2 = self._s2(sigma)
-        return np.tensordot(r, diffs, axes=(0, 0)) / s2
 
-    def second_order_trace(self, x, sigma: float) -> float:
-        # trace = sum_c r_c (|u_c|^2 - dim/s2) - |g|^2 with u_c = (M_c - x)/s2,
-        # identical in form for both domains under the stated conventions.
-        x = self._check(x, sigma)
-        log_r, diffs, _ = self._log_resp(x, sigma)
-        r = np.exp(log_r)
-        s2 = self._s2(sigma)
-        u = diffs / s2
-        g = np.tensordot(r, u, axes=(0, 0))
-        u_norms = np.array([float(np.sum(_abs2(uc))) for uc in u])
-        return float(np.dot(r, u_norms) - self.dim / s2 - np.sum(_abs2(g)))
+        def trace() -> float:
+            # trace = sum_c r_c (|u_c|^2 - dim/s2) - |g|^2 with u_c = (M_c - x)/s2,
+            # identical in form for both domains under the stated conventions.
+            u = diffs / s2
+            g = np.tensordot(r, u, axes=(0, 0))
+            u_norms = np.sum(_abs2(u).reshape(self.n_components, -1), axis=1)
+            return float(np.dot(r, u_norms) - self.dim / s2 - np.sum(_abs2(g)))
+
+        def chain_vjp(cotangent) -> np.ndarray:
+            v = s2 / 2.0 if self.domain == "complex" else s2
+            s_eff2 = sigma * sigma / 2.0 if self.domain == "complex" else sigma * sigma
+            # Real-coordinate score Jacobian, applied matrix-free:
+            # dG/dy g = sum_c rho_c u_c (u_c . g) - G (G . g) - g / v.
+            u = self._stack(diffs, self.n_components) / v
+            G = r @ u
+            g = self._stack(np.asarray(cotangent))
+            out = g + s_eff2 * ((r * (u @ g)) @ u - G * (G @ g) - g / v)
+            return self._unstack(out, np.asarray(cotangent))
+
+        return PriorPoint(np.tensordot(r, diffs, axes=(0, 0)) / s2, trace, chain_vjp)
+
+    first_order, second_order_trace, tweedie_chain_vjp = _VIEWS
 
     def smoothed_log_density(self, x, sigma: float) -> float:
         x = self._check(x, sigma)
@@ -198,28 +226,15 @@ class GaussianMixturePrior(ScorePrior):
             return mean + z * np.sqrt(self.var0 / 2.0)
         return mean + rng.standard_normal(mean.shape) * np.sqrt(self.var0)
 
-    def _stack(self, a: np.ndarray) -> np.ndarray:
+    def _stack(self, a: np.ndarray, *lead: int) -> np.ndarray:
+        """Stacked real coordinates over the axes after `lead`: re, then im."""
+        a = a.reshape(*lead, -1)
         if self.domain == "complex":
-            return np.concatenate([a.real.ravel(), a.imag.ravel()])
-        return a.ravel().astype(np.float64)
+            return np.concatenate([a.real, a.imag], axis=-1)
+        return a.astype(np.float64)
 
     def _unstack(self, y: np.ndarray, like: np.ndarray) -> np.ndarray:
         if self.domain == "complex":
             h = y.size // 2
             return (y[:h] + 1j * y[h:]).reshape(like.shape)
         return y.reshape(like.shape)
-
-    def tweedie_chain_vjp(self, x, sigma: float, cotangent) -> np.ndarray:
-        x = self._check(x, sigma)
-        log_r, diffs, _ = self._log_resp(x, sigma)
-        r = np.exp(log_r)
-        s2 = self._s2(sigma)
-        v = s2 / 2.0 if self.domain == "complex" else s2
-        s_eff2 = sigma * sigma / 2.0 if self.domain == "complex" else sigma * sigma
-        # Real-coordinate score Jacobian, applied matrix-free:
-        # dG/dy g = sum_c rho_c u_c (u_c . g) - G (G . g) - g / v.
-        u = np.stack([self._stack(d) / v for d in diffs])
-        G = r @ u
-        g = self._stack(np.asarray(cotangent))
-        out = g + s_eff2 * ((r * (u @ g)) @ u - G * (G @ g) - g / v)
-        return self._unstack(out, np.asarray(cotangent))

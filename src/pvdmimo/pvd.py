@@ -16,6 +16,11 @@ variance, so early steps (where the estimates are poor) are weighted
 down automatically. After the final step the variational means are the
 recovered channel and source.
 
+At each sample every prior and encoder is evaluated once (`ScorePrior.at`,
+`Encoder.linearize`), and that one evaluation feeds the Tweedie estimates,
+their error variances, the aggregated noise, the likelihood and the prior
+term alike.
+
 All complex gradients are Wirtinger derivatives with respect to the
 conjugate; under this convention the transition score is literally
 (value_{j+1} - value_j) / (sigma_{j+1}^2 - sigma_j^2) in both domains.
@@ -30,12 +35,12 @@ from typing import Sequence
 import numpy as np
 
 from .channel import MimoDims, BlockFadingChannel, complex_normal
-from .encoder import Encoder, _hutchinson_frobenius2
-from .priors import ScorePrior
+from .encoder import Linearization, _hutchinson_frobenius2
+from .priors import PriorPoint, ScorePrior
 
 
 class PvdDivergenceError(RuntimeError):
-    """Raised when a reverse step produces non-finite values."""
+    """Raised when a reverse step produces a non-finite quantity, named in the message."""
 
     def __init__(self, step: int, inner: int, what: str):
         super().__init__(
@@ -141,10 +146,6 @@ class PvdState:
     lambda_H: float = math.inf
     lambda_D: float = math.inf
 
-    @property
-    def n_users(self) -> int:
-        return len(self.H_mean)
-
 
 @dataclass
 class PvdStepDiag:
@@ -189,6 +190,17 @@ def sample_variational(state: PvdState, rng: np.random.Generator):
     return H_s, D_s
 
 
+def _denoised(x: np.ndarray, point: PriorPoint, sigma: float) -> np.ndarray:
+    return x if sigma == 0 else x + sigma**2 * point.score
+
+
+def _error_variance(x: np.ndarray, point: PriorPoint, s: float) -> float:
+    if s == 0:
+        return 0.0
+    v = s * s + s**4 * point.trace() / x.size
+    return float(min(max(v, 0.0), s * s))
+
+
 def tweedie(
     prior_H: ScorePrior,
     prior_D: ScorePrior,
@@ -202,9 +214,8 @@ def tweedie(
     x_hat = x + sigma^2 * first_order(prior, x, sigma); exact for the
     analytic priors, identity at sigma = 0.
     """
-    H0j = H_j if sigma_H == 0 else H_j + sigma_H**2 * prior_H.first_order(H_j, sigma_H)
-    D0j = D_j if sigma_D == 0 else D_j + sigma_D**2 * prior_D.first_order(D_j, sigma_D)
-    return H0j, D0j
+    return (_denoised(H_j, prior_H.at(H_j, sigma_H), sigma_H),
+            _denoised(D_j, prior_D.at(D_j, sigma_D), sigma_D))
 
 
 def error_variances(
@@ -220,14 +231,8 @@ def error_variances(
     sigma_{0|j}^2 = sigma_j^2 + sigma_j^4 * trace / dim with dim the free
     entry count; clamped to [0, sigma_j^2]. Exact for Gaussian priors
     (conjugate posterior variance)."""
-    out = []
-    for prior, x, s in ((prior_H, H_j, sigma_H), (prior_D, D_j, sigma_D)):
-        if s == 0:
-            out.append(0.0)
-            continue
-        v = s * s + s**4 * prior.second_order_trace(x, s) / x.size
-        out.append(float(min(max(v, 0.0), s * s)))
-    return out[0], out[1]
+    return (_error_variance(H_j, prior_H.at(H_j, sigma_H), sigma_H),
+            _error_variance(D_j, prior_D.at(D_j, sigma_D), sigma_D))
 
 
 def _apply_blocks(H_blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -245,9 +250,8 @@ def _blocks_adjoint(H_blocks: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def aggregated_noise_variance(
-    enc: Encoder,
+    lin: Linearization,
     H0j: np.ndarray,
-    D0j: np.ndarray,
     var_H: float,
     var_D: float,
     dims: MimoDims,
@@ -265,46 +269,43 @@ def aggregated_noise_variance(
       [var_H N_r ||f(D)||_F^2 + var_D ||H J||_F^2
        + var_H var_D N_r ||J||_F^2] / (N_r K T),
 
-    with the Jacobian norms computed exactly below the size threshold and
-    otherwise by Hutchinson probes pushed through one encoder pullback
-    (`Encoder.linearize` at D0j): all ||J|| probes, then all ||HJ|| probes.
+    with f, J and the pullback taken from `lin`, the encoder linearized at
+    the denoised source. The Jacobian norms are computed exactly below the
+    size threshold and otherwise by Hutchinson probes pushed through the
+    pullback: all ||J|| probes, then all ||HJ|| probes.
     """
     if var_H < 0 or var_D < 0:
         raise ValueError("error variances must be non-negative")
     if var_H == 0.0 and var_D == 0.0:
         return 0.0
     N_r, K, T = dims.N_r, dims.K, dims.T
-    F = enc.encode(D0j)
+    F = lin.value
     total = var_H * N_r * float(np.sum((F * F.conj()).real))
     if var_D > 0:
-        m = enc.output_shape[0] * enc.output_shape[1]
-        if enc.input_dim * m <= exact_threshold:
-            J = enc.jacobian(D0j)
+        n = lin.d.size
+        if n * F.size <= exact_threshold:
+            J = lin.jacobian()
             j_frob2 = float(np.sum((J * J.conj()).real))
-            cols = J.reshape(K, dims.N_t, T, enc.input_dim)
+            cols = J.reshape(K, dims.N_t, T, n)
             HJ = np.einsum("krc,kctn->krtn", H0j, cols)
             hj_frob2 = float(np.sum((HJ * HJ.conj()).real))
         else:
-            pullback = enc.linearize(D0j)
-            j_frob2 = _hutchinson_frobenius2(pullback, enc.output_shape, probes, rng)
+            j_frob2 = _hutchinson_frobenius2(lin, F.shape, probes, rng)
             hj_frob2 = _hutchinson_frobenius2(
-                pullback, (N_r * K, T), probes, rng, lambda V: _blocks_adjoint(H0j, V))
+                lin, (N_r * K, T), probes, rng, lambda V: _blocks_adjoint(H0j, V))
         total += var_D * hj_frob2 + var_H * var_D * N_r * j_frob2
     return total / (N_r * K * T)
 
 
 def likelihood_scores(
     Y: np.ndarray,
-    encoders: Sequence[Encoder],
+    lins: Sequence[Linearization],
     H0j_list: Sequence[np.ndarray],
-    D0j_list: Sequence[np.ndarray],
     var_dn: float,
     sigma_n2: float,
     config: PvdConfig,
-    priors_H: Sequence[ScorePrior] | None = None,
-    priors_D: Sequence[ScorePrior] | None = None,
-    H_j_list: Sequence[np.ndarray] | None = None,
-    D_j_list: Sequence[np.ndarray] | None = None,
+    points_H: Sequence[PriorPoint] | None = None,
+    points_D: Sequence[PriorPoint] | None = None,
     sigma_H: float = 0.0,
     sigma_D: float = 0.0,
 ):
@@ -313,31 +314,31 @@ def likelihood_scores(
     With R = Y - sum_i H0j_i f_i(D0j_i) and s2 = var_dn + sigma_n2, the
     conjugate-Wirtinger gradient in the channel blocks is R f^H / s2
     restricted to block-diagonal support, and the source gradient flows
-    through the encoder vjp with cotangent H^H R / s2. When
-    config.chain_through_score is set the gradients are pulled back
-    through the Tweedie maps at (H_j, D_j) exactly; otherwise the Tweedie
-    Jacobian is approximated by the identity.
+    through the encoder pullback with cotangent H^H R / s2; lins[i] is
+    user i's encoder linearized at D0j_i. When config.chain_through_score
+    is set the gradients are pulled back through the Tweedie maps exactly,
+    by the prior evaluations at the latent points (H_j, D_j); otherwise
+    the Tweedie Jacobian is approximated by the identity.
     """
     s2 = var_dn + sigma_n2
     if s2 <= 0:
         raise ValueError("var_dn + sigma_n2 must be > 0")
     T = Y.shape[1]
-    F_list = [enc.encode(D0j) for enc, D0j in zip(encoders, D0j_list)]
-    R = Y - sum(_apply_blocks(H, F) for H, F in zip(H0j_list, F_list))
+    R = Y - sum(_apply_blocks(H, lin.value) for H, lin in zip(H0j_list, lins))
     grads_H, grads_D = [], []
-    for i, (enc, H0j, D0j, F) in enumerate(zip(encoders, H0j_list, D0j_list, F_list)):
+    for i, (lin, H0j) in enumerate(zip(lins, H0j_list)):
         K, N_r, N_t = H0j.shape
         Rb = R.reshape(K, N_r, T)
-        Fb = F.reshape(K, N_t, T)
+        Fb = lin.value.reshape(K, N_t, T)
         gH = np.einsum("krt,kct->krc", Rb, Fb.conj()) / s2
-        gD = enc.vjp(D0j, _blocks_adjoint(H0j, R).reshape(enc.output_shape) / s2)
+        gD = lin(_blocks_adjoint(H0j, R).reshape(lin.value.shape) / s2)
         if config.chain_through_score:
-            if priors_H is None or priors_D is None or H_j_list is None or D_j_list is None:
-                raise ValueError("chain_through_score requires priors and latent points")
+            if points_H is None or points_D is None:
+                raise ValueError("chain_through_score requires the prior evaluations")
             if sigma_H > 0:
-                gH = priors_H[i].tweedie_chain_vjp(H_j_list[i], sigma_H, gH)
+                gH = points_H[i].chain_vjp(gH)
             if sigma_D > 0:
-                gD = priors_D[i].tweedie_chain_vjp(D_j_list[i], sigma_D, gD)
+                gD = points_D[i].chain_vjp(gD)
         grads_H.append(gH)
         grads_D.append(gD)
     return grads_H, grads_D
@@ -417,13 +418,9 @@ def run(
     state = PvdState(H_latent=[], D_latent=[], H_mean=[], D_mean=[])
     for _ in range(n_u):
         state.H_latent.append(complex_normal(rng, h_shape, sched_H.variance(J)))
-        state.D_latent.append(
-            rng.standard_normal(dims.n) * sched_D.value(J)
-        )
+        state.D_latent.append(rng.standard_normal(dims.n) * sched_D.value(J))
         state.H_mean.append(complex_normal(rng, h_shape, sched_H.variance(J - 1)))
-        state.D_mean.append(
-            rng.standard_normal(dims.n) * sched_D.value(J - 1)
-        )
+        state.D_mean.append(rng.standard_normal(dims.n) * sched_D.value(J - 1))
 
     diag: list[PvdStepDiag] = []
     for j in range(J - 1, -1, -1):
@@ -437,32 +434,27 @@ def run(
             acc_D = [np.zeros(dims.n) for _ in range(n_u)]
             for _ in range(config.L):
                 H_s, D_s = sample_variational(state, rng)
-                H0j_list, D0j_list = [], []
+                # One prior and one encoder evaluation per user at this sample.
+                pts_H = [p.at(x, sH) for p, x in zip(priors_H, H_s)]
+                pts_D = [p.at(x, sD) for p, x in zip(priors_D, D_s)]
+                H0j = [_denoised(x, pt, sH) for x, pt in zip(H_s, pts_H)]
+                lins = [enc.linearize(_denoised(x, pt, sD))
+                        for enc, x, pt in zip(encoders, D_s, pts_D)]
                 var_dn = 0.0
                 for i in range(n_u):
-                    H0j, D0j = tweedie(priors_H[i], priors_D[i], H_s[i], D_s[i], sH, sD)
-                    vH, vD = error_variances(
-                        priors_H[i], priors_D[i], H_s[i], D_s[i], sH, sD
-                    )
                     var_dn += aggregated_noise_variance(
-                        encoders[i], H0j, D0j, vH, vD, dims,
-                        config.probes, rng, config.exact_threshold,
-                    )
-                    H0j_list.append(H0j)
-                    D0j_list.append(D0j)
+                        lins[i], H0j[i], _error_variance(H_s[i], pts_H[i], sH),
+                        _error_variance(D_s[i], pts_D[i], sD), dims,
+                        config.probes, rng, config.exact_threshold)
+                if not math.isfinite(var_dn):
+                    raise PvdDivergenceError(j, it, "aggregated noise variance")
                 lik_H, lik_D = likelihood_scores(
-                    Y, encoders, H0j_list, D0j_list, var_dn, dims.sigma_n2, config,
-                    priors_H, priors_D, H_s, D_s, sH, sD,
-                )
-                for i in range(n_u):
-                    tr_H, tr_D = transition_scores(
-                        state.H_latent[i], H_s[i], state.D_latent[i], D_s[i],
-                        sched_H, sched_D, j,
-                    )
-                    pr_H = priors_H[i].first_order(H_s[i], sH)
-                    pr_D = priors_D[i].first_order(D_s[i], sD)
-                    acc_H[i] += tr_H + pr_H + lik_H[i]
-                    acc_D[i] += tr_D + pr_D + lik_D[i]
+                    Y, lins, H0j, var_dn, dims.sigma_n2, config, pts_H, pts_D, sH, sD)
+                trans = [transition_scores(state.H_latent[i], H_s[i], state.D_latent[i],
+                                           D_s[i], sched_H, sched_D, j) for i in range(n_u)]
+                for i, (tr_H, tr_D) in enumerate(trans):
+                    acc_H[i] += tr_H + pts_H[i].score + lik_H[i]
+                    acc_D[i] += tr_D + pts_D[i].score + lik_D[i]
             for i in range(n_u):
                 g_H = acc_H[i] / config.L
                 g_D = acc_D[i] / config.L
@@ -470,7 +462,11 @@ def run(
                 state.D_mean[i] = update_means(state.D_mean[i], g_D, eps_D)
                 if not (np.all(np.isfinite(state.H_mean[i]))
                         and np.all(np.isfinite(state.D_mean[i]))):
-                    raise PvdDivergenceError(j, it, "variational mean")
+                    # Name the first non-finite term of the last sample.
+                    raise PvdDivergenceError(j, it, _first_nonfinite(
+                        ("likelihood score", lik_H[i], lik_D[i]),
+                        ("prior score", pts_H[i].score, pts_D[i].score),
+                        ("transition score", *trans[i])))
                 last_gnorm_H = float(np.linalg.norm(g_H))
                 last_gnorm_D = float(np.linalg.norm(g_D))
         # Algorithm carry: latents take the refined means into step j-1.
@@ -488,6 +484,11 @@ def run(
         residual=diag[-1].residual,
         diagnostics=diag,
     )
+
+
+def _first_nonfinite(*terms) -> str:
+    bad = (what for what, *arrays in terms if not all(np.all(np.isfinite(a)) for a in arrays))
+    return next(bad, "variational mean")
 
 
 def _residual(Y, encoders, H_means, D_means) -> float:

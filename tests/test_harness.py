@@ -232,6 +232,23 @@ def test_validate_kronecker_tx_shape():
     assert validate_dict(_kronecker([[1.0, [0.5, 0.1]], [[0.5, -0.1], 1.0]], [[1.0]])) == []
 
 
+def test_validate_kronecker_hermitian_psd():
+    # used to pass validate and flag every row "not positive semidefinite"
+    out = validate_dict(_kronecker([[1.0, 2.0], [2.0, 1.0]], [[1.0]]))
+    assert out == ["channel.R_rx: R_rx is not positive semidefinite (min eigval -1.000e+00)"]
+    out = validate_dict(_kronecker([[1.0, 0.5], [0.0, 1.0]], [[-1.0]]))
+    assert out == ["channel.R_rx: R_rx is not Hermitian",
+                   "channel.R_tx: R_tx is not positive semidefinite (min eigval -1.000e+00)"]
+
+
+def test_validate_source_draw_truth_rejected():
+    cfg = tiny_config(source_draw={"type": "gaussian", "mean": "truth", "var": 1.0})
+    out = validate_dict(cfg)
+    assert len(out) == 1 and out[0].startswith("source_draw.mean: ")
+    cfg["source_draw"]["mean"] = 0.0
+    assert validate_dict(cfg) == []
+
+
 def test_run_rejects_bad_link_instead_of_flagging_rows():
     # a 2x2 R_rx for N_r = 4 used to pass and flag every row
     cfg = _kronecker([[1.0, 0.5], [0.5, 1.0]], [[1.0]])

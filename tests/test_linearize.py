@@ -1,5 +1,6 @@
 """Encoder.linearize: the cached pullback against the per-probe vjp loops it
-replaced (bitwise), and its properties over random shapes."""
+replaced and the per-call encode and Jacobian formulas (bitwise), and its
+properties over random shapes."""
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def make_encoder(kind, rng, N_t, K, T, n):
 
 def reference_vjp(enc, d, c):
     if isinstance(enc, PowerNormalizedEncoder):
-        F = enc.base.encode(d)
+        F = reference_encode(enc.base, d)
         nrm = np.linalg.norm(F)
         scale = enc._target / nrm
         base_part = scale * reference_vjp(enc.base, d, c)
@@ -45,6 +46,33 @@ def reference_vjp(enc, d, c):
         out = enc.A.real.T @ (dr * c.real) + enc.A.imag.T @ (di * c.imag)
         return 2.0 * enc.gain * out
     return 2.0 * (enc.A.conj().T @ c).real
+
+
+def reference_encode(enc, d):
+    if isinstance(enc, PowerNormalizedEncoder):
+        F = reference_encode(enc.base, d)
+        return (enc._target / np.linalg.norm(F)) * F
+    z = enc.A @ d
+    if isinstance(enc, SaturatingEncoder):
+        z = enc.gain * z
+        return (np.tanh(z.real) + 1j * np.tanh(z.imag)).reshape(enc.output_shape)
+    return z.reshape(enc.output_shape)
+
+
+def reference_jacobian(enc, d):
+    if isinstance(enc, PowerNormalizedEncoder):
+        F = reference_encode(enc.base, d).ravel()
+        nrm = np.linalg.norm(F)
+        scale = enc._target / nrm
+        J = reference_jacobian(enc.base, d)
+        grad_c = -(scale / nrm**2) * (J.conj().T @ F).real
+        return scale * J + np.outer(F, grad_c)
+    if isinstance(enc, SaturatingEncoder):
+        z = enc.gain * (enc.A @ d)
+        dr = 1.0 - np.tanh(z.real) ** 2
+        di = 1.0 - np.tanh(z.imag) ** 2
+        return enc.gain * (dr[:, None] * enc.A.real + 1j * di[:, None] * enc.A.imag)
+    return enc.A
 
 
 def reference_jacobian_frobenius2(enc, d, probes, rng):
@@ -110,7 +138,7 @@ def test_aggregated_noise_variance_matches_reference_loop(kind, scene):
     rng, dims, H, d = scene
     enc = make_encoder(kind, rng, dims.N_t, dims.K, dims.T, dims.n)
     r_new, r_ref = np.random.default_rng(5), np.random.default_rng(5)
-    new = aggregated_noise_variance(enc, H, d, 0.3, 0.2, dims, probes=8, rng=r_new,
+    new = aggregated_noise_variance(enc.linearize(d), H, 0.3, 0.2, dims, probes=8, rng=r_new,
                                     exact_threshold=0)
     ref = reference_aggregated_noise_variance(enc, H, d, 0.3, 0.2, dims, 8, r_ref)
     assert new == ref
@@ -151,6 +179,20 @@ def test_linearize_equals_vjp(kind, shape, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(KINDS), shape=shapes, seed=seeds)
+def test_linearization_equals_views_and_reference(kind, shape, seed):
+    rng, enc, d = point(kind, shape, seed)
+    lin = enc.linearize(d)
+    c = complex_normal(rng, enc.output_shape)
+    assert np.array_equal(lin.value, enc.encode(d))
+    assert np.array_equal(lin.value, reference_encode(enc, d))
+    assert np.array_equal(lin(c), enc.vjp(d, c))
+    assert np.array_equal(lin(c), reference_vjp(enc, d, c))
+    assert np.array_equal(lin.jacobian(), enc.jacobian(d))
+    assert np.array_equal(lin.jacobian(), reference_jacobian(enc, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), shape=shapes, seed=seeds)
 def test_pullback_adjoint_to_dense_jacobian(kind, shape, seed):
     # v . pullback(c) = 2 Re <c, J v> for every real v
     rng, enc, d = point(kind, shape, seed)
@@ -168,8 +210,8 @@ def test_pullback_adjoint_to_dense_jacobian(kind, shape, seed):
 def test_power_normalized_linearize_encodes_base_once(kind, shape, seed, pulls):
     rng, base, d = point(kind, shape, seed)
     calls = []
-    encode = base.encode
-    base.encode = lambda x: calls.append(1) or encode(x)
+    linearize = base.linearize
+    base.linearize = lambda x: calls.append(1) or linearize(x)
     pull = PowerNormalizedEncoder(base, 1.0).linearize(d)
     for _ in range(pulls):
         pull(complex_normal(rng, base.output_shape))

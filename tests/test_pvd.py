@@ -210,7 +210,7 @@ def _small_scene(rng, N_r=2, K=1, T=5, n=3):
 def test_aggregated_noise_zero_variances():
     rng = np.random.default_rng(3)
     dims, enc, H, D = _small_scene(rng)
-    assert aggregated_noise_variance(enc, H, D, 0.0, 0.0, dims) == 0.0
+    assert aggregated_noise_variance(enc.linearize(D), H, 0.0, 0.0, dims) == 0.0
 
 
 def test_aggregated_noise_first_term_hand():
@@ -221,7 +221,7 @@ def test_aggregated_noise_first_term_hand():
     D = np.array([1.0])
     assert np.linalg.norm(enc.encode(D)) ** 2 == pytest.approx(10.0)
     H = np.ones((1, 2, 1), dtype=complex)
-    out = aggregated_noise_variance(enc, H, D, 0.1, 0.0, dims)
+    out = aggregated_noise_variance(enc.linearize(D), H, 0.1, 0.0, dims)
     assert out == pytest.approx(0.2)
 
 
@@ -230,7 +230,7 @@ def test_aggregated_noise_monte_carlo_oracle():
     rng = np.random.default_rng(4)
     dims, enc, H, D = _small_scene(rng)
     var_H, var_D = 0.3, 0.2
-    got = aggregated_noise_variance(enc, H, D, var_H, var_D, dims)
+    got = aggregated_noise_variance(enc.linearize(D), H, var_H, var_D, dims)
     F = enc.encode(D).reshape(dims.K, dims.N_t, dims.T)
     J = enc.jacobian(D)
     mc = 0.0
@@ -250,8 +250,8 @@ def test_aggregated_noise_monte_carlo_oracle():
 def test_aggregated_noise_hutchinson_close_to_exact():
     rng = np.random.default_rng(5)
     dims, enc, H, D = _small_scene(rng, N_r=3, T=6, n=4)
-    exact = aggregated_noise_variance(enc, H, D, 0.2, 0.4, dims)
-    est = aggregated_noise_variance(enc, H, D, 0.2, 0.4, dims, probes=600,
+    exact = aggregated_noise_variance(enc.linearize(D), H, 0.2, 0.4, dims)
+    est = aggregated_noise_variance(enc.linearize(D), H, 0.2, 0.4, dims, probes=600,
                                     rng=np.random.default_rng(6), exact_threshold=0)
     assert abs(est - exact) < 0.1 * exact
 
@@ -268,7 +268,7 @@ def test_likelihood_scores_zero_residual():
     rng = np.random.default_rng(7)
     dims, enc, H, D = _small_scene(rng)
     Y = np.einsum("krc,kct->krt", H, enc.encode(D).reshape(1, 1, 5)).reshape(2, 5)
-    gH, gD = likelihood_scores(Y, [enc], [H], [D], 0.0, 1.0, _identity_cfg())
+    gH, gD = likelihood_scores(Y, [enc.linearize(D)], [H], 0.0, 1.0, _identity_cfg())
     assert np.allclose(gH[0], 0.0, atol=1e-12)
     assert np.allclose(gD[0], 0.0, atol=1e-12)
 
@@ -279,7 +279,7 @@ def test_likelihood_scores_scalar_hand():
     Y = np.array([[2.0 + 0j]])
     H = np.ones((1, 1, 1), dtype=complex)
     D = np.array([1.0])
-    gH, gD = likelihood_scores(Y, [enc], [H], [D], 0.0, 1.0, _identity_cfg())
+    gH, gD = likelihood_scores(Y, [enc.linearize(D)], [H], 0.0, 1.0, _identity_cfg())
     assert np.allclose(gH[0], 1.0)
     # grad_D = vjp(H^H R / s2) = 2 Re(conj(1) * 1) = 2
     assert np.allclose(gD[0], 2.0)
@@ -318,10 +318,10 @@ def test_likelihood_scores_match_fd(chain):
 
     if chain:
         H0, D0 = tweedie(pH, pD, H_j, D_j, s_H, s_D)
-        gH, gD = likelihood_scores(Y, [enc], [H0], [D0], var_dn, sn2, cfg,
-                                   [pH], [pD], [H_j], [D_j], s_H, s_D)
+        gH, gD = likelihood_scores(Y, [enc.linearize(D0)], [H0], var_dn, sn2, cfg,
+                                   [pH.at(H_j, s_H)], [pD.at(D_j, s_D)], s_H, s_D)
     else:
-        gH, gD = likelihood_scores(Y, [enc], [H_j], [D_j], var_dn, sn2, cfg)
+        gH, gD = likelihood_scores(Y, [enc.linearize(D_j)], [H_j], var_dn, sn2, cfg)
 
     h = 1e-5
     fdH = np.zeros_like(H_j)
@@ -508,6 +508,44 @@ def test_run_divergence_guard_carries_step_index():
         run(Y, enc, GaussianPrior(H, 1e-6, "complex"),
             GaussianPrior(np.zeros(8), 1.0, "real"), dims, cfg, rng)
     assert 0 <= exc_info.value.step <= 9
+
+
+class _PoisonedPrior(GaussianPrior):
+    """A Gaussian prior one of whose evaluations is NaN at one smoothing level."""
+
+    def __init__(self, mean, var0, domain, sigma, part):
+        super().__init__(mean, var0, domain)
+        self.bad_sigma, self.part = sigma, part
+
+    def at(self, x, sigma):
+        pt = super().at(x, sigma)
+        if sigma != self.bad_sigma:
+            return pt
+        if self.part == "score":
+            return pt._replace(score=np.full_like(pt.score, np.nan))
+        if self.part == "trace":
+            return pt._replace(trace=lambda: math.nan)
+        return pt._replace(chain_vjp=lambda c: np.full_like(c, np.nan))
+
+
+@pytest.mark.parametrize("side, part, j, what", [
+    ("H", "trace", 3, "aggregated noise variance"),
+    ("D", "chain_vjp", 3, "likelihood score"),
+    ("H", "score", 0, "prior score"),
+])
+def test_run_divergence_names_the_quantity(side, part, j, what):
+    rng, dims, H, A, enc, d_true, Y, sn2 = _known_channel_scene(0)
+    cfg = _tuned_cfg(J=6, J_in=3)
+    sched = cfg.schedule_H if side == "H" else cfg.schedule_D
+    pH = GaussianPrior(H, 1e-6, "complex")
+    pD = GaussianPrior(np.zeros(8), 1.0, "real")
+    if side == "H":
+        pH = _PoisonedPrior(H, 1e-6, "complex", sched.value(j), part)
+    else:
+        pD = _PoisonedPrior(np.zeros(8), 1.0, "real", sched.value(j), part)
+    with pytest.raises(PvdDivergenceError, match=f"non-finite {what} at reverse step j={j}, "
+                       "inner iteration 0"):
+        run(Y, enc, pH, pD, dims, cfg, rng)
 
 
 def test_run_shape_validation():
