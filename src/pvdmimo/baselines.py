@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BlockFadingChannel
+from .channel import BlockFadingChannel, block_product
 from .encoder import Encoder, LinearEncoder
 from .priors import GaussianPrior
 
@@ -161,8 +161,7 @@ def two_stage_decode(
 
     # Composite map d -> vec(H0 reshape(A d)): apply the block channel to
     # each reshaped column of A.
-    cols = enc.A.reshape(K, N_t, T_d, n)
-    B = np.einsum("krc,kctn->krtn", blocks, cols).reshape(K * N_r * T_d, n)
+    B = block_product(blocks, enc.A.reshape(K * N_t, T_d, n)).reshape(K * N_r * T_d, n)
     y = Y_d.reshape(K * N_r * T_d)
 
     Br = np.vstack([B.real, B.imag])

@@ -160,15 +160,21 @@ def compound(ch: BlockFadingChannel) -> np.ndarray:
     return H0
 
 
+def block_product(blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """H0 @ X from the (K, N_r, N_t) blocks of H0; X is (N_t*K, ...), its
+    trailing axes flattened into columns."""
+    K, N_r, N_t = blocks.shape
+    Yb = np.einsum("krt,ktc->krc", blocks, X.reshape(K, N_t, -1))
+    return Yb.reshape((K * N_r,) + X.shape[1:])
+
+
 def apply_channel(ch: BlockFadingChannel, X: np.ndarray) -> np.ndarray:
     """Noiseless H0 @ X computed block-wise; X is (N_t*K, T)."""
-    K, N_r, N_t = ch.blocks.shape
+    K, _, N_t = ch.blocks.shape
     X = np.asarray(X)
     if X.shape[0] != N_t * K:
         raise ValueError(f"signal has {X.shape[0]} rows, channel expects {N_t * K}")
-    Xb = X.reshape(K, N_t, X.shape[1])
-    Yb = np.einsum("krt,ktc->krc", ch.blocks, Xb)
-    return Yb.reshape(K * N_r, X.shape[1])
+    return block_product(ch.blocks, X)
 
 
 def transmit(

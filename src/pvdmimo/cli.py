@@ -8,16 +8,15 @@ seed of any invocation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .harness import (
     ConfigError,
+    ExperimentConfig,
     load_config,
     run_experiment,
     sweep,
-    validate_dict,
 )
 
 
@@ -46,15 +45,10 @@ def _apply_overrides(cfg: dict, args) -> dict:
     env_seed = os.environ.get("PVDMIMO_SEED")
     if env_seed is not None:
         cfg["seed"] = int(env_seed)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        cfg["trials"] = args.trials
-    if getattr(args, "out", None) is not None:
-        cfg["out"] = args.out
-    if getattr(args, "workers", None) is not None:
-        cfg["workers"] = args.workers
-    if getattr(args, "diagnostics", False):
+    for key in ("seed", "trials", "out", "workers"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    if args.diagnostics:
         cfg["diagnostics"] = True
     return cfg
 
@@ -99,56 +93,31 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.command == "validate":
-        problems = validate_dict(cfg)
-        for msg in problems:
-            print(msg)
-        if problems:
-            print(f"{len(problems)} violation(s)")
-            return 1
-        print("config ok")
-        return 0
-
-    try:
+        if args.command == "validate":
+            ExperimentConfig.from_dict(cfg)
+            print("config ok")
+            return 0
         cfg = _apply_overrides(cfg, args)
         if args.command == "run":
-            problems = validate_dict(cfg)
-            if problems:
-                for msg in problems:
-                    print(msg, file=sys.stderr)
-                return 1
             records = run_experiment(cfg)
             errors = sum(1 for r in records if r.error)
             print(f"{len(records)} rows ({errors} error-flagged)"
                   + (f" -> {cfg.get('out')}" if cfg.get("out") else ""))
             return 0
-        if args.command == "sweep":
-            problems = validate_dict(cfg)
-            if problems:
-                for msg in problems:
-                    print(msg, file=sys.stderr)
-                return 1
-            values = _parse_values(args.values)
-            if not values:
-                print("sweep error: empty value list", file=sys.stderr)
-                return 1
-            summary = sweep(cfg, args.param, values,
-                            links=_parse_links(args.link), out=args.out)
-            for row in summary:
-                print(f"{row['param']}={row['value']}: rows={row['rows']} "
-                      f"errors={row['errors']} nmse_db_median={row['nmse_db_median']}")
-            return 0
+        summary = sweep(cfg, args.param, _parse_values(args.values),
+                        links=_parse_links(args.link), out=args.out)
+        for row in summary:
+            print(f"{row['param']}={row['value']}: rows={row['rows']} "
+                  f"errors={row['errors']} nmse_db_median={row['nmse_db_median']}")
+        return 0
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # validate reports on stdout: the problems are its output
+        print("\n".join(exc.problems),
+              file=sys.stdout if args.command == "validate" else sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

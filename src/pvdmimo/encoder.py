@@ -31,6 +31,10 @@ import numpy as np
 from .channel import MimoDims
 
 
+class NonFiniteInputError(ValueError):
+    """A source vector handed to an encoder has a non-finite entry."""
+
+
 class Linearization:
     """An encoder at one point d: `value` = encode(d), calling it pulls a
     cotangent back (c -> 2 Re(J^H vec c)), `jacobian()` is the dense J."""
@@ -70,7 +74,7 @@ class Encoder:
         if d.size != self.input_dim:
             raise ValueError(f"source length {d.size}, encoder expects {self.input_dim}")
         if not np.all(np.isfinite(d)):
-            raise ValueError("source vector contains non-finite entries")
+            raise NonFiniteInputError("source vector contains non-finite entries")
         return d
 
     def _check_cotangent(self, c) -> np.ndarray:

@@ -7,11 +7,11 @@ link once (the fixed transmitter: encoders with their power calibration,
 pilots, channel covariances), then executes every (snr, trial) cell with
 its own generator derived deterministically from (master seed, snr index,
 trial index), scores each enabled method on the cell's scene, and writes
-one CSV row per (trial, method). A fault in the link fails the run;
+one CSV row per (trial, method). The config is parsed once, by building
+its typed parts; a fault there or in the link fails the run, while
 per-trial failures are recorded as error-flagged rows and never abort the
-sweep. sweep repeats
-an experiment across values of one numeric config field (with optional
-linked fields) and aggregates summary statistics per value.
+sweep. sweep repeats an experiment across values of one numeric config
+field (with optional linked fields) and aggregates summary statistics.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .priors import GaussianMixturePrior, GaussianPrior, ScorePrior
 DEFAULT_CONFIG: dict = {
     "dims": {"N_r": 4, "N_t": 1, "K": 1, "T": 16, "N_u": 1, "n": 8, "P": 1.0},
     "channel": {"model": "rayleigh"},
-    "encoder": {"type": "linear", "init": "gaussian", "gain": 1.0},
+    "encoder": {"type": "linear", "init": "gaussian", "gain": 1.0, "file": None},
     "prior_channel": {"type": "gaussian", "mean": 0.0, "var": 1.0},
     "prior_source": {"type": "gaussian", "mean": 0.0, "var": 1.0},
     "source_draw": None,
@@ -76,51 +76,228 @@ DEFAULT_CONFIG: dict = {
     "force_error_trials": [],
 }
 
+# Sections merged key by key over DEFAULT_CONFIG; the others replace it whole.
+_MERGED = ("dims", "encoder", "pvd", "baselines")
+# The keys of the sections whose schema depends on their type. Here as in
+# DEFAULT_CONFIG, a bool, int or float value gives the type of the field.
+_CHANNEL_KEYS = {"rayleigh": {"model": ""}, "kronecker": {"model": "", "R_rx": None, "R_tx": None}}
+_PRIOR_KEYS = {"gaussian": {"type": "", "mean": None, "var": 1.0},
+               "mixture": {"type": "", "means": None, "var": 1.0, "weights": None}}
+_DOMAINS = {"prior_channel": "complex", "prior_source": "real", "source_draw": "real"}
+
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration."""
+    """Invalid experiment configuration; `problems` holds one message per fault."""
+
+    def __init__(self, problems: str | list[str]):
+        self.problems = [problems] if isinstance(problems, str) else list(problems)
+        super().__init__("; ".join(self.problems))
 
 
 # ---------------------------------------------------------------------------
-# Config parsing and validation
+# Config parsing: one pass that validates by building the typed parts
 # ---------------------------------------------------------------------------
 
-def _merged(user: dict) -> dict:
+def _covariance(spec, size: int, name: str) -> np.ndarray:
+    """A Hermitian PSD size x size matrix, its entries numbers or [re, im] pairs."""
+    try:
+        R = np.array([[complex(*v) if isinstance(v, (list, tuple)) else complex(v) for v in row]
+                      for row in spec], dtype=np.complex128)
+    except (TypeError, ValueError):
+        R = None
+    if R is None or R.shape != (size, size):
+        raise ValueError(f"the kronecker model needs a {size}x{size} matrix of numbers "
+                         "or [re, im] pairs")
+    hermitian_sqrt(R, name)  # the check the channel draw makes
+    return R
+
+
+def _is_number(v) -> bool:
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v))
+
+
+def _section_problems(path: str, section: dict, schema: dict) -> list[str]:
+    """Unknown keys of `section`, and values not of the type of the schema's
+    value there (checked where that is a bool, an int or a float)."""
+    out = []
+    for key, val in section.items():
+        want = schema.get(key, KeyError)
+        if want is KeyError:
+            out.append(f"{path}{key}: unknown key")
+        elif isinstance(want, bool) and not isinstance(val, bool):
+            out.append(f"{path}{key}: must be true or false")
+        elif type(want) is int and (isinstance(val, bool) or not isinstance(val, int)):
+            out.append(f"{path}{key}: must be an integer")
+        elif type(want) is float and not _is_number(val):
+            out.append(f"{path}{key}: must be a finite number")
+    return out
+
+
+def _build_prior(spec: dict, domain: str, truth: np.ndarray) -> ScorePrior:
+    """The prior over arrays shaped like `truth`; a "truth" mean anchors it there."""
+    shape = truth.shape
+    if spec["type"] == "gaussian":
+        mean = spec.get("mean", 0.0)
+        if mean == "truth":
+            return GaussianPrior(truth, spec["var"], domain)
+        if isinstance(mean, (list, tuple)):  # [re, im]; the real part for a real prior
+            mean = complex(*mean) if domain == "complex" else mean[0]
+        return GaussianPrior(np.full(shape, complex(mean) if domain == "complex"
+                                     else float(mean)), spec["var"], domain)
+    means = [np.asarray(m, dtype=np.float64) for m in spec["means"]]
+    if any(m.shape not in ((), shape) for m in means):
+        raise ValueError(f"means must each be a scalar or a length-{shape[0]} vector")
+    return GaussianMixturePrior(np.stack([np.broadcast_to(m, shape) for m in means]),
+                                spec["var"], spec["weights"], domain)
+
+
+def _parse(user) -> tuple[dict, dict, list[str]]:
+    """Merge `user` over DEFAULT_CONFIG and build its typed parts once:
+    (merged tree, parts, problems). A constructor's error is the problem, at
+    the section key its message starts with, else where the part is built.
+    By hand this checks only what no constructor can: unknown keys, field
+    types, enums, cross-field rules and the experiment controls."""
+    if not isinstance(user, dict):
+        return {}, {}, ["config: must be a JSON object"]
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    for key, val in user.items():
-        if key in ("dims", "pvd", "baselines") and isinstance(val, dict):
+    for key, val in copy.deepcopy(user).items():
+        if key in _MERGED and isinstance(val, dict):
             cfg[key].update(val)
         else:
-            cfg[key] = copy.deepcopy(val)
-    return cfg
+            cfg[key] = val
+    problems = _section_problems("", cfg, DEFAULT_CONFIG)
+    shapeless = [key for key in _MERGED + ("channel", "prior_channel", "prior_source")
+                 if not isinstance(cfg[key], dict)]
+    if not isinstance(cfg["source_draw"], (dict, type(None))):
+        shapeless.append("source_draw")
+    if shapeless:
+        return cfg, {}, problems + [f"{key}: must be an object" for key in shapeless]
 
+    d, enc, p, b = (cfg[key] for key in _MERGED)
+    ch = cfg["channel"]
+    for key in _MERGED:
+        problems += _section_problems(f"{key}.", cfg[key], DEFAULT_CONFIG[key])
+    if isinstance(ch.get("model"), str) and ch["model"] in _CHANNEL_KEYS:
+        problems += _section_problems("channel.", ch, _CHANNEL_KEYS[ch["model"]])
+    else:
+        problems.append("channel.model: must be 'rayleigh' or 'kronecker'")
+    priors = {key: cfg[key] for key in _DOMAINS if cfg[key] is not None}
+    for key, spec in priors.items():
+        if isinstance(spec.get("type"), str) and spec["type"] in _PRIOR_KEYS:
+            problems += _section_problems(f"{key}.", spec, _PRIOR_KEYS[spec["type"]])
+        else:
+            problems.append(f"{key}.type: must be 'gaussian' or 'mixture'")
+    # Sections with a mistyped field are not built: their constructors
+    # would only restate the fault.
+    mistyped = {m.split(":")[0].split(".")[0] for m in problems
+                if not m.endswith(": unknown key")}
 
-def _as_complex_matrix(spec) -> np.ndarray:
-    """Matrix entries are numbers or [re, im] pairs."""
-    rows = []
-    for row in spec:
-        rows.append([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-                     for v in row])
-    return np.array(rows, dtype=np.complex128)
+    def check(ok, path: str, msg: str) -> None:
+        if not ok:
+            problems.append(f"{path}: {msg}")
+
+    def build(path: str, make, fields=()):
+        """make(), or None with its fault recorded."""
+        try:
+            return make()
+        except KeyError as exc:
+            problems.append(f"{path}.{exc.args[0]}: required")
+        except TypeError:
+            problems.append(f"{path}: must be a number")
+        except (ValueError, IndexError) as exc:
+            head, _, rest = str(exc).partition(" ")
+            problems.append(f"{path.split('.')[0]}.{head}: {rest}" if head in fields
+                            else f"{path}: {exc}")
+        return None
+
+    parts: dict = {"kron": None, "pilots": None}
+    dims = parts["dims"] = None if "dims" in mistyped else build(
+        "dims", lambda: MimoDims(**{k: d[k] for k in DEFAULT_CONFIG["dims"]}), d)
+    if "pvd" not in mistyped:
+        scheds = [build(f"pvd.sigma1_{s}", lambda s=s: pv.NoiseSchedule(
+            p[f"sigma1_{s}"], p[f"sigmaJ_{s}"], p["J"]), p) for s in "HD"]
+        check(p["J"] != 1, "pvd.J", "must be >= 2: one step starts the means at sigma_0 = 0")
+        if None not in scheds:
+            parts["pvd"] = build("pvd", lambda: pv.PvdConfig(*scheds, **{
+                f.name: p[f.name] for f in dataclasses.fields(pv.PvdConfig) if f.name in p}), p)
+
+    check(enc["type"] in ("linear", "saturating"), "encoder.type",
+          "must be 'linear' or 'saturating'")
+    check(enc["file"] is None or isinstance(enc["file"], str), "encoder.file", "must be a path")
+    init = None if enc["file"] else enc["init"]
+    check(init in (None, "gaussian", "identity"), "encoder.init",
+          "must be 'gaussian' or 'identity'")
+    if dims and init == "identity":
+        m = dims.N_t * dims.K * dims.T
+        check(dims.n == m, "encoder.init", f"'identity' needs n == N_t*K*T = {m}")
+    if dims and enc["type"] == "saturating" and "encoder" not in mistyped:
+        # The link draws the matrix; an empty one lets the constructor check the gain.
+        build("encoder", lambda: SaturatingEncoder(
+            np.zeros((dims.N_t * dims.K * dims.T, 0)), enc["gain"], dims.signal_shape), enc)
+
+    if dims and ch.get("model") == "kronecker":
+        parts["kron"] = tuple(build(f"channel.{key}", lambda: _covariance(ch.get(key), size, key))
+                              for key, size in (("R_rx", dims.N_r), ("R_tx", dims.N_t)))
+
+    check(cfg["prior_channel"]["type"] != "mixture", "prior_channel",
+          "mixture priors are supported for the source only")
+    check(cfg["prior_source"].get("mean") != "truth" or cfg["source_draw"] is not None,
+          "source_draw", "required when prior_source.mean is 'truth'")
+    check(not isinstance((cfg["source_draw"] or {}).get("mean"), str), "source_draw.mean",
+          "must be numbers: the true source cannot be drawn from a 'truth'-anchored prior")
+    if dims:  # a 'truth' anchor is built at a zero placeholder
+        shapes = {"complex": (dims.K, dims.N_r, dims.N_t), "real": (dims.n,)}
+        built = {key: build(key, lambda: _build_prior(
+            spec, _DOMAINS[key], np.zeros(shapes[_DOMAINS[key]])), spec)
+            for key, spec in priors.items() if key not in mistyped}
+        parts["prior_source"] = built.get("prior_source")
+        parts["source"] = built.get("source_draw", parts["prior_source"])
+
+    if b["lmmse"] or b["oracle_lmmse"]:
+        check(d["N_u"] == 1, "baselines", "pilot baselines support N_u = 1 only")
+    if b["lmmse"]:
+        # Its data encoder spans T - N_p slots; identity and file encoders fit T only.
+        check(init != "identity", "baselines.lmmse",
+              "an identity encoder cannot fit the T - N_p data slots of the pilot chain")
+        check(not enc["file"], "baselines.lmmse",
+              "an encoder file cannot fit the T - N_p data slots of the pilot chain")
+        if dims and "baselines" not in mistyped:
+            parts["pilots"] = build("baselines.N_p",
+                                    lambda: bl.make_pilots(dims.N_t, b["N_p"], dims.P))
+            check(b["N_p"] < dims.T, "baselines.N_p",
+                  "must leave at least one data slot (N_p < T)")
+
+    check(cfg["power_mode"] in ("exact", "average"), "power_mode",
+          "must be 'exact' (per-realization normalization) or 'average' (fixed calibration)")
+    snr = cfg["snr_db"]
+    check(isinstance(snr, list) and len(snr) > 0 and all(map(_is_number, snr)), "snr_db",
+          "must be a nonempty list of finite dB values")
+    for key in ("trials", "workers"):
+        check(not isinstance(cfg[key], int) or cfg[key] >= 1, key, "must be an integer >= 1")
+    check(p["enabled"] or b["lmmse"] or b["oracle_lmmse"], "pvd.enabled", "no method enabled")
+    return cfg, parts, list(dict.fromkeys(problems))
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed, validated experiment description."""
+    """Parsed, validated experiment description: the merged config tree and
+    the parts built from it once."""
 
     dims: MimoDims
+    pvd: pv.PvdConfig
+    prior_source: ScorePrior  # a 'truth' anchor has a zero mean here
+    source: ScorePrior  # draws the true sources
+    kron: tuple[np.ndarray, np.ndarray] | None  # (R_rx, R_tx); None: Rayleigh
+    pilots: bl.PilotMatrix | None  # the pilot chain, when baselines.lmmse is on
     raw: dict = field(repr=False)
 
     @classmethod
     def from_dict(cls, user: dict) -> "ExperimentConfig":
-        cfg = _merged(user)
-        problems = validate_dict(cfg)
+        raw, parts, problems = _parse(user)
         if problems:
-            raise ConfigError("; ".join(problems))
-        d = cfg["dims"]
-        dims = MimoDims(N_r=d["N_r"], N_t=d["N_t"], K=d["K"], T=d["T"],
-                        N_u=d["N_u"], n=d["n"], P=d["P"])
-        return cls(dims=dims, raw=cfg)
+            raise ConfigError(problems)
+        return cls(raw=raw, **parts)
 
     @property
     def methods(self) -> list[str]:
@@ -129,131 +306,18 @@ class ExperimentConfig:
         return [m for m in _METHODS
                 if (raw["pvd"]["enabled"] if m == "pvd" else raw["baselines"][m])]
 
-    def pvd_config(self) -> pv.PvdConfig:
-        p = self.raw["pvd"]
-        return pv.PvdConfig(
-            schedule_H=pv.NoiseSchedule(p["sigma1_H"], p["sigmaJ_H"], p["J"]),
-            schedule_D=pv.NoiseSchedule(p["sigma1_D"], p["sigmaJ_D"], p["J"]),
-            J_in=p["J_in"], L=p["L"],
-            zeta_H=p["zeta_H"], zeta_D=p["zeta_D"],
-            chain_through_score=p["chain_through_score"],
-            probes=p["probes"], exact_threshold=p["exact_threshold"],
-        )
-
 
 def validate_dict(user: dict) -> list[str]:
-    """Check every invariant of the config tree; one message per violation."""
-    cfg = _merged(user)
-    out: list[str] = []
-
-    def check(cond: bool, path: str, msg: str):
-        if not cond:
-            out.append(f"{path}: {msg}")
-
-    d = cfg["dims"]
-    for name in ("N_r", "N_t", "K", "T", "N_u", "n"):
-        v = d.get(name)
-        check(isinstance(v, int) and v >= 1, f"dims.{name}", "must be an integer >= 1")
-    check(isinstance(d.get("P"), (int, float)) and d.get("P", 0) > 0, "dims.P", "must be > 0")
-
-    ch = cfg["channel"]
-    model = ch.get("model")
-    check(model in ("rayleigh", "kronecker"), "channel.model",
-          "must be 'rayleigh' or 'kronecker'")
-    kron = (("R_rx", d.get("N_r")), ("R_tx", d.get("N_t"))) if model == "kronecker" else ()
-    for key, size in kron:
-        try:
-            R = _as_complex_matrix(ch[key])
-        except (KeyError, TypeError, ValueError, IndexError):
-            R = None
-        fits = R is not None and R.shape == (size, size)
-        check(fits, f"channel.{key}", f"the kronecker model needs a "
-              f"{size}x{size} matrix of numbers or [re, im] pairs")
-        try:
-            if fits:
-                hermitian_sqrt(R, key)  # the check the channel draw makes
-        except ValueError as exc:
-            out.append(f"channel.{key}: {exc}")
-
-    enc = cfg["encoder"]
-    check(enc.get("type") in ("linear", "saturating"), "encoder.type",
-          "must be 'linear' or 'saturating'")
-    if enc.get("type") == "saturating":
-        check(enc.get("gain", 1.0) > 0, "encoder.gain", "must be > 0")
-    init = None if enc.get("file") else enc.get("init", "gaussian")
-    check(init in (None, "gaussian", "identity"), "encoder.init",
-          "must be 'gaussian' or 'identity'")
-    if init == "identity":
-        m = math.prod(d.get(k, 0) for k in ("N_t", "K", "T"))
-        check(d.get("n") == m, "encoder.init", f"'identity' needs n == N_t*K*T = {m}")
-
-    for key in ("prior_channel", "prior_source"):
-        p = cfg[key]
-        kind = p.get("type")
-        check(kind in ("gaussian", "mixture"), f"{key}.type",
-              "must be 'gaussian' or 'mixture'")
-        if kind == "gaussian":
-            check(p.get("var", 0) > 0, f"{key}.var", "must be > 0")
-        elif kind == "mixture":
-            check(key == "prior_source", key, "mixture priors are supported for the source only")
-            check(p.get("var", 0) > 0, f"{key}.var", "must be > 0")
-            w = p.get("weights", [])
-            check(len(w) > 0 and all(x > 0 for x in w) and abs(sum(w) - 1.0) < 1e-9,
-                  f"{key}.weights", "must be positive and sum to 1")
-            means = p.get("means", [])
-            check(len(means) == len(w), f"{key}.means", "one mean per weight required")
-            n_src = d.get("n", 1)
-            check(all(not isinstance(m, (list, tuple)) or len(m) == n_src for m in means),
-                  f"{key}.means", f"each mean must be a scalar or a length-{n_src} vector")
-    if cfg["prior_source"].get("mean") == "truth":
-        check(cfg.get("source_draw") is not None, "source_draw",
-              "required when prior_source.mean is 'truth'")
-    check(not isinstance((cfg.get("source_draw") or {}).get("mean"), str), "source_draw.mean",
-          "must be numbers: the true source cannot be drawn from a 'truth'-anchored prior")
-
-    p = cfg["pvd"]
-    check(isinstance(p.get("J"), int) and p.get("J", 0) >= 2, "pvd.J", "must be an integer >= 2")
-    check(isinstance(p.get("J_in"), int) and p.get("J_in", 0) >= 1, "pvd.J_in",
-          "must be an integer >= 1")
-    check(isinstance(p.get("L"), int) and p.get("L", 0) >= 1, "pvd.L",
-          "must be an integer >= 1")
-    for side in ("H", "D"):
-        s1, sJ = p.get(f"sigma1_{side}", 0), p.get(f"sigmaJ_{side}", 0)
-        check(0 < s1 < sJ, f"pvd.sigma1_{side}", "need 0 < sigma_1 < sigma_J")
-        check(p.get(f"zeta_{side}", 0) > 0, f"pvd.zeta_{side}", "must be > 0")
-    check(p.get("probes", 0) >= 1, "pvd.probes", "must be >= 1")
-
-    b = cfg["baselines"]
-    if b.get("lmmse") or b.get("oracle_lmmse"):
-        check(isinstance(b.get("N_p"), int) and b.get("N_p", 0) >= 1, "baselines.N_p",
-              "must be an integer >= 1")
-        check(d.get("N_u", 1) == 1, "baselines", "pilot baselines support N_u = 1 only")
-    if b.get("lmmse"):
-        check(b.get("N_p", 0) < d.get("T", 0), "baselines.N_p",
-              "must leave at least one data slot (N_p < T)")
-        # Its data encoder spans T - N_p slots; identity and file encoders fit T only.
-        check(init != "identity", "baselines.lmmse",
-              "an identity encoder cannot fit the T - N_p data slots of the pilot chain")
-        check(not enc.get("file"), "baselines.lmmse",
-              "an encoder file cannot fit the T - N_p data slots of the pilot chain")
-
-    check(cfg.get("power_mode", "exact") in ("exact", "average"), "power_mode",
-          "must be 'exact' (per-realization normalization) or 'average' (fixed calibration)")
-    check(isinstance(cfg["snr_db"], list) and len(cfg["snr_db"]) > 0, "snr_db",
-          "must be a nonempty list of dB values")
-    check(isinstance(cfg["trials"], int) and cfg["trials"] >= 1, "trials",
-          "must be an integer >= 1")
-    check(isinstance(cfg["seed"], int), "seed", "must be an integer")
-    check(isinstance(cfg["workers"], int) and cfg["workers"] >= 1, "workers",
-          "must be an integer >= 1")
-    if not (cfg["pvd"]["enabled"] or b.get("lmmse") or b.get("oracle_lmmse")):
-        out.append("pvd.enabled: no method enabled")
-    return out
+    """Every fault of the config tree, one path-qualified message each."""
+    return _parse(user)[2]
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +326,7 @@ def load_config(path) -> dict:
 
 def _build_base_encoder(spec: dict, out_shape: tuple[int, int], n: int,
                         rng: np.random.Generator) -> Encoder:
-    if "file" in spec and spec["file"]:
+    if spec["file"]:
         enc = load_encoder(spec["file"])
         if enc.output_shape != out_shape or enc.input_dim != n:
             raise ConfigError(
@@ -270,18 +334,18 @@ def _build_base_encoder(spec: dict, out_shape: tuple[int, int], n: int,
                 f"{out_shape}/{n}")
         return enc
     m = out_shape[0] * out_shape[1]
-    if spec.get("init", "gaussian") == "identity":  # validate_dict checks m == n
+    if spec["init"] == "identity":  # the parse checks m == n
         A = np.eye(m, dtype=np.complex128)
     else:
         A = complex_normal(rng, (m, n), 1.0) / np.sqrt(n)
-    gain = float(spec.get("gain", 1.0))
+    gain = float(spec["gain"])
     if spec["type"] == "linear":
         return LinearEncoder(gain * A, out_shape)
     return SaturatingEncoder(A, gain, out_shape)
 
 
-def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], source: ScorePrior,
-                  stream: int, cal_stream: int, exact: bool, n_draws: int = 256) -> Encoder:
+def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], stream: int,
+                  cal_stream: int, exact: bool, n_draws: int = 256) -> Encoder:
     """Base encoder from seed stream `stream`, held to the power budget P.
 
     exact: per-realization normalization, part of the map the receiver
@@ -297,7 +361,7 @@ def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], source: Sco
     if not isinstance(base, LinearEncoder):
         return base
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCA11B, cal_stream]))
-    mean_power = sum(float(np.linalg.norm(base.encode(source.sample(rng))) ** 2)
+    mean_power = sum(float(np.linalg.norm(base.encode(cfg.source.sample(rng)))) ** 2
                      for _ in range(n_draws)) / n_draws
     if mean_power == 0:
         raise ConfigError("encoder output power is zero under the source prior")
@@ -305,67 +369,33 @@ def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], source: Sco
     return LinearEncoder(math.sqrt(cfg.dims.P * m / mean_power) * base.A, base.output_shape)
 
 
-def _build_prior(spec: dict, domain: str, shape, truth: np.ndarray | None) -> ScorePrior:
-    kind = spec["type"]
-    if kind == "gaussian":
-        mean = spec.get("mean", 0.0)
-        if isinstance(mean, str) and mean == "truth":
-            if truth is None:
-                raise ConfigError("'truth'-anchored prior needs the realized value")
-            mean_arr = truth
-        elif isinstance(mean, (list, tuple)):
-            mean_arr = np.full(shape, complex(mean[0], mean[1]) if domain == "complex"
-                               else float(mean[0]))
-        else:
-            mean_arr = np.full(shape, complex(mean) if domain == "complex" else float(mean))
-        return GaussianPrior(mean_arr, spec["var"], domain)
-    if kind == "mixture":
-        # Each mean is a scalar or a full vector; scalars fill the vector.
-        means = np.stack([np.broadcast_to(np.asarray(m, dtype=np.float64), shape)
-                          for m in spec["means"]])
-        return GaussianMixturePrior(means, spec["var"], spec["weights"], domain)
-    raise ConfigError(f"unknown prior type {kind!r}")
-
-
 @dataclass
 class _Link:
-    """What stays fixed across the trials of one run.
-
-    The transmitter is fixed: its encoders depend on the config and the
-    master seed only, so they and their power calibration are built once.
-    """
+    """The transmitter, fixed across the trials of one run: its encoders and
+    their power calibration depend on the config and the master seed only."""
 
     encoders: list[Encoder]  # per user, over all T slots
-    source: ScorePrior  # draws the true sources
-    kron: tuple[np.ndarray, np.ndarray] | None = None  # (R_rx, R_tx); None: Rayleigh
-    cov_vec: np.ndarray | None = None  # covariance of vec(H_k)
-    pilots: bl.PilotMatrix | None = None  # the pilot chain, when baselines.lmmse is on
+    cov_vec: np.ndarray | None = None  # covariance of vec(H_k); None: Rayleigh
     pilot_encoder: Encoder | None = None  # data encoder over the T - N_p data slots
     pilot_prior: GaussianPrior | None = None  # None: no closed-form source decode
 
 
 def _build_link(cfg: ExperimentConfig) -> _Link:
     raw, dims = cfg.raw, cfg.dims
-    spec = raw.get("source_draw") or raw["prior_source"]
-    if isinstance(spec.get("mean"), str):
-        raise ConfigError("cannot draw the true source from a 'truth'-anchored prior")
-    source = _build_prior(spec, "real", (dims.n,), None)
-    exact = raw.get("power_mode", "exact") == "exact"
-    link = _Link([_link_encoder(cfg, dims.signal_shape, source, i, 1 + i, exact)
-                  for i in range(dims.N_u)], source)
-    if raw["channel"]["model"] == "kronecker":
-        R_rx, R_tx = (_as_complex_matrix(raw["channel"][k]) for k in ("R_rx", "R_tx"))
-        link.kron, link.cov_vec = (R_rx, R_tx), np.kron(R_tx.T, R_rx)
-    if raw["baselines"]["lmmse"]:
+    exact = raw["power_mode"] == "exact"
+    link = _Link([_link_encoder(cfg, dims.signal_shape, i, 1 + i, exact)
+                  for i in range(dims.N_u)])
+    if cfg.kron is not None:
+        R_rx, R_tx = cfg.kron
+        link.cov_vec = np.kron(R_tx.T, R_rx)
+    if cfg.pilots is not None:
         # Calibrated in either power mode, so a linear map decodes in closed form.
-        N_p = raw["baselines"]["N_p"]
-        link.pilots = bl.make_pilots(dims.N_t, N_p, dims.P)
-        link.pilot_encoder = _link_encoder(cfg, (dims.N_t * dims.K, dims.T - N_p), source,
-                                           0, 0, exact=False)
+        link.pilot_encoder = _link_encoder(
+            cfg, (dims.N_t * dims.K, dims.T - cfg.pilots.N_p), 0, 0, exact=False)
         prior = raw["prior_source"]
         if isinstance(link.pilot_encoder, LinearEncoder) and prior["type"] == "gaussian" \
                 and not isinstance(prior.get("mean"), str):
-            link.pilot_prior = _build_prior(prior, "real", (dims.n,), None)
+            link.pilot_prior = cfg.prior_source
     return link
 
 
@@ -394,9 +424,9 @@ def _scene(cfg: ExperimentConfig, link: _Link, snr_db: float,
            rng: np.random.Generator) -> _Scene:
     """Draw channel, sources and noise from rng, in that order."""
     dims, raw = cfg.dims, cfg.raw
-    channels = draw_rayleigh(dims, rng) if link.kron is None \
-        else draw_kronecker_correlated(dims, *link.kron, rng)
-    sources = [link.source.sample(rng) for _ in range(dims.N_u)]
+    channels = draw_rayleigh(dims, rng) if cfg.kron is None \
+        else draw_kronecker_correlated(dims, *cfg.kron, rng)
+    sources = [cfg.source.sample(rng) for _ in range(dims.N_u)]
     X = [enc.encode(d) for enc, d in zip(link.encoders, sources)]
     signal = sum(apply_channel(ch, x) for ch, x in zip(channels, X))
     sig_power = float(np.linalg.norm(signal) ** 2)
@@ -405,14 +435,13 @@ def _scene(cfg: ExperimentConfig, link: _Link, snr_db: float,
     return _Scene(
         dataclasses.replace(dims, sigma_n2=sigma_n2), rng, channels, sources, X,
         noise, signal + noise, mt.snr_db(signal, noise),
-        [_build_prior(raw["prior_channel"], "complex", (dims.K, dims.N_r, dims.N_t), ch.blocks)
-         for ch in channels],
-        [_build_prior(raw["prior_source"], "real", (dims.n,), d) for d in sources])
+        [_build_prior(raw["prior_channel"], "complex", ch.blocks) for ch in channels],
+        [_build_prior(raw["prior_source"], "real", d) for d in sources])
 
 
 def _pvd(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
     result = pv.run(sc.Y, link.encoders, sc.priors_H, sc.priors_D, sc.dims,
-                    cfg.pvd_config(), sc.rng)
+                    cfg.pvd, sc.rng)
     fields = {
         "nmse_db": mt.nmse_db([c.blocks for c in sc.channels],
                               [c.blocks for c in result.channels]),
@@ -427,14 +456,14 @@ def _pvd(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
 
 def _lmmse(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
     """Two-stage pilot chain on the same channel and noise realization."""
-    dims, N_p, sigma_n2 = cfg.dims, link.pilots.N_p, sc.dims.sigma_n2
+    dims, N_p, sigma_n2 = cfg.dims, cfg.pilots.N_p, sc.dims.sigma_n2
     T_d = dims.T - N_p
     X = np.empty((dims.K, dims.N_t, dims.T), dtype=np.complex128)
-    X[:, :, :N_p] = link.pilots.X_p
+    X[:, :, :N_p] = cfg.pilots.X_p
     X[:, :, N_p:] = link.pilot_encoder.encode(sc.sources[0]).reshape(dims.K, dims.N_t, T_d)
     signal = apply_channel(sc.channels[0], X.reshape(dims.N_t * dims.K, dims.T))
     Yb = (signal + sc.noise).reshape(dims.K, dims.N_r, dims.T)
-    H_hat = bl.lmmse_channel(Yb[:, :, :N_p], link.pilots.X_p, 1.0, sigma_n2,
+    H_hat = bl.lmmse_channel(Yb[:, :, :N_p], cfg.pilots.X_p, 1.0, sigma_n2,
                              Sigma=link.cov_vec)
     fields = {"nmse_db": mt.nmse_db([sc.channels[0].blocks], [H_hat]),
               "snr_db": mt.snr_db(signal, sc.noise), "cbr": mt.cbr(dims, T_d)}
@@ -473,7 +502,7 @@ def _run_trial(cfg: ExperimentConfig, link: _Link, snr_idx: int, trial: int):
     blank = {"snr_db": snr_target, "cbr": nan, "nmse_db": nan, "source_mse": nan,
              "residual": nan}
     try:
-        if [snr_idx, trial] in [list(t) for t in raw.get("force_error_trials", [])]:
+        if [snr_idx, trial] in [list(t) for t in raw["force_error_trials"]]:
             raise RuntimeError("forced divergent trial")
         sc = _scene(cfg, link, snr_target, np.random.default_rng(ss))
     except Exception as exc:  # noqa: BLE001 - record-and-continue policy
@@ -560,7 +589,7 @@ def run_experiment(cfg: ExperimentConfig | dict, out=None) -> list[mt.MetricsRec
     records = [rec for recs, _ in results for rec in recs]  # (snr, trial, method) order
     diag_rows = [row for _, rows in results for row in rows]
 
-    out = out or raw.get("out")
+    out = out or raw["out"]
     if out:
         _write_csv(out, [_record_row(r) for r in records], mt.CSV_COLUMNS)
         if raw["diagnostics"]:
@@ -601,25 +630,20 @@ def _eval_link(expr: str, x):
     return int(val) if float(val).is_integer() else val
 
 
-def _set_path(tree: dict, path: str, value):
-    keys = path.split(".")
+def _set_path(tree: dict, path: str, value) -> None:
+    """Set the field at dotted `path` (a list field to [value]); the parse
+    of the point checks the value."""
+    *keys, leaf = path.split(".")
     node = tree
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"unknown config path {path!r}")
-        node = node[key]
-    leaf = keys[-1]
+    for key in keys:
+        node = node.get(key) if isinstance(node, dict) else None
     if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"unknown config path {path!r}")
-    current = node[leaf]
-    if isinstance(current, list):
-        node[leaf] = [value]
-    elif isinstance(current, bool) or not isinstance(current, (int, float)):
-        raise ConfigError(f"config path {path!r} is not a numeric field")
-    else:
-        node[leaf] = int(value) if isinstance(current, int) and float(value).is_integer() \
-            else value
-    return tree
+    if isinstance(node[leaf], list):
+        value = [value]
+    elif isinstance(node[leaf], int) and float(value).is_integer():
+        value = int(value)
+    node[leaf] = value
 
 
 SWEEP_COLUMNS = [
@@ -648,7 +672,7 @@ def sweep(cfg_raw: dict, param: str, values: list, links: dict | None = None,
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
-    base = _merged(cfg_raw)
+    base = ExperimentConfig.from_dict(cfg_raw).raw
     summary = []
     for idx, value in enumerate(values):
         point = copy.deepcopy(base)

@@ -34,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import MimoDims, BlockFadingChannel, complex_normal
-from .encoder import Linearization, _hutchinson_frobenius2
+from .channel import MimoDims, BlockFadingChannel, block_product, complex_normal
+from .encoder import Linearization, NonFiniteInputError, _hutchinson_frobenius2
 from .priors import PriorPoint, ScorePrior
 
 
@@ -125,8 +125,9 @@ class PvdConfig:
             raise ValueError("J_in must be a positive integer")
         if int(self.L) != self.L or self.L < 1:
             raise ValueError("L must be a positive integer")
-        if self.zeta_H <= 0 or self.zeta_D <= 0:
-            raise ValueError("step-size multipliers zeta must be > 0")
+        for name in ("zeta_H", "zeta_D"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
         if self.probes < 1:
             raise ValueError("probes must be >= 1")
 
@@ -235,13 +236,6 @@ def error_variances(
             _error_variance(D_j, prior_D.at(D_j, sigma_D), sigma_D))
 
 
-def _apply_blocks(H_blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Block-diagonal product: (K,N_r,N_t) blocks times (N_t*K, T) signal."""
-    K, N_r, N_t = H_blocks.shape
-    Xb = X.reshape(K, N_t, -1)
-    return np.einsum("krc,kct->krt", H_blocks, Xb).reshape(K * N_r, -1)
-
-
 def _blocks_adjoint(H_blocks: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Adjoint block product: H^H Y, returning signal shape (N_t*K, T)."""
     K, N_r, N_t = H_blocks.shape
@@ -286,8 +280,7 @@ def aggregated_noise_variance(
         if n * F.size <= exact_threshold:
             J = lin.jacobian()
             j_frob2 = float(np.sum((J * J.conj()).real))
-            cols = J.reshape(K, dims.N_t, T, n)
-            HJ = np.einsum("krc,kctn->krtn", H0j, cols)
+            HJ = block_product(H0j, J.reshape(dims.N_t * K, T, n))
             hj_frob2 = float(np.sum((HJ * HJ.conj()).real))
         else:
             j_frob2 = _hutchinson_frobenius2(lin, F.shape, probes, rng)
@@ -324,7 +317,7 @@ def likelihood_scores(
     if s2 <= 0:
         raise ValueError("var_dn + sigma_n2 must be > 0")
     T = Y.shape[1]
-    R = Y - sum(_apply_blocks(H, lin.value) for H, lin in zip(H0j_list, lins))
+    R = Y - sum(block_product(H, lin.value) for H, lin in zip(H0j_list, lins))
     grads_H, grads_D = [], []
     for i, (lin, H0j) in enumerate(zip(lins, H0j_list)):
         K, N_r, N_t = H0j.shape
@@ -438,8 +431,11 @@ def run(
                 pts_H = [p.at(x, sH) for p, x in zip(priors_H, H_s)]
                 pts_D = [p.at(x, sD) for p, x in zip(priors_D, D_s)]
                 H0j = [_denoised(x, pt, sH) for x, pt in zip(H_s, pts_H)]
-                lins = [enc.linearize(_denoised(x, pt, sD))
-                        for enc, x, pt in zip(encoders, D_s, pts_D)]
+                try:
+                    lins = [enc.linearize(_denoised(x, pt, sD))
+                            for enc, x, pt in zip(encoders, D_s, pts_D)]
+                except NonFiniteInputError as exc:  # the samples are finite; the estimate is not
+                    raise PvdDivergenceError(j, it, "Tweedie source estimate") from exc
                 var_dn = 0.0
                 for i in range(n_u):
                     var_dn += aggregated_noise_variance(
@@ -493,7 +489,7 @@ def _first_nonfinite(*terms) -> str:
 
 def _residual(Y, encoders, H_means, D_means) -> float:
     fit = sum(
-        _apply_blocks(H, enc.encode(D))
+        block_product(H, enc.encode(D))
         for enc, H, D in zip(encoders, H_means, D_means)
     )
     return float(np.linalg.norm(Y - fit))

@@ -1,8 +1,10 @@
 """Experiment harness: reproducibility, counting, validation, sweeps, CLI."""
 
 import csv
+import importlib.util
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -19,6 +21,8 @@ from pvdmimo.harness import (
     validate_dict,
 )
 from pvdmimo.metrics import CSV_COLUMNS
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def tiny_config(**overrides):
@@ -155,12 +159,25 @@ def test_validate_default_config_clean():
     assert validate_dict(tiny_config()) == []
 
 
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_validate_shipped_configs_clean():
-    import pathlib
-    cfg_dir = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    cfg_dir = ROOT / "configs"
     for path in sorted(cfg_dir.glob("*.json")):
         with open(path) as fh:
             assert validate_dict(json.load(fh)) == [], path.name
+    # the benchmark's workloads too; the merged tree parses again unchanged
+    workloads = _benchmark_workloads()
+    configs = [workloads.config(name, 5, str(ROOT)) for name in workloads.NAMES]
+    for cfg in configs + [json.loads(p.read_text()) for p in sorted(cfg_dir.glob("*.json"))]:
+        assert validate_dict(cfg) == []
+        raw = ExperimentConfig.from_dict(cfg).raw
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(raw))).raw == raw
 
 
 def test_validate_trials_zero():
@@ -247,6 +264,50 @@ def test_validate_source_draw_truth_rejected():
     assert len(out) == 1 and out[0].startswith("source_draw.mean: ")
     cfg["source_draw"]["mean"] = 0.0
     assert validate_dict(cfg) == []
+
+
+def test_validate_unknown_keys_at_every_level():
+    cfg = tiny_config(tirals=3, trials=0, channel={"model": "rayleigh", "R_rxx": [[1.0]]},
+                      prior_source={"type": "gaussian", "meen": 0.0, "var": 1.0})
+    cfg["pvd"] = dict(cfg["pvd"], J_inn=5)
+    out = validate_dict(cfg)
+    assert out == ["tirals: unknown key", "pvd.J_inn: unknown key",
+                   "channel.R_rxx: unknown key", "prior_source.meen: unknown key",
+                   "trials: must be an integer >= 1"]
+    with pytest.raises(ConfigError) as exc_info:
+        ExperimentConfig.from_dict(cfg)
+    assert exc_info.value.problems == out
+
+
+def test_validate_unknown_key_next_to_a_bad_covariance():
+    # passed validate once, then flagged every row "R_rx must be 4x4"
+    with open(ROOT / "configs" / "default.json") as fh:
+        cfg = json.load(fh)
+    cfg["pvd"]["J_inn"] = 5
+    cfg["channel"] = {"model": "kronecker", "R_rx": [[1.0, 0.0], [0.0, 1.0]], "R_tx": [[1.0]]}
+    assert validate_dict(cfg) == [
+        "pvd.J_inn: unknown key",
+        "channel.R_rx: the kronecker model needs a 4x4 matrix of numbers or [re, im] pairs"]
+
+
+@pytest.mark.parametrize("override, problem", [
+    # each used to pass validate and then fail or spoil the run
+    ({"prior_source": {"type": "mixture", "means": [1.0, -1.0], "var": 0.25,
+                       "weights": [0.5, 0.5 + 1e-10]}}, "prior_source.weights: must sum to 1"),
+    ({"source_draw": {"var": -1}}, "source_draw.type: must be 'gaussian' or 'mixture'"),
+    ({"source_draw": {"type": "bogus"}}, "source_draw.type: must be 'gaussian' or 'mixture'"),
+    ({"source_draw": {"type": "gaussian", "var": -1}}, "source_draw: var0 must be > 0"),
+    ({"prior_source": {"type": "gaussian", "var": "x"}}, "prior_source.var: must be a finite number"),
+    ({"snr_db": [float("nan")]}, "snr_db: must be a nonempty list of finite dB values"),
+    ({"snr_db": [10.0, float("inf")]}, "snr_db: must be a nonempty list of finite dB values"),
+    ({"dims": dict(tiny_config()["dims"], N_r=4.0)}, "dims.N_r: must be an integer"),
+], ids=["weights", "draw-untyped", "draw-type", "draw-var", "var-type", "snr-nan", "snr-inf",
+        "float-dims"])
+def test_validate_rejects_what_the_run_would_fail_on(override, problem):
+    cfg = tiny_config(**override)
+    assert validate_dict(cfg) == [problem]
+    with pytest.raises(ConfigError):
+        run_experiment(cfg)
 
 
 def test_run_rejects_bad_link_instead_of_flagging_rows():
@@ -358,6 +419,17 @@ def test_cli_run_and_overrides(tmp_path, capsys):
     assert code == 0
     with open(out) as fh:
         assert len(list(csv.reader(fh))) == 1 + 4
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_cli_config_fault_is_one_line_per_problem(tmp_path, capsys, command):
+    # a wrong-typed value used to kill validate with a TypeError traceback
+    path = _write_cfg(tmp_path, tiny_config(prior_source={"type": "gaussian", "var": "x"}))
+    sweep_args = ["--param", "snr_db", "--values", "10"] if command == "sweep" else []
+    assert cli_main([command, str(path), *sweep_args]) == 1
+    captured = capsys.readouterr()
+    report = captured.out if command == "validate" else captured.err
+    assert report.splitlines() == ["prior_source.var: must be a finite number"]
 
 
 def test_cli_run_bad_config_exit_1(tmp_path):

@@ -18,7 +18,6 @@ from pvdmimo.pvd import (
     NoiseSchedule,
     PvdConfig,
     PvdState,
-    _apply_blocks,
     _blocks_adjoint,
     precisions,
     run,
@@ -26,6 +25,12 @@ from pvdmimo.pvd import (
     transition_scores,
     update_means,
 )
+
+
+def _apply_blocks(H_blocks, X):
+    """Block-diagonal product: (K,N_r,N_t) blocks times (N_t*K, T) signal."""
+    K, N_r, N_t = H_blocks.shape
+    return np.einsum("krc,kct->krt", H_blocks, X.reshape(K, N_t, -1)).reshape(K * N_r, -1)
 
 
 # --- reference: the per-call prior formulas before ScorePrior.at -------------

@@ -532,6 +532,8 @@ class _PoisonedPrior(GaussianPrior):
     ("H", "trace", 3, "aggregated noise variance"),
     ("D", "chain_vjp", 3, "likelihood score"),
     ("H", "score", 0, "prior score"),
+    # used to surface as the encoder's "source vector contains non-finite entries"
+    ("D", "score", 3, "Tweedie source estimate"),
 ])
 def test_run_divergence_names_the_quantity(side, part, j, what):
     rng, dims, H, A, enc, d_true, Y, sn2 = _known_channel_scene(0)
