@@ -18,7 +18,6 @@ from pvdmimo import (
     complex_normal,
     jacobian_frobenius2,
     load_encoder,
-    normalize_power,
     save_encoder,
 )
 
@@ -46,15 +45,14 @@ for name, enc in [("linear", linear), ("saturating", saturating),
     ])
     print(f"{name:17s} vjp vs finite differences: max dev {np.max(np.abs(g - fd)):.2e}")
 
-# the power-normalized encoder meets the budget with equality, every input
-for _ in range(3):
-    X = normalized.encode(rng.standard_normal(dims.n))
-    print(f"  per-symbol power {np.linalg.norm(X) ** 2 / m:.12f} (budget P = {dims.P})")
-
-# standalone scaling of an arbitrary signal
-X = complex_normal(rng, dims.signal_shape, 9.0)
-Xn = normalize_power(X, dims)
-print(f"normalize_power: {np.linalg.norm(X)**2 / m:.2f} -> {np.linalg.norm(Xn)**2 / m:.2f}")
+# the power-normalized encoder meets the budget with equality, every input,
+# whatever power the linear encoder beneath it puts out
+for scale in (0.1, 1.0, 30.0):
+    d_in = scale * rng.standard_normal(dims.n)
+    raw = np.linalg.norm(linear.encode(d_in)) ** 2 / m
+    X = normalized.encode(d_in)
+    print(f"  per-symbol power {raw:10.4f} -> {np.linalg.norm(X) ** 2 / m:.12f} "
+          f"(budget P = {dims.P})")
 
 # Jacobian energy: exact vs Hutchinson probes through the vjp
 exact = jacobian_frobenius2(saturating, d)

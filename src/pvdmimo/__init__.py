@@ -23,7 +23,6 @@ from .encoder import (
     SaturatingEncoder,
     jacobian_frobenius2,
     load_encoder,
-    normalize_power,
     save_encoder,
 )
 from .priors import GaussianMixturePrior, GaussianPrior, ScorePrior
@@ -31,12 +30,10 @@ from .pvd import (
     NoiseSchedule,
     PvdConfig,
     PvdDivergenceError,
-    PvdState,
     RecoveryResult,
     aggregated_noise_variance,
     error_variances,
     likelihood_scores,
-    precisions,
     run,
     sample_variational,
     transition_scores,

@@ -26,7 +26,10 @@ def _parse_values(text: str) -> list[float]:
         tok = tok.strip()
         if not tok:
             continue
-        v = float(tok)
+        try:
+            v = float(tok)
+        except ValueError:
+            raise ConfigError(f"--values: {tok!r} is not a number") from None
         vals.append(int(v) if v.is_integer() else v)
     return vals
 
@@ -44,7 +47,10 @@ def _parse_links(items: list[str]) -> dict:
 def _apply_overrides(cfg: dict, args) -> dict:
     env_seed = os.environ.get("PVDMIMO_SEED")
     if env_seed is not None:
-        cfg["seed"] = int(env_seed)
+        try:
+            cfg["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"PVDMIMO_SEED: must be an integer, got {env_seed!r}") from None
     for key in ("seed", "trials", "out", "workers"):
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import MimoDims
-
 
 class NonFiniteInputError(ValueError):
     """A source vector handed to an encoder has a non-finite entry."""
@@ -192,17 +190,6 @@ class PowerNormalizedEncoder(Encoder):
         return Linearization(base.d, scale * F, pullback, jacobian)
 
     encode, vjp, jacobian = _VIEWS
-
-
-def normalize_power(X: np.ndarray, dims: MimoDims) -> np.ndarray:
-    """Scale X so that ||cX||_F^2 / (N_t K T) equals the power budget P exactly."""
-    X = np.asarray(X, dtype=np.complex128)
-    nrm = np.linalg.norm(X)
-    if nrm == 0:
-        raise ValueError("cannot power-normalize the zero signal")
-    target = np.sqrt(dims.P * dims.N_t * dims.K * dims.T)
-    c = target / nrm
-    return X if c == 1.0 else c * X
 
 
 def jacobian_frobenius2(

@@ -100,15 +100,16 @@ _VIEWS = (ScorePrior.first_order, ScorePrior.second_order_trace, ScorePrior.twee
 
 
 class GaussianPrior(ScorePrior):
-    """Isotropic Gaussian prior: each free entry ~ N(M, var0) or CN(M, var0)."""
+    """Isotropic Gaussian prior: each free entry ~ N(M, var) or CN(M, var),
+    the variance held as `var0`."""
 
-    def __init__(self, mean, var0: float, domain: str = "real"):
-        if var0 <= 0:
-            raise ValueError("var0 must be > 0")
+    def __init__(self, mean, var: float, domain: str = "real"):
+        if var <= 0:
+            raise ValueError("var must be > 0")
         if domain not in ("real", "complex"):
             raise ValueError(f"unknown domain {domain!r}")
         self.domain = domain
-        self.var0 = float(var0)
+        self.var0 = float(var)
         self.mean = (_as_complex_array(mean) if domain == "complex"
                      else _as_float_array(mean))
         self.dim = self.mean.size
@@ -140,7 +141,7 @@ class GaussianPrior(ScorePrior):
 
 
 class GaussianMixturePrior(ScorePrior):
-    """Gaussian mixture with shared per-entry variance var0.
+    """Gaussian mixture with shared per-entry variance var (held as `var0`).
 
     Component means are stacked along the first axis; weights are positive
     and sum to one. Smoothing by sigma keeps the mixture form with shared
@@ -148,13 +149,13 @@ class GaussianMixturePrior(ScorePrior):
     Responsibilities are computed in log-space with max subtraction.
     """
 
-    def __init__(self, means, var0: float, weights, domain: str = "real"):
-        if var0 <= 0:
-            raise ValueError("var0 must be > 0")
+    def __init__(self, means, var: float, weights, domain: str = "real"):
+        if var <= 0:
+            raise ValueError("var must be > 0")
         if domain not in ("real", "complex"):
             raise ValueError(f"unknown domain {domain!r}")
         self.domain = domain
-        self.var0 = float(var0)
+        self.var0 = float(var)
         self.means = (_as_complex_array(means) if domain == "complex"
                       else _as_float_array(means))
         if self.means.ndim < 2:

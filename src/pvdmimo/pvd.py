@@ -21,6 +21,9 @@ At each sample every prior and encoder is evaluated once (`ScorePrior.at`,
 their error variances, the aggregated noise, the likelihood and the prior
 term alike.
 
+The constants of each reverse step (noise levels, precisions, variance gaps,
+step sizes) come from one table, `PvdConfig.steps()`, built once per run.
+
 All complex gradients are Wirtinger derivatives with respect to the
 conjugate; under this convention the transition score is literally
 (value_{j+1} - value_j) / (sigma_{j+1}^2 - sigma_j^2) in both domains.
@@ -78,22 +81,23 @@ class NoiseSchedule:
         return s * s
 
 
-def precisions(sched_H: NoiseSchedule, sched_D: NoiseSchedule, j: int) -> tuple[float, float]:
-    """Variational precisions at reverse step j.
+@dataclass(frozen=True)
+class ReverseStep:
+    """The constants of reverse step j, for the channel (H) and the source (D):
+    the noise level sigma_j, the variance gap gap_j = sigma_{j+1}^2 - sigma_j^2,
+    the step size eps_j = zeta gap_j and the variational precision
+    Lambda_j = sigma_{j+1}^2 / (sigma_j^2 gap_j), math.inf at j = 0 (where
+    sampling is deterministic)."""
 
-    Lambda_j = sigma_{j+1}^2 / (sigma_j^2 (sigma_{j+1}^2 - sigma_j^2)); at
-    j = 0 the step variance vanishes and the precision is reported as
-    math.inf, which makes sampling deterministic.
-    """
-    out = []
-    for sched in (sched_H, sched_D):
-        if j < 0 or j > sched.J - 1:
-            raise ValueError(f"step index {j} outside [0, {sched.J - 1}]")
-        v_j, v_next = sched.variance(j), sched.variance(j + 1)
-        if v_next <= v_j:
-            raise ValueError(f"schedule variance gap is not positive at j={j}")
-        out.append(math.inf if v_j == 0.0 else v_next / (v_j * (v_next - v_j)))
-    return out[0], out[1]
+    j: int
+    sigma_H: float
+    sigma_D: float
+    lambda_H: float
+    lambda_D: float
+    gap_H: float
+    gap_D: float
+    eps_H: float
+    eps_D: float
 
 
 @dataclass
@@ -130,22 +134,31 @@ class PvdConfig:
                 raise ValueError(f"{name} must be > 0")
         if self.probes < 1:
             raise ValueError("probes must be >= 1")
+        self.steps()  # a schedule that rounds to 0 fails here, not mid-run
 
     @property
     def J(self) -> int:
         return self.schedule_H.J
 
-
-@dataclass
-class PvdState:
-    """Per-user latents, variational means, and current precisions."""
-
-    H_latent: list[np.ndarray]
-    D_latent: list[np.ndarray]
-    H_mean: list[np.ndarray]
-    D_mean: list[np.ndarray]
-    lambda_H: float = math.inf
-    lambda_D: float = math.inf
+    def steps(self) -> list[ReverseStep]:
+        """The reverse steps j = J-1, ..., 0 in run order. Every variance past
+        j = 0, gap and step size is checked positive here, so the reverse
+        loop uses them unchecked."""
+        rows = []
+        for j in range(self.J - 1, -1, -1):
+            per_domain = []
+            for sched, zeta in ((self.schedule_H, self.zeta_H), (self.schedule_D, self.zeta_D)):
+                v_j, v_next = sched.variance(j), sched.variance(j + 1)
+                gap = v_next - v_j
+                if not (gap > 0 and zeta * gap > 0 and (j == 0 or v_j * gap > 0)):
+                    raise ValueError("schedule variance, variance gap or step size is not "
+                                     f"positive at j={j}")
+                per_domain.append((sched.value(j),
+                                   math.inf if v_j == 0.0 else v_next / (v_j * gap),
+                                   gap, zeta * gap))
+            (s_H, lam_H, gap_H, eps_H), (s_D, lam_D, gap_D, eps_D) = per_domain
+            rows.append(ReverseStep(j, s_H, s_D, lam_H, lam_D, gap_H, gap_D, eps_H, eps_D))
+        return rows
 
 
 @dataclass
@@ -170,24 +183,29 @@ class RecoveryResult:
     diagnostics: list[PvdStepDiag]
 
 
-def sample_variational(state: PvdState, rng: np.random.Generator):
+def sample_variational(
+    H_mean: Sequence[np.ndarray],
+    D_mean: Sequence[np.ndarray],
+    step: ReverseStep,
+    rng: np.random.Generator,
+):
     """Draw one latent sample per user from the variational Gaussians.
 
     H ~ CN(mean, 1/lambda_H) entrywise on the free block entries and
-    D ~ N(mean, 1/lambda_D); at infinite precision the mean itself is
-    returned. Draw order is fixed (per user: channel then source) so runs
-    are reproducible bit-for-bit.
+    D ~ N(mean, 1/lambda_D), with the precisions of `step`; at infinite
+    precision the mean itself is returned. Draw order is fixed (per user:
+    channel then source) so runs are reproducible bit-for-bit.
     """
     H_s, D_s = [], []
-    for Hm, Dm in zip(state.H_mean, state.D_mean):
-        if math.isinf(state.lambda_H):
-            H_s.append(Hm.copy())
+    for Hm, Dm in zip(H_mean, D_mean):
+        if math.isinf(step.lambda_H):
+            H_s.append(Hm)
         else:
-            H_s.append(Hm + complex_normal(rng, Hm.shape, 1.0 / state.lambda_H))
-        if math.isinf(state.lambda_D):
-            D_s.append(Dm.copy())
+            H_s.append(Hm + complex_normal(rng, Hm.shape, 1.0 / step.lambda_H))
+        if math.isinf(step.lambda_D):
+            D_s.append(Dm)
         else:
-            D_s.append(Dm + rng.standard_normal(Dm.shape) / math.sqrt(state.lambda_D))
+            D_s.append(Dm + rng.standard_normal(Dm.shape) / math.sqrt(step.lambda_D))
     return H_s, D_s
 
 
@@ -342,26 +360,18 @@ def transition_scores(
     H_cur: np.ndarray,
     D_next: np.ndarray,
     D_cur: np.ndarray,
-    sched_H: NoiseSchedule,
-    sched_D: NoiseSchedule,
-    j: int,
+    step: ReverseStep,
 ):
-    """Scores of the forward transition at step j, evaluated at the samples.
+    """Scores of the forward transition at `step`, evaluated at the samples.
 
     (value_{j+1} - value_j) / (sigma_{j+1}^2 - sigma_j^2), valid for the
     complex channel and real source alike under the Wirtinger convention.
     """
-    gap_H = sched_H.variance(j + 1) - sched_H.variance(j)
-    gap_D = sched_D.variance(j + 1) - sched_D.variance(j)
-    if gap_H <= 0 or gap_D <= 0:
-        raise ValueError(f"variance gap must be positive at j={j}")
-    return (H_next - H_cur) / gap_H, (D_next - D_cur) / gap_D
+    return (H_next - H_cur) / step.gap_H, (D_next - D_cur) / step.gap_D
 
 
 def update_means(mean: np.ndarray, score_avg: np.ndarray, eps: float) -> np.ndarray:
-    """One ascent step on the averaged combined posterior score."""
-    if eps <= 0:
-        raise ValueError("step size must be > 0")
+    """One ascent step of size eps on the averaged combined posterior score."""
     return mean + eps * score_avg
 
 
@@ -408,25 +418,22 @@ def run(
     J = config.J
     h_shape = (dims.K, dims.N_r, dims.N_t)
 
-    state = PvdState(H_latent=[], D_latent=[], H_mean=[], D_mean=[])
+    H_latent, D_latent, H_mean, D_mean = [], [], [], []
     for _ in range(n_u):
-        state.H_latent.append(complex_normal(rng, h_shape, sched_H.variance(J)))
-        state.D_latent.append(rng.standard_normal(dims.n) * sched_D.value(J))
-        state.H_mean.append(complex_normal(rng, h_shape, sched_H.variance(J - 1)))
-        state.D_mean.append(rng.standard_normal(dims.n) * sched_D.value(J - 1))
+        H_latent.append(complex_normal(rng, h_shape, sched_H.variance(J)))
+        D_latent.append(rng.standard_normal(dims.n) * sched_D.value(J))
+        H_mean.append(complex_normal(rng, h_shape, sched_H.variance(J - 1)))
+        D_mean.append(rng.standard_normal(dims.n) * sched_D.value(J - 1))
 
     diag: list[PvdStepDiag] = []
-    for j in range(J - 1, -1, -1):
-        sH, sD = sched_H.value(j), sched_D.value(j)
-        state.lambda_H, state.lambda_D = precisions(sched_H, sched_D, j)
-        eps_H = config.zeta_H * (sched_H.variance(j + 1) - sched_H.variance(j))
-        eps_D = config.zeta_D * (sched_D.variance(j + 1) - sched_D.variance(j))
+    for step in config.steps():
+        j, sH, sD = step.j, step.sigma_H, step.sigma_D
         last_gnorm_H = last_gnorm_D = 0.0
         for it in range(config.J_in):
             acc_H = [np.zeros(h_shape, dtype=np.complex128) for _ in range(n_u)]
             acc_D = [np.zeros(dims.n) for _ in range(n_u)]
             for _ in range(config.L):
-                H_s, D_s = sample_variational(state, rng)
+                H_s, D_s = sample_variational(H_mean, D_mean, step, rng)
                 # One prior and one encoder evaluation per user at this sample.
                 pts_H = [p.at(x, sH) for p, x in zip(priors_H, H_s)]
                 pts_D = [p.at(x, sD) for p, x in zip(priors_D, D_s)]
@@ -446,18 +453,17 @@ def run(
                     raise PvdDivergenceError(j, it, "aggregated noise variance")
                 lik_H, lik_D = likelihood_scores(
                     Y, lins, H0j, var_dn, dims.sigma_n2, config, pts_H, pts_D, sH, sD)
-                trans = [transition_scores(state.H_latent[i], H_s[i], state.D_latent[i],
-                                           D_s[i], sched_H, sched_D, j) for i in range(n_u)]
+                trans = [transition_scores(H_latent[i], H_s[i], D_latent[i], D_s[i], step)
+                         for i in range(n_u)]
                 for i, (tr_H, tr_D) in enumerate(trans):
                     acc_H[i] += tr_H + pts_H[i].score + lik_H[i]
                     acc_D[i] += tr_D + pts_D[i].score + lik_D[i]
             for i in range(n_u):
                 g_H = acc_H[i] / config.L
                 g_D = acc_D[i] / config.L
-                state.H_mean[i] = update_means(state.H_mean[i], g_H, eps_H)
-                state.D_mean[i] = update_means(state.D_mean[i], g_D, eps_D)
-                if not (np.all(np.isfinite(state.H_mean[i]))
-                        and np.all(np.isfinite(state.D_mean[i]))):
+                H_mean[i] = update_means(H_mean[i], g_H, step.eps_H)
+                D_mean[i] = update_means(D_mean[i], g_D, step.eps_D)
+                if not (np.all(np.isfinite(H_mean[i])) and np.all(np.isfinite(D_mean[i]))):
                     # Name the first non-finite term of the last sample.
                     raise PvdDivergenceError(j, it, _first_nonfinite(
                         ("likelihood score", lik_H[i], lik_D[i]),
@@ -465,18 +471,18 @@ def run(
                         ("transition score", *trans[i])))
                 last_gnorm_H = float(np.linalg.norm(g_H))
                 last_gnorm_D = float(np.linalg.norm(g_D))
-        # Algorithm carry: latents take the refined means into step j-1.
-        state.H_latent = [h.copy() for h in state.H_mean]
-        state.D_latent = [d.copy() for d in state.D_mean]
+        # Algorithm carry: latents take the refined means into step j-1. The
+        # means are rebound, never written in place, so no copy is needed.
+        H_latent, D_latent = list(H_mean), list(D_mean)
         diag.append(PvdStepDiag(
             j=j, sigma_H=sH, sigma_D=sD,
-            residual=_residual(Y, encoders, state.H_mean, state.D_mean),
+            residual=_residual(Y, encoders, H_mean, D_mean),
             grad_norm_H=last_gnorm_H, grad_norm_D=last_gnorm_D,
         ))
 
     return RecoveryResult(
-        channels=[BlockFadingChannel(h) for h in state.H_mean],
-        sources=[d.copy() for d in state.D_mean],
+        channels=[BlockFadingChannel(h) for h in H_mean],
+        sources=D_mean,
         residual=diag[-1].residual,
         diagnostics=diag,
     )

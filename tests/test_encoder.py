@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvdmimo.channel import MimoDims, complex_normal
 from pvdmimo.encoder import (
@@ -10,7 +12,6 @@ from pvdmimo.encoder import (
     SaturatingEncoder,
     jacobian_frobenius2,
     load_encoder,
-    normalize_power,
     save_encoder,
 )
 
@@ -151,36 +152,40 @@ def test_generic_jacobian_matches_analytic():
         assert np.allclose(pullback_jacobian(pn, d), pn.jacobian(d))
 
 
-# --- normalize_power --------------------------------------------------------
+# --- power normalization ----------------------------------------------------
 
-def test_normalize_power_fixed_point():
-    dims = MimoDims(N_r=1, N_t=2, K=1, T=2, P=1.0)
-    X = np.full((2, 2), 1.0 + 0j)  # power already 1 per symbol
-    out = normalize_power(X, dims)
-    assert out is X
-
-
-def test_normalize_power_scalar():
-    dims = MimoDims(N_r=1, N_t=1, K=1, T=1, P=1.0)
-    out = normalize_power(np.array([[2.0 + 0j]]), dims)
-    assert np.allclose(out, [[1.0]])
+@pytest.mark.parametrize("A, d, expect", [
+    (np.eye(4, dtype=complex), np.ones(4), np.ones((2, 2))),  # power already P = 1
+    (np.array([[1.0 + 0j]]), np.array([2.0]), np.array([[1.0]])),
+], ids=["fixed-point", "scalar"])
+def test_power_normalized_hand_values(A, d, expect):
+    enc = PowerNormalizedEncoder(LinearEncoder(A, expect.shape), 1.0)
+    assert np.array_equal(enc.encode(d), expect)
 
 
-def test_normalize_power_exact_and_idempotent():
-    rng = np.random.default_rng(7)
-    dims = MimoDims(N_r=1, N_t=3, K=2, T=4, P=2.5)
-    X = complex_normal(rng, dims.signal_shape, 7.0)
-    out = normalize_power(X, dims)
-    power = np.linalg.norm(out) ** 2 / (dims.N_t * dims.K * dims.T)
-    assert abs(power - dims.P) <= 1e-12 * dims.P
-    again = normalize_power(out, dims)
-    assert np.allclose(out, again, rtol=0, atol=1e-15)
+@settings(max_examples=40, deadline=None)
+@given(N_t=st.integers(1, 3), K=st.integers(1, 3), T=st.integers(1, 4), n=st.integers(1, 5),
+       P=st.floats(0.01, 100.0), log_scale=st.floats(-6.0, 6.0),
+       saturating=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_power_normalized_output_power_exact(N_t, K, T, n, P, log_scale, saturating, seed):
+    # ||f(d)||_F^2 / (N_t K T) == P to 1e-12 for any input, and normalizing
+    # an output already at the budget leaves it in place
+    rng = np.random.default_rng(seed)
+    A = complex_normal(rng, (N_t * K * T, n))
+    shape = (N_t * K, T)
+    base = SaturatingEncoder(A, 0.7, shape) if saturating else LinearEncoder(A, shape)
+    enc = PowerNormalizedEncoder(base, P)
+    d = 10.0**log_scale * rng.standard_normal(n)
+    X = enc.encode(d)
+    assert abs(np.linalg.norm(X) ** 2 / X.size - P) <= 1e-12 * P
+    again = PowerNormalizedEncoder(enc, P).encode(d)
+    assert np.allclose(again, X, rtol=0, atol=1e-15 * np.sqrt(P))
 
 
-def test_normalize_power_zero_error():
-    dims = MimoDims(N_r=1, N_t=1, K=1, T=2, P=1.0)
-    with pytest.raises(ValueError):
-        normalize_power(np.zeros((1, 2), dtype=complex), dims)
+def test_power_normalized_zero_base_output_error():
+    enc = PowerNormalizedEncoder(LinearEncoder(np.zeros((2, 3), dtype=complex), (1, 2)), 1.0)
+    with pytest.raises(ValueError, match="zero"):
+        enc.encode(np.ones(3))
 
 
 # --- jacobian_frobenius2 ----------------------------------------------------

@@ -296,7 +296,7 @@ def test_validate_unknown_key_next_to_a_bad_covariance():
                        "weights": [0.5, 0.5 + 1e-10]}}, "prior_source.weights: must sum to 1"),
     ({"source_draw": {"var": -1}}, "source_draw.type: must be 'gaussian' or 'mixture'"),
     ({"source_draw": {"type": "bogus"}}, "source_draw.type: must be 'gaussian' or 'mixture'"),
-    ({"source_draw": {"type": "gaussian", "var": -1}}, "source_draw: var0 must be > 0"),
+    ({"source_draw": {"type": "gaussian", "var": -1}}, "source_draw.var: must be > 0"),
     ({"prior_source": {"type": "gaussian", "var": "x"}}, "prior_source.var: must be a finite number"),
     ({"snr_db": [float("nan")]}, "snr_db: must be a nonempty list of finite dB values"),
     ({"snr_db": [10.0, float("inf")]}, "snr_db: must be a nonempty list of finite dB values"),
@@ -308,6 +308,17 @@ def test_validate_rejects_what_the_run_would_fail_on(override, problem):
     assert validate_dict(cfg) == [problem]
     with pytest.raises(ConfigError):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("key, spec", [
+    ("prior_source", {"type": "gaussian", "var": 0}),
+    ("prior_source", {"type": "mixture", "means": [1.0, -1.0], "var": -0.5,
+                      "weights": [0.5, 0.5]}),
+    ("prior_channel", {"type": "gaussian", "var": 0.0}),
+], ids=["source-gaussian", "source-mixture", "channel-gaussian"])
+def test_validate_reports_prior_variance_at_its_key(key, spec):
+    # was "<key>: var0 must be > 0", named after the constructor's argument
+    assert validate_dict(tiny_config(**{key: spec})) == [f"{key}.var: must be > 0"]
 
 
 def test_run_rejects_bad_link_instead_of_flagging_rows():
@@ -450,6 +461,21 @@ def test_cli_sweep(tmp_path):
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 3
+
+
+def test_cli_env_seed_not_an_integer_exit_1(tmp_path, capsys, monkeypatch):
+    # int() used to fail as a runtime failure (exit 2)
+    monkeypatch.setenv("PVDMIMO_SEED", "abc")
+    path = _write_cfg(tmp_path, tiny_config(trials=1))
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "rows.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["PVDMIMO_SEED: must be an integer, got 'abc'"]
+
+
+def test_cli_sweep_values_not_numbers_exit_1(tmp_path, capsys):
+    # float() used to fail as a runtime failure (exit 2)
+    path = _write_cfg(tmp_path, tiny_config(trials=1))
+    assert cli_main(["sweep", str(path), "--param", "snr_db", "--values", "a,b"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["--values: 'a' is not a number"]
 
 
 def test_cli_env_seed_override(tmp_path):

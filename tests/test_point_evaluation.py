@@ -1,7 +1,7 @@
 """One evaluation per sample point: ScorePrior.at against the pre-change
 per-call prior formulas, and pvd.run against the pre-change inner loop that
-evaluated every stage separately (both kept here as the references, and
-required to agree bitwise)."""
+evaluated every stage separately and recomputed every step constant from the
+schedules (both kept here as the references, and required to agree bitwise)."""
 
 import math
 
@@ -14,23 +14,19 @@ from pvdmimo.channel import MimoDims, complex_normal
 from pvdmimo.encoder import LinearEncoder, PowerNormalizedEncoder, SaturatingEncoder
 from pvdmimo.encoder import _hutchinson_frobenius2
 from pvdmimo.priors import GaussianMixturePrior, GaussianPrior
-from pvdmimo.pvd import (
-    NoiseSchedule,
-    PvdConfig,
-    PvdState,
-    _blocks_adjoint,
-    precisions,
-    run,
-    sample_variational,
-    transition_scores,
-    update_means,
-)
+from pvdmimo.pvd import NoiseSchedule, PvdConfig, run
 
 
 def _apply_blocks(H_blocks, X):
     """Block-diagonal product: (K,N_r,N_t) blocks times (N_t*K, T) signal."""
     K, N_r, N_t = H_blocks.shape
     return np.einsum("krc,kct->krt", H_blocks, X.reshape(K, N_t, -1)).reshape(K * N_r, -1)
+
+
+def _blocks_adjoint(H_blocks, Y):
+    """Adjoint block product: H^H Y, returning signal shape (N_t*K, T)."""
+    K, N_r, N_t = H_blocks.shape
+    return np.einsum("krc,krt->kct", H_blocks.conj(), Y.reshape(K, N_r, -1)).reshape(K * N_t, -1)
 
 
 # --- reference: the per-call prior formulas before ScorePrior.at -------------
@@ -191,29 +187,45 @@ def _ref_likelihood(Y, encoders, H0j_list, D0j_list, var_dn, sigma_n2, config,
     return grads_H, grads_D
 
 
+def _ref_precision(sched, j):
+    v_j, v_next = sched.variance(j), sched.variance(j + 1)
+    return math.inf if v_j == 0.0 else v_next / (v_j * (v_next - v_j))
+
+
+def _ref_sample(H_mean, D_mean, lam_H, lam_D, rng):
+    H_s, D_s = [], []
+    for Hm, Dm in zip(H_mean, D_mean):
+        H_s.append(Hm.copy() if math.isinf(lam_H)
+                   else Hm + complex_normal(rng, Hm.shape, 1.0 / lam_H))
+        D_s.append(Dm.copy() if math.isinf(lam_D)
+                   else Dm + rng.standard_normal(Dm.shape) / math.sqrt(lam_D))
+    return H_s, D_s
+
+
 def reference_run(Y, encoders, priors_H, priors_D, dims, config, rng):
-    """pvd.run as it was, per-user lists throughout; returns (H, D, diag rows)."""
+    """pvd.run as it was, per-user lists throughout and every step constant
+    recomputed from the schedules where it is used; returns (H, D, diag rows)."""
     n_u = dims.N_u
     sched_H, sched_D = config.schedule_H, config.schedule_D
     J = config.J
     h_shape = (dims.K, dims.N_r, dims.N_t)
-    state = PvdState(H_latent=[], D_latent=[], H_mean=[], D_mean=[])
+    H_latent, D_latent, H_mean, D_mean = [], [], [], []
     for _ in range(n_u):
-        state.H_latent.append(complex_normal(rng, h_shape, sched_H.variance(J)))
-        state.D_latent.append(rng.standard_normal(dims.n) * sched_D.value(J))
-        state.H_mean.append(complex_normal(rng, h_shape, sched_H.variance(J - 1)))
-        state.D_mean.append(rng.standard_normal(dims.n) * sched_D.value(J - 1))
+        H_latent.append(complex_normal(rng, h_shape, sched_H.variance(J)))
+        D_latent.append(rng.standard_normal(dims.n) * sched_D.value(J))
+        H_mean.append(complex_normal(rng, h_shape, sched_H.variance(J - 1)))
+        D_mean.append(rng.standard_normal(dims.n) * sched_D.value(J - 1))
     diag = []
     for j in range(J - 1, -1, -1):
-        sH, sD = sched_H.value(j), sched_D.value(j)
-        state.lambda_H, state.lambda_D = precisions(sched_H, sched_D, j)
-        eps_H = config.zeta_H * (sched_H.variance(j + 1) - sched_H.variance(j))
-        eps_D = config.zeta_D * (sched_D.variance(j + 1) - sched_D.variance(j))
         for it in range(config.J_in):
+            sH, sD = sched_H.value(j), sched_D.value(j)
+            gap_H = sched_H.variance(j + 1) - sched_H.variance(j)
+            gap_D = sched_D.variance(j + 1) - sched_D.variance(j)
             acc_H = [np.zeros(h_shape, dtype=np.complex128) for _ in range(n_u)]
             acc_D = [np.zeros(dims.n) for _ in range(n_u)]
             for _ in range(config.L):
-                H_s, D_s = sample_variational(state, rng)
+                H_s, D_s = _ref_sample(H_mean, D_mean, _ref_precision(sched_H, j),
+                                       _ref_precision(sched_D, j), rng)
                 H0j_list, D0j_list = [], []
                 var_dn = 0.0
                 for i in range(n_u):
@@ -229,25 +241,22 @@ def reference_run(Y, encoders, priors_H, priors_D, dims, config, rng):
                     Y, encoders, H0j_list, D0j_list, var_dn, dims.sigma_n2, config,
                     priors_H, priors_D, H_s, D_s, sH, sD)
                 for i in range(n_u):
-                    tr_H, tr_D = transition_scores(
-                        state.H_latent[i], H_s[i], state.D_latent[i], D_s[i],
-                        sched_H, sched_D, j)
                     pr_H = priors_H[i].first_order(H_s[i], sH)
                     pr_D = priors_D[i].first_order(D_s[i], sD)
-                    acc_H[i] += tr_H + pr_H + lik_H[i]
-                    acc_D[i] += tr_D + pr_D + lik_D[i]
+                    acc_H[i] += (H_latent[i] - H_s[i]) / gap_H + pr_H + lik_H[i]
+                    acc_D[i] += (D_latent[i] - D_s[i]) / gap_D + pr_D + lik_D[i]
             for i in range(n_u):
                 g_H = acc_H[i] / config.L
                 g_D = acc_D[i] / config.L
-                state.H_mean[i] = update_means(state.H_mean[i], g_H, eps_H)
-                state.D_mean[i] = update_means(state.D_mean[i], g_D, eps_D)
+                H_mean[i] = H_mean[i] + config.zeta_H * gap_H * g_H
+                D_mean[i] = D_mean[i] + config.zeta_D * gap_D * g_D
                 last = (float(np.linalg.norm(g_H)), float(np.linalg.norm(g_D)))
-        state.H_latent = [h.copy() for h in state.H_mean]
-        state.D_latent = [d.copy() for d in state.D_mean]
+        H_latent = [h.copy() for h in H_mean]
+        D_latent = [d.copy() for d in D_mean]
         fit = sum(_apply_blocks(H, enc.encode(D))
-                  for enc, H, D in zip(encoders, state.H_mean, state.D_mean))
+                  for enc, H, D in zip(encoders, H_mean, D_mean))
         diag.append((j, float(np.linalg.norm(Y - fit))) + last)
-    return state.H_mean, state.D_mean, diag
+    return H_mean, D_mean, diag
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "hutchinson"])
@@ -268,8 +277,11 @@ def test_run_matches_reference_loop(n_u, L, source, exact):
                else GaussianMixturePrior(np.stack([np.ones(dims.n), -np.ones(dims.n)]),
                                          0.25, [0.4, 0.6], "real"))
     Y = complex_normal(rng, dims.output_shape)
-    sched = NoiseSchedule(0.01, 2.0, 4)
-    cfg = PvdConfig(schedule_H=sched, schedule_D=sched, J_in=3, L=L, probes=2,
+    # the two domains get different schedules and step scales, so a constant
+    # read from the wrong domain shows
+    cfg = PvdConfig(schedule_H=NoiseSchedule(0.01, 2.0, 4),
+                    schedule_D=NoiseSchedule(0.02, 1.5, 4), J_in=3, L=L,
+                    zeta_H=0.06, zeta_D=0.05, probes=2,
                     exact_threshold=(1 << 16) if exact else 0)
     res = run(Y, encoders, prior_H, prior_D, dims, cfg, np.random.default_rng(7))
     H, D, diag = reference_run(Y, encoders, [prior_H] * n_u, [prior_D] * n_u, dims, cfg,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvdmimo.channel import MimoDims, complex_normal
 from pvdmimo.encoder import LinearEncoder, SaturatingEncoder
@@ -12,11 +14,10 @@ from pvdmimo.pvd import (
     NoiseSchedule,
     PvdConfig,
     PvdDivergenceError,
-    PvdState,
+    ReverseStep,
     aggregated_noise_variance,
     error_variances,
     likelihood_scores,
-    precisions,
     run,
     sample_variational,
     transition_scores,
@@ -58,75 +59,89 @@ def test_schedule_monotone_and_range_errors():
         NoiseSchedule(1.0, 0.5, 10)
 
 
-# --- precisions ---------------------------------------------------------------
+# --- step table ---------------------------------------------------------------
 
-def test_precisions_hand_value():
+def _row(sched, j, zeta=0.06):
+    """The step-table row of reverse step j for one schedule in both domains."""
+    return next(r for r in PvdConfig(schedule_H=sched, schedule_D=sched, zeta_H=zeta,
+                                     zeta_D=zeta).steps() if r.j == j)
+
+
+def test_steps_hand_value():
     # per-step ratio 2 with sigma_1 = 0.5 gives exact levels (1, 2) at j = (1, 2):
-    # Lambda_1 = 4 / (1 * (4 - 1)) = 4/3
+    # Lambda_1 = 4 / (1 * (4 - 1)) = 4/3, gap 3, eps = 0.5 * 3
     s = NoiseSchedule(0.5, 4.0, 3)
-    assert s.value(1) == pytest.approx(1.0)
-    assert s.value(2) == pytest.approx(2.0)
-    lam_H, lam_D = precisions(s, s, 1)
-    assert lam_H == pytest.approx(4.0 / 3.0)
-    assert lam_H == lam_D
+    row = _row(s, 1, zeta=0.5)
+    assert row.sigma_H == pytest.approx(1.0)
+    assert row.lambda_H == pytest.approx(4.0 / 3.0)
+    assert row.gap_H == pytest.approx(3.0)
+    assert row.eps_H == pytest.approx(1.5)
+    assert (row.sigma_D, row.lambda_D, row.gap_D, row.eps_D) == (
+        row.sigma_H, row.lambda_H, row.gap_H, row.eps_H)
 
 
-def test_precisions_infinite_at_j0():
-    s = NoiseSchedule(0.01, 100.0, 30)
-    lam_H, lam_D = precisions(s, s, 0)
-    assert math.isinf(lam_H) and math.isinf(lam_D)
+def _scalar_row(sched, zeta, j):
+    """(sigma, Lambda, gap, eps) of step j by the scalar formulas on NoiseSchedule.value."""
+    s_j, s_next = sched.value(j), sched.value(j + 1)
+    v_j, v_next = s_j * s_j, s_next * s_next
+    lam = math.inf if v_j == 0.0 else v_next / (v_j * (v_next - v_j))
+    return s_j, lam, v_next - v_j, zeta * (v_next - v_j)
 
 
-def test_precisions_range():
-    s = NoiseSchedule(0.01, 100.0, 30)
-    with pytest.raises(ValueError):
-        precisions(s, s, 30)
-    with pytest.raises(ValueError):
-        precisions(s, s, -1)
+schedules = st.tuples(st.floats(1e-3, 10.0), st.floats(1.5, 1e5), st.floats(1e-3, 10.0))
 
 
-def test_precisions_positive_over_whole_schedule():
-    s_H = NoiseSchedule(0.01, 100.0, 30)
-    s_D = NoiseSchedule(0.05, 10.0, 30)
-    for j in range(1, 30):
-        lam_H, lam_D = precisions(s_H, s_D, j)
-        assert lam_H > 0 and math.isfinite(lam_H)
-        assert lam_D > 0 and math.isfinite(lam_D)
+@settings(max_examples=60, deadline=None)
+@given(J=st.integers(1, 60), H=schedules, D=schedules)
+def test_steps_equal_scalar_formulas(J, H, D):
+    (s1_H, ratio_H, zeta_H), (s1_D, ratio_D, zeta_D) = H, D
+    sched_H = NoiseSchedule(s1_H, s1_H * ratio_H, J)
+    sched_D = NoiseSchedule(s1_D, s1_D * ratio_D, J)
+    steps = PvdConfig(schedule_H=sched_H, schedule_D=sched_D,
+                      zeta_H=zeta_H, zeta_D=zeta_D).steps()
+    assert [r.j for r in steps] == list(range(J - 1, -1, -1))
+    for r in steps:
+        assert (r.sigma_H, r.lambda_H, r.gap_H, r.eps_H) == _scalar_row(sched_H, zeta_H, r.j)
+        assert (r.sigma_D, r.lambda_D, r.gap_D, r.eps_D) == _scalar_row(sched_D, zeta_D, r.j)
+        assert math.isinf(r.lambda_H) == math.isinf(r.lambda_D) == (r.j == 0)
+        assert min(r.lambda_H, r.lambda_D, r.gap_H, r.gap_D, r.eps_H, r.eps_D) > 0
+
+
+@pytest.mark.parametrize("sigma_1, sigma_J", [
+    (1.0, 1.0 + 2.0**-52),  # neighbouring levels round to one value
+    (1e-170, 1e-160),  # the variances underflow to 0
+], ids=["flat", "underflow"])
+def test_steps_reject_a_schedule_that_rounds_to_zero(sigma_1, sigma_J):
+    # 0 < sigma_1 < sigma_J holds; the run used to fail on these only at its
+    # first reverse step
+    sched = NoiseSchedule(sigma_1, sigma_J, 30)
+    with pytest.raises(ValueError, match=r"step size is not positive at j=\d+"):
+        PvdConfig(schedule_H=sched, schedule_D=sched)
 
 
 # --- variational sampling -------------------------------------------------------
 
-def _state(lam_H=1.0, lam_D=1.0):
-    return PvdState(
-        H_latent=[np.zeros((1, 2, 1), dtype=complex)],
-        D_latent=[np.zeros(3)],
-        H_mean=[np.zeros((1, 2, 1), dtype=complex)],
-        D_mean=[np.zeros(3)],
-        lambda_H=lam_H, lambda_D=lam_D,
-    )
+def _step(lam_H=1.0, lam_D=1.0):
+    return ReverseStep(j=1, sigma_H=1.0, sigma_D=1.0, lambda_H=lam_H, lambda_D=lam_D,
+                       gap_H=1.0, gap_D=1.0, eps_H=0.1, eps_D=0.1)
 
 
 def test_sampling_deterministic_at_infinite_precision():
-    st = _state(math.inf, math.inf)
-    st.H_mean[0][:] = 1.0 + 2.0j
-    st.D_mean[0][:] = -0.5
-    H_s, D_s = sample_variational(st, np.random.default_rng(0))
-    assert np.array_equal(H_s[0], st.H_mean[0])
-    assert np.array_equal(D_s[0], st.D_mean[0])
+    H_mean = [np.full((1, 2, 1), 1.0 + 2.0j)]
+    D_mean = [np.full(3, -0.5)]
+    H_s, D_s = sample_variational(H_mean, D_mean, _step(math.inf, math.inf),
+                                  np.random.default_rng(0))
+    assert np.array_equal(H_s[0], H_mean[0])
+    assert np.array_equal(D_s[0], D_mean[0])
 
 
 def test_sampling_variance():
-    st = PvdState(
-        H_latent=[np.zeros((1, 100, 100), dtype=complex)],
-        D_latent=[np.zeros(10_000)],
-        H_mean=[np.zeros((1, 100, 100), dtype=complex)],
-        D_mean=[np.zeros(10_000)],
-        lambda_H=1.0, lambda_D=1.0,
-    )
+    H_mean = [np.zeros((1, 100, 100), dtype=complex)]
+    D_mean = [np.zeros(10_000)]
     rng = np.random.default_rng(1)
     H_all, D_all = [], []
     for _ in range(10):
-        H_s, D_s = sample_variational(st, rng)
+        H_s, D_s = sample_variational(H_mean, D_mean, _step(), rng)
         H_all.append(H_s[0].ravel())
         D_all.append(D_s[0])
     H = np.concatenate(H_all)
@@ -137,9 +152,9 @@ def test_sampling_variance():
 
 
 def test_sampling_reproducible():
-    st = _state()
-    a = sample_variational(st, np.random.default_rng(5))
-    b = sample_variational(st, np.random.default_rng(5))
+    means = ([np.zeros((1, 2, 1), dtype=complex)], [np.zeros(3)])
+    a = sample_variational(*means, _step(), np.random.default_rng(5))
+    b = sample_variational(*means, _step(), np.random.default_rng(5))
     assert np.array_equal(a[0][0], b[0][0]) and np.array_equal(a[1][0], b[1][0])
 
 
@@ -345,7 +360,7 @@ def test_transition_zero_displacement():
     s = NoiseSchedule(0.5, 8.0, 4)
     H = np.ones((1, 1, 1), dtype=complex)
     D = np.ones(2)
-    gH, gD = transition_scores(H, H, D, D, s, s, 2)
+    gH, gD = transition_scores(H, H, D, D, _row(s, 2))
     assert np.all(gH == 0) and np.all(gD == 0)
 
 
@@ -353,11 +368,11 @@ def test_transition_hand_value():
     # displacement 3 over variance gap 3 -> score 1; sigma_1 value sqrt(3)
     # arises from ratio 2 per step with sigma_1 = sqrt(3)/2
     sched = NoiseSchedule(math.sqrt(3.0) / 2.0, 2.0 * math.sqrt(3.0), 2)
-    gap = sched.variance(1) - sched.variance(0)
-    assert gap == pytest.approx(3.0)
+    row = _row(sched, 0)
+    assert row.gap_H == pytest.approx(3.0)
     H1 = np.full((1, 1, 1), 3.0 + 0j)
     H0 = np.zeros((1, 1, 1), dtype=complex)
-    gH, gD = transition_scores(H1, H0, np.array([3.0]), np.array([0.0]), sched, sched, 0)
+    gH, gD = transition_scores(H1, H0, np.array([3.0]), np.array([0.0]), row)
     assert np.allclose(gH, 1.0) and np.allclose(gD, 1.0)
 
 
@@ -368,8 +383,9 @@ def test_transition_linear_in_displacement():
     D1 = rng.standard_normal(3)
     z_H = np.zeros_like(H1)
     z_D = np.zeros_like(D1)
-    g1 = transition_scores(H1, z_H, D1, z_D, s, s, 1)
-    g2 = transition_scores(2 * H1, z_H, 2 * D1, z_D, s, s, 1)
+    row = _row(s, 1)
+    g1 = transition_scores(H1, z_H, D1, z_D, row)
+    g2 = transition_scores(2 * H1, z_H, 2 * D1, z_D, row)
     assert np.allclose(g2[0], 2 * g1[0]) and np.allclose(g2[1], 2 * g1[1])
 
 
@@ -390,18 +406,16 @@ def test_update_means_converges_to_prior_mean():
     # within 1e-3 in <= 200 inner steps (closed-form fixed point). Pins the
     # ascent sign: the descent variant diverges.
     prior = GaussianPrior(np.array([2.0]), 1.0, "real")
-    state = PvdState(H_latent=[np.zeros((1, 1, 1), complex)], D_latent=[np.zeros(1)],
-                     H_mean=[np.zeros((1, 1, 1), complex)], D_mean=[np.zeros(1)],
-                     lambda_H=math.inf, lambda_D=math.inf)
+    H_mean, D_mean = [np.zeros((1, 1, 1), complex)], [np.zeros(1)]
     eps = 0.5
     rng = np.random.default_rng(0)
     for step in range(200):
-        _, D_s = sample_variational(state, rng)
+        _, D_s = sample_variational(H_mean, D_mean, _step(math.inf, math.inf), rng)
         score = prior.first_order(D_s[0], 0.0)
-        state.D_mean[0] = update_means(state.D_mean[0], score, eps)
-        if abs(state.D_mean[0][0] - 2.0) < 1e-3:
+        D_mean[0] = update_means(D_mean[0], score, eps)
+        if abs(D_mean[0][0] - 2.0) < 1e-3:
             break
-    assert abs(state.D_mean[0][0] - 2.0) < 1e-3
+    assert abs(D_mean[0][0] - 2.0) < 1e-3
     assert step < 200
 
 
@@ -548,6 +562,30 @@ def test_run_divergence_names_the_quantity(side, part, j, what):
     with pytest.raises(PvdDivergenceError, match=f"non-finite {what} at reverse step j={j}, "
                        "inner iteration 0"):
         run(Y, enc, pH, pD, dims, cfg, rng)
+
+
+def test_run_reads_the_schedule_once_per_run(monkeypatch):
+    # the reverse loop reads its step constants from the table, so the
+    # schedule is evaluated as often for J_in = 5, L = 2 as for J_in = 2, L = 1
+    calls = []
+    value = NoiseSchedule.value
+
+    def counting(self, j):
+        calls.append(j)
+        return value(self, j)
+
+    monkeypatch.setattr(NoiseSchedule, "value", counting)
+    counts = []
+    for J_in, L in ((2, 1), (2, 2), (5, 2)):
+        rng, dims, H, A, enc, d_true, Y, sn2 = _known_channel_scene(4)
+        cfg = PvdConfig(schedule_H=NoiseSchedule(0.01, 1.0, 3),
+                        schedule_D=NoiseSchedule(0.01, 1.0, 3), J_in=J_in, L=L,
+                        zeta_H=1e-3, zeta_D=1e-3)
+        calls.clear()
+        run(Y, enc, GaussianPrior(H, 1e-6, "complex"),
+            GaussianPrior(np.zeros(8), 1.0, "real"), dims, cfg, rng)
+        counts.append(len(calls))
+    assert counts[0] > 0 and len(set(counts)) == 1
 
 
 def test_run_shape_validation():
