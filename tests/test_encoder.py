@@ -153,21 +153,25 @@ def test_generic_jacobian_matches_analytic():
 
 
 # --- power normalization ----------------------------------------------------
+# PowerNormalizedEncoder scales its base output to the power budget P per
+# symbol: ||f(d)||_F^2 / (N_t K T) == P.
 
-@pytest.mark.parametrize("A, d, expect", [
-    (np.eye(4, dtype=complex), np.ones(4), np.ones((2, 2))),  # power already P = 1
-    (np.array([[1.0 + 0j]]), np.array([2.0]), np.array([[1.0]])),
-], ids=["fixed-point", "scalar"])
-def test_power_normalized_hand_values(A, d, expect):
-    enc = PowerNormalizedEncoder(LinearEncoder(A, expect.shape), 1.0)
-    assert np.array_equal(enc.encode(d), expect)
+def test_normalize_power_fixed_point():
+    # power already P = 1 per symbol: the output is the base output unchanged
+    enc = PowerNormalizedEncoder(LinearEncoder(np.eye(4, dtype=complex), (2, 2)), 1.0)
+    assert np.array_equal(enc.encode(np.ones(4)), np.ones((2, 2)))
+
+
+def test_normalize_power_scalar():
+    enc = PowerNormalizedEncoder(LinearEncoder(np.array([[1.0 + 0j]]), (1, 1)), 1.0)
+    assert np.array_equal(enc.encode(np.array([2.0])), np.array([[1.0]]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(N_t=st.integers(1, 3), K=st.integers(1, 3), T=st.integers(1, 4), n=st.integers(1, 5),
        P=st.floats(0.01, 100.0), log_scale=st.floats(-6.0, 6.0),
        saturating=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_power_normalized_output_power_exact(N_t, K, T, n, P, log_scale, saturating, seed):
+def test_normalize_power_exact_and_idempotent(N_t, K, T, n, P, log_scale, saturating, seed):
     # ||f(d)||_F^2 / (N_t K T) == P to 1e-12 for any input, and normalizing
     # an output already at the budget leaves it in place
     rng = np.random.default_rng(seed)
@@ -182,7 +186,8 @@ def test_power_normalized_output_power_exact(N_t, K, T, n, P, log_scale, saturat
     assert np.allclose(again, X, rtol=0, atol=1e-15 * np.sqrt(P))
 
 
-def test_power_normalized_zero_base_output_error():
+def test_normalize_power_zero_error():
+    # a zero base output has no direction to scale: it raises
     enc = PowerNormalizedEncoder(LinearEncoder(np.zeros((2, 3), dtype=complex), (1, 2)), 1.0)
     with pytest.raises(ValueError, match="zero"):
         enc.encode(np.ones(3))

@@ -67,7 +67,7 @@ def _row(sched, j, zeta=0.06):
                                      zeta_D=zeta).steps() if r.j == j)
 
 
-def test_steps_hand_value():
+def test_precisions_hand_value():
     # per-step ratio 2 with sigma_1 = 0.5 gives exact levels (1, 2) at j = (1, 2):
     # Lambda_1 = 4 / (1 * (4 - 1)) = 4/3, gap 3, eps = 0.5 * 3
     s = NoiseSchedule(0.5, 4.0, 3)
@@ -78,6 +78,28 @@ def test_steps_hand_value():
     assert row.eps_H == pytest.approx(1.5)
     assert (row.sigma_D, row.lambda_D, row.gap_D, row.eps_D) == (
         row.sigma_H, row.lambda_H, row.gap_H, row.eps_H)
+
+
+def test_precisions_infinite_at_j0():
+    # sampling at the last reverse step is deterministic in both domains
+    row = _row(NoiseSchedule(0.01, 100.0, 30), 0)
+    assert math.isinf(row.lambda_H) and math.isinf(row.lambda_D)
+
+
+def test_precisions_range():
+    # the table holds a row for each j = J-1, ..., 0 and none outside it
+    s = NoiseSchedule(0.01, 100.0, 30)
+    steps = PvdConfig(schedule_H=s, schedule_D=s).steps()
+    assert [r.j for r in steps] == list(range(29, -1, -1))
+
+
+def test_precisions_positive_over_whole_schedule():
+    steps = PvdConfig(schedule_H=NoiseSchedule(0.01, 100.0, 30),
+                      schedule_D=NoiseSchedule(0.05, 10.0, 30)).steps()
+    for r in steps:
+        if r.j > 0:
+            assert r.lambda_H > 0 and math.isfinite(r.lambda_H)
+            assert r.lambda_D > 0 and math.isfinite(r.lambda_D)
 
 
 def _scalar_row(sched, zeta, j):
