@@ -63,7 +63,7 @@ for seed in range(5):
     result = run(Y, enc, GaussianPrior(np.full((1, 2, 1), mu_H), var_H, "complex"),
                  mix, dims, config, rng)
     d_map, h_map = grid_map(Y, A, mu_H, var_H, sn2, means, mix_var)
-    h_gap = np.linalg.norm(result.channels[0].blocks.ravel() - h_map) / np.linalg.norm(h_map)
+    h_gap = np.linalg.norm(result.channels[0].ravel() - h_map) / np.linalg.norm(h_map)
     fmt = lambda v: "[" + " ".join(f"{x:+.2f}" for x in v) + "]"
     print(f"  {seed}  | {fmt(d_true)} | {fmt(result.sources[0])} | {fmt(d_map)} | {h_gap:.3f}")
 

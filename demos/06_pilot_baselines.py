@@ -27,9 +27,9 @@ N_p = 4
 T_d = dims.T - N_p
 sigma_n2 = 0.05
 
-pilot = make_pilots(dims.N_t, N_p, dims.P)
-orth = pilot.X_p @ pilot.X_p.conj().T
-print(f"pilot rows: {pilot.X_p.shape}, X_p X_p^H = (N_p P) I? "
+X_p = make_pilots(dims.N_t, N_p, dims.P)
+orth = X_p @ X_p.conj().T
+print(f"pilot rows: {X_p.shape}, X_p X_p^H = (N_p P) I? "
       f"max off-diagonal {np.max(np.abs(orth - N_p * dims.P * np.eye(dims.N_t))):.1e}")
 
 # scene: pilots occupy the first N_p slots of each block
@@ -38,12 +38,12 @@ enc = LinearEncoder(A, (dims.N_t * dims.K, T_d))
 d_true = rng.standard_normal(dims.n)
 H = complex_normal(rng, (dims.K, dims.N_r, dims.N_t))
 X = np.empty((dims.K, dims.N_t, dims.T), dtype=complex)
-X[:, :, :N_p] = pilot.X_p
+X[:, :, :N_p] = X_p
 X[:, :, N_p:] = enc.encode(d_true).reshape(dims.K, dims.N_t, T_d)
 Y = np.einsum("krc,kct->krt", H, X) + complex_normal(rng, (dims.K, dims.N_r, dims.T),
                                                      sigma_n2)
 
-H_pilot = lmmse_channel(Y[:, :, :N_p], pilot.X_p, 1.0, sigma_n2)
+H_pilot = lmmse_channel(Y[:, :, :N_p], X_p, 1.0, sigma_n2)
 H_oracle = oracle_lmmse(Y, X, 1.0, sigma_n2)
 print(f"pilot LMMSE NMSE : {nmse_db([H], [H_pilot]):7.2f} dB  ({N_p} pilot slots)")
 print(f"oracle LMMSE NMSE: {nmse_db([H], [H_oracle]):7.2f} dB  (all {dims.T} slots, "

@@ -8,12 +8,12 @@ and a reproducible Monte Carlo harness with CLI (`harness`, `cli`).
 """
 
 from .channel import (
-    BlockFadingChannel,
     MimoDims,
     complex_normal,
     compound,
     draw_kronecker_correlated,
     draw_rayleigh,
+    hermitian_sqrt,
     transmit,
 )
 from .encoder import (
@@ -41,7 +41,6 @@ from .pvd import (
     update_means,
 )
 from .baselines import (
-    PilotMatrix,
     lmmse_channel,
     make_pilots,
     oracle_lmmse,

@@ -10,26 +10,15 @@ which bounds what any channel estimator could do on the same data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import BlockFadingChannel, block_product
+from .channel import block_product
 from .encoder import Encoder, LinearEncoder
 from .priors import GaussianPrior
 
 
-@dataclass(frozen=True)
-class PilotMatrix:
-    """Per-block pilot symbols, one row per transmit antenna."""
-
-    X_p: np.ndarray
-    N_p: int
-    P: float
-
-
-def make_pilots(N_t: int, N_p: int, P: float) -> PilotMatrix:
-    """Equal-power pilot rows drawn from a scaled unitary DFT matrix.
+def make_pilots(N_t: int, N_p: int, P: float) -> np.ndarray:
+    """Equal-power (N_t, N_p) pilot rows drawn from a scaled unitary DFT matrix.
 
     Every entry has power P; when N_p >= N_t the rows are mutually
     orthogonal with X_p X_p^H = (N_p P) I, the LMMSE-optimal choice for
@@ -43,8 +32,7 @@ def make_pilots(N_t: int, N_p: int, P: float) -> PilotMatrix:
     N = max(N_t, N_p)
     k = np.arange(N_t)[:, None]
     l = np.arange(N_p)[None, :]
-    X_p = np.sqrt(P) * np.exp(-2j * np.pi * k * l / N)
-    return PilotMatrix(X_p=X_p, N_p=N_p, P=float(P))
+    return np.sqrt(P) * np.exp(-2j * np.pi * k * l / N)
 
 
 def _lmmse_block(Y_k: np.ndarray, X_k: np.ndarray, sigma_h2: float, sigma_n2: float) -> np.ndarray:
@@ -135,12 +123,13 @@ def oracle_lmmse(
 
 def two_stage_decode(
     Y_d: np.ndarray,
-    H_est: np.ndarray | BlockFadingChannel,
+    H_est: np.ndarray,
     enc: Encoder,
     prior: GaussianPrior,
     sigma_n2: float,
 ) -> np.ndarray:
-    """Closed-form MMSE source decode given a channel estimate.
+    """Closed-form MMSE source decode given a channel estimate, its
+    (K, N_r, N_t) blocks or one (N_r, N_t) block.
 
     Only linear encoders are supported: with X = reshape(A d) the
     observation is linear in d and the Gaussian posterior mean is exact.
@@ -151,7 +140,7 @@ def two_stage_decode(
         raise TypeError("two_stage_decode supports LinearEncoder only")
     if prior.domain != "real":
         raise ValueError("source prior must be over the real domain")
-    blocks = H_est.blocks if isinstance(H_est, BlockFadingChannel) else np.asarray(H_est)
+    blocks = np.asarray(H_est)
     if blocks.ndim == 2:
         blocks = blocks[None, ...]
     K, N_r, N_t = blocks.shape

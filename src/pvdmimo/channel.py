@@ -3,14 +3,14 @@
 The link model is Y = sum_i H0_i X_i + N, where each per-user compound
 channel H0 is block-diagonal with K independent N_r x N_t fading blocks,
 X_i is the N_t*K x T transmitted signal of user i, and N is AWGN with
-per-entry variance sigma_n2. Channels are stored block-wise (shape
-(K, N_r, N_t)); the compound matrix is materialized only on demand.
+per-entry variance sigma_n2. A user's channel is stored block-wise as a
+(K, N_r, N_t) array and all users' channels stack on axis 0; the compound
+matrix is materialized only on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -56,34 +56,6 @@ class MimoDims:
         """Shape of the received signal matrix."""
         return (self.N_r * self.K, self.T)
 
-    @property
-    def channel_entries(self) -> int:
-        """Free (non-structural) channel entries per user."""
-        return self.N_r * self.N_t * self.K
-
-
-@dataclass(frozen=True)
-class BlockFadingChannel:
-    """One user's channel: K per-block matrices, shape (K, N_r, N_t)."""
-
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.blocks, dtype=np.complex128)
-        if b.ndim != 3:
-            raise ValueError(f"blocks must be (K, N_r, N_t), got shape {b.shape}")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("channel blocks contain non-finite entries")
-        object.__setattr__(self, "blocks", b)
-
-    @property
-    def K(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def block_shape(self) -> tuple[int, int]:
-        return self.blocks.shape[1:]
-
 
 def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
     """Draw i.i.d. CN(0, var): real/imag parts independent N(0, var/2)."""
@@ -92,15 +64,14 @@ def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndar
     return (re + 1j * im) * np.sqrt(var / 2.0)
 
 
-def draw_rayleigh(dims: MimoDims, rng: np.random.Generator) -> list[BlockFadingChannel]:
-    """Draw independent Rayleigh-fading channels, one per user.
+def draw_rayleigh(dims: MimoDims, rng: np.random.Generator) -> np.ndarray:
+    """Draw independent Rayleigh-fading channels, shape (N_u, K, N_r, N_t).
 
-    Every entry of every block is an independent CN(0, 1) draw.
+    Every entry of every block is an independent CN(0, 1) draw, made user
+    by user.
     """
-    return [
-        BlockFadingChannel(complex_normal(rng, (dims.K, dims.N_r, dims.N_t)))
-        for _ in range(dims.N_u)
-    ]
+    return np.stack([complex_normal(rng, (dims.K, dims.N_r, dims.N_t))
+                     for _ in range(dims.N_u)])
 
 
 def hermitian_sqrt(R: np.ndarray, name: str) -> np.ndarray | None:
@@ -123,40 +94,36 @@ def hermitian_sqrt(R: np.ndarray, name: str) -> np.ndarray | None:
 
 def draw_kronecker_correlated(
     dims: MimoDims,
-    R_rx: np.ndarray,
-    R_tx: np.ndarray,
+    S_rx: np.ndarray | None,
+    S_tx: np.ndarray | None,
     rng: np.random.Generator,
-) -> list[BlockFadingChannel]:
-    """Draw Kronecker-correlated channels H_k = R_rx^{1/2} G R_tx^{1/2}.
+) -> np.ndarray:
+    """Draw Kronecker-correlated channels H_k = S_rx G S_tx, shape
+    (N_u, K, N_r, N_t), user by user.
 
-    G is i.i.d. CN(0, 1); R_rx (N_r x N_r) and R_tx (N_t x N_t) must be
-    Hermitian positive semidefinite. Identity covariances reproduce
+    G is i.i.d. CN(0, 1); S_rx (N_r x N_r) and S_tx (N_t x N_t) are the
+    square roots of the receive and transmit covariances as hermitian_sqrt
+    returns them, None meaning identity. Two identity factors reproduce
     draw_rayleigh bit-exactly under the same generator state.
     """
-    S_rx = hermitian_sqrt(R_rx, "R_rx")
-    S_tx = hermitian_sqrt(R_tx, "R_tx")
-    if np.asarray(R_rx).shape[0] != dims.N_r:
-        raise ValueError(f"R_rx must be {dims.N_r}x{dims.N_r}")
-    if np.asarray(R_tx).shape[0] != dims.N_t:
-        raise ValueError(f"R_tx must be {dims.N_t}x{dims.N_t}")
     out = []
     for _ in range(dims.N_u):
-        G = complex_normal(rng, (dims.K, dims.N_r, dims.N_t))
-        H = G
+        H = complex_normal(rng, (dims.K, dims.N_r, dims.N_t))
         if S_rx is not None:
             H = np.einsum("ab,kbt->kat", S_rx, H)
         if S_tx is not None:
             H = np.einsum("kab,bt->kat", H, S_tx)
-        out.append(BlockFadingChannel(H))
-    return out
+        out.append(H)
+    return np.stack(out)
 
 
-def compound(ch: BlockFadingChannel) -> np.ndarray:
-    """Materialize the block-diagonal compound channel (N_r*K x N_t*K)."""
-    K, N_r, N_t = ch.blocks.shape
+def compound(H: np.ndarray) -> np.ndarray:
+    """Materialize one user's block-diagonal compound channel (N_r*K x N_t*K)
+    from its (K, N_r, N_t) blocks."""
+    K, N_r, N_t = H.shape
     H0 = np.zeros((N_r * K, N_t * K), dtype=np.complex128)
     for k in range(K):
-        H0[k * N_r:(k + 1) * N_r, k * N_t:(k + 1) * N_t] = ch.blocks[k]
+        H0[k * N_r:(k + 1) * N_r, k * N_t:(k + 1) * N_t] = H[k]
     return H0
 
 
@@ -168,39 +135,37 @@ def block_product(blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
     return Yb.reshape((K * N_r,) + X.shape[1:])
 
 
-def apply_channel(ch: BlockFadingChannel, X: np.ndarray) -> np.ndarray:
-    """Noiseless H0 @ X computed block-wise; X is (N_t*K, T)."""
-    K, _, N_t = ch.blocks.shape
+def apply_channel(H: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Noiseless H0 @ X computed block-wise from one user's (K, N_r, N_t)
+    blocks; X is (N_t*K, T)."""
+    K, _, N_t = H.shape
     X = np.asarray(X)
     if X.shape[0] != N_t * K:
         raise ValueError(f"signal has {X.shape[0]} rows, channel expects {N_t * K}")
-    return block_product(ch.blocks, X)
+    return block_product(H, X)
 
 
 def transmit(
-    channels: Sequence[BlockFadingChannel],
-    signals: Sequence[np.ndarray],
+    H: np.ndarray,
+    X: np.ndarray,
     sigma_n2: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Superpose all users through their channels and add CN(0, sigma_n2) noise.
 
-    Y = sum_i H0_i X_i + N, shape (N_r*K, T). Block k of Y depends only on
-    block k of each channel and the matching N_t rows of each signal.
+    H holds the (N_u, K, N_r, N_t) channels and X the (N_u, N_t*K, T)
+    signals. Y = sum_i H0_i X_i + N, shape (N_r*K, T). Block k of Y depends
+    only on block k of each channel and the matching N_t rows of each signal.
     """
-    if len(channels) != len(signals):
-        raise ValueError(
-            f"{len(channels)} channels vs {len(signals)} signals; counts must match"
-        )
+    H, X = np.asarray(H), np.asarray(X)
+    if H.ndim != 4 or X.ndim != 3 or X.shape[:2] != (H.shape[0], H.shape[1] * H.shape[3]):
+        raise ValueError(f"channels {H.shape} and signals {X.shape} must be "
+                         "(N_u, K, N_r, N_t) and (N_u, N_t*K, T)")
     if sigma_n2 < 0:
         raise ValueError("sigma_n2 must be >= 0")
-    T = np.asarray(signals[0]).shape[1]
-    for X in signals:
-        if np.asarray(X).shape[1] != T:
-            raise ValueError("all user signals must share the slot count T")
-    Y = apply_channel(channels[0], signals[0])
-    for ch, X in zip(channels[1:], signals[1:]):
-        Y = Y + apply_channel(ch, X)
+    Y = apply_channel(H[0], X[0])
+    for H_i, X_i in zip(H[1:], X[1:]):
+        Y = Y + apply_channel(H_i, X_i)
     if sigma_n2 > 0:
         Y = Y + complex_normal(rng, Y.shape, sigma_n2)
     return Y

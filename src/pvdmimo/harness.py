@@ -4,14 +4,15 @@ A JSON config (a plain key/value tree, schema documented in the README)
 describes the link dimensions, channel model, encoder, priors, reverse
 process, baselines, SNR grid, and trial count. run_experiment builds the
 link once (the fixed transmitter: encoders with their power calibration,
-pilots, channel covariances), then executes every (snr, trial) cell with
-its own generator derived deterministically from (master seed, snr index,
-trial index), scores each enabled method on the cell's scene, and writes
-one CSV row per (trial, method). The config is parsed once, by building
-its typed parts; a fault there or in the link fails the run, while
-per-trial failures are recorded as error-flagged rows and never abort the
-sweep. sweep repeats an experiment across values of one numeric config
-field (with optional linked fields) and aggregates summary statistics.
+pilots, channel covariances and their square roots), then executes every
+(snr, trial) cell with its own generator derived deterministically from
+(master seed, snr index, trial index), scores each enabled method on the
+cell's scene, and writes one CSV row per (trial, method). The config is
+parsed once, by building its typed parts; a fault there or in the link
+fails the run, while per-trial failures are recorded as error-flagged rows
+and never abort the sweep. sweep repeats an experiment across values of
+one numeric config field (with optional linked fields) and aggregates
+summary statistics.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from . import metrics as mt
 from . import pvd as pv
 from .channel import (
     MimoDims,
-    BlockFadingChannel,
     apply_channel,
     complex_normal,
     draw_kronecker_correlated,
     draw_rayleigh,
     hermitian_sqrt,
+    transmit,
 )
 from .encoder import (
     Encoder,
@@ -108,7 +109,7 @@ def _covariance(spec, size: int, name: str) -> np.ndarray:
     if R is None or R.shape != (size, size):
         raise ValueError(f"the kronecker model needs a {size}x{size} matrix of numbers "
                          "or [re, im] pairs")
-    hermitian_sqrt(R, name)  # the check the channel draw makes
+    hermitian_sqrt(R, name)  # Hermitian PSD; the link takes the roots once per run
     return R
 
 
@@ -289,7 +290,7 @@ class ExperimentConfig:
     prior_source: ScorePrior  # a 'truth' anchor has a zero mean here
     source: ScorePrior  # draws the true sources
     kron: tuple[np.ndarray, np.ndarray] | None  # (R_rx, R_tx); None: Rayleigh
-    pilots: bl.PilotMatrix | None  # the pilot chain, when baselines.lmmse is on
+    pilots: np.ndarray | None  # (N_t, N_p) pilot rows, when baselines.lmmse is on
     raw: dict = field(repr=False)
 
     @classmethod
@@ -375,6 +376,7 @@ class _Link:
     their power calibration depend on the config and the master seed only."""
 
     encoders: list[Encoder]  # per user, over all T slots
+    kron_sqrt: tuple | None = None  # (S_rx, S_tx) covariance roots; None: Rayleigh
     cov_vec: np.ndarray | None = None  # covariance of vec(H_k); None: Rayleigh
     pilot_encoder: Encoder | None = None  # data encoder over the T - N_p data slots
     pilot_prior: GaussianPrior | None = None  # None: no closed-form source decode
@@ -387,11 +389,12 @@ def _build_link(cfg: ExperimentConfig) -> _Link:
                   for i in range(dims.N_u)])
     if cfg.kron is not None:
         R_rx, R_tx = cfg.kron
+        link.kron_sqrt = hermitian_sqrt(R_rx, "R_rx"), hermitian_sqrt(R_tx, "R_tx")
         link.cov_vec = np.kron(R_tx.T, R_rx)
     if cfg.pilots is not None:
         # Calibrated in either power mode, so a linear map decodes in closed form.
         link.pilot_encoder = _link_encoder(
-            cfg, (dims.N_t * dims.K, dims.T - cfg.pilots.N_p), 0, 0, exact=False)
+            cfg, (dims.N_t * dims.K, dims.T - cfg.pilots.shape[1]), 0, 0, exact=False)
         prior = raw["prior_source"]
         if isinstance(link.pilot_encoder, LinearEncoder) and prior["type"] == "gaussian" \
                 and not isinstance(prior.get("mean"), str):
@@ -409,9 +412,9 @@ class _Scene:
 
     dims: MimoDims  # with the cell's noise power sigma_n2
     rng: np.random.Generator
-    channels: list[BlockFadingChannel]
-    sources: list[np.ndarray]
-    X: list[np.ndarray]  # per-user transmitted signals
+    channels: np.ndarray  # (N_u, K, N_r, N_t)
+    sources: np.ndarray  # (N_u, n)
+    X: np.ndarray  # (N_u, N_t*K, T) transmitted signals
     noise: np.ndarray
     Y: np.ndarray
     snr_db: float  # empirical
@@ -424,18 +427,18 @@ def _scene(cfg: ExperimentConfig, link: _Link, snr_db: float,
            rng: np.random.Generator) -> _Scene:
     """Draw channel, sources and noise from rng, in that order."""
     dims, raw = cfg.dims, cfg.raw
-    channels = draw_rayleigh(dims, rng) if cfg.kron is None \
-        else draw_kronecker_correlated(dims, *cfg.kron, rng)
-    sources = [cfg.source.sample(rng) for _ in range(dims.N_u)]
-    X = [enc.encode(d) for enc, d in zip(link.encoders, sources)]
-    signal = sum(apply_channel(ch, x) for ch, x in zip(channels, X))
+    channels = draw_rayleigh(dims, rng) if link.kron_sqrt is None \
+        else draw_kronecker_correlated(dims, *link.kron_sqrt, rng)
+    sources = np.stack([cfg.source.sample(rng) for _ in range(dims.N_u)])
+    X = np.stack([enc.encode(d) for enc, d in zip(link.encoders, sources)])
+    signal = transmit(channels, X, 0.0, rng)
     sig_power = float(np.linalg.norm(signal) ** 2)
     sigma_n2 = sig_power / (dims.N_r * dims.K * dims.T * 10.0 ** (snr_db / 10.0))
     noise = complex_normal(rng, dims.output_shape, 1.0) * math.sqrt(sigma_n2)
     return _Scene(
         dataclasses.replace(dims, sigma_n2=sigma_n2), rng, channels, sources, X,
         noise, signal + noise, mt.snr_db(signal, noise),
-        [_build_prior(raw["prior_channel"], "complex", ch.blocks) for ch in channels],
+        [_build_prior(raw["prior_channel"], "complex", H) for H in channels],
         [_build_prior(raw["prior_source"], "real", d) for d in sources])
 
 
@@ -443,8 +446,7 @@ def _pvd(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
     result = pv.run(sc.Y, link.encoders, sc.priors_H, sc.priors_D, sc.dims,
                     cfg.pvd, sc.rng)
     fields = {
-        "nmse_db": mt.nmse_db([c.blocks for c in sc.channels],
-                              [c.blocks for c in result.channels]),
+        "nmse_db": mt.nmse_db(sc.channels, result.channels),
         "source_mse": float(np.mean([mt.source_mse(dt, de) for dt, de
                                      in zip(sc.sources, result.sources)])),
         "residual": result.residual,
@@ -456,16 +458,16 @@ def _pvd(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
 
 def _lmmse(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
     """Two-stage pilot chain on the same channel and noise realization."""
-    dims, N_p, sigma_n2 = cfg.dims, cfg.pilots.N_p, sc.dims.sigma_n2
+    dims, N_p, sigma_n2 = cfg.dims, cfg.pilots.shape[1], sc.dims.sigma_n2
     T_d = dims.T - N_p
     X = np.empty((dims.K, dims.N_t, dims.T), dtype=np.complex128)
-    X[:, :, :N_p] = cfg.pilots.X_p
+    X[:, :, :N_p] = cfg.pilots
     X[:, :, N_p:] = link.pilot_encoder.encode(sc.sources[0]).reshape(dims.K, dims.N_t, T_d)
     signal = apply_channel(sc.channels[0], X.reshape(dims.N_t * dims.K, dims.T))
     Yb = (signal + sc.noise).reshape(dims.K, dims.N_r, dims.T)
-    H_hat = bl.lmmse_channel(Yb[:, :, :N_p], cfg.pilots.X_p, 1.0, sigma_n2,
+    H_hat = bl.lmmse_channel(Yb[:, :, :N_p], cfg.pilots, 1.0, sigma_n2,
                              Sigma=link.cov_vec)
-    fields = {"nmse_db": mt.nmse_db([sc.channels[0].blocks], [H_hat]),
+    fields = {"nmse_db": mt.nmse_db(sc.channels, H_hat[None]),
               "snr_db": mt.snr_db(signal, sc.noise), "cbr": mt.cbr(dims, T_d)}
     if link.pilot_prior is not None:
         D_hat = bl.two_stage_decode(Yb[:, :, N_p:], H_hat, link.pilot_encoder,
@@ -479,7 +481,7 @@ def _oracle_lmmse(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
     H_hat = bl.oracle_lmmse(sc.Y.reshape(dims.K, dims.N_r, dims.T),
                             sc.X[0].reshape(dims.K, dims.N_t, dims.T),
                             1.0, sc.dims.sigma_n2, Sigma=link.cov_vec)
-    return {"nmse_db": mt.nmse_db([sc.channels[0].blocks], [H_hat]),
+    return {"nmse_db": mt.nmse_db(sc.channels, H_hat[None]),
             "cbr": mt.cbr(dims, dims.T)}
 
 
@@ -541,9 +543,7 @@ def _fmt(v) -> str:
 
 
 def _record_row(rec: mt.MetricsRecord) -> list[str]:
-    return [_fmt(rec.trial), _fmt(rec.seed), _fmt(rec.snr_db), _fmt(rec.cbr),
-            _fmt(rec.nmse_db), _fmt(rec.source_mse), _fmt(rec.residual),
-            rec.method, _fmt(rec.wall_ms), rec.error]
+    return [_fmt(getattr(rec, c)) for c in mt.CSV_COLUMNS]
 
 
 def _write_csv(path, rows: list[list[str]], header: list[str]) -> None:
@@ -646,13 +646,9 @@ def _set_path(tree: dict, path: str, value) -> None:
     node[leaf] = value
 
 
-SWEEP_COLUMNS = [
-    "param", "value", "rows", "errors",
-    "nmse_db_mean", "nmse_db_median",
-    "source_mse_mean", "source_mse_median",
-    "snr_db_mean", "snr_db_median",
-    "residual_mean", "residual_median",
-]
+_SWEPT_METRICS = ("nmse_db", "source_mse", "snr_db", "residual")
+SWEEP_COLUMNS = ["param", "value", "rows", "errors"] + [
+    f"{metric}_{stat}" for metric in _SWEPT_METRICS for stat in ("mean", "median")]
 
 
 def _agg(vals: list[float]):
@@ -684,18 +680,12 @@ def sweep(cfg_raw: dict, param: str, values: list, links: dict | None = None,
         point["out"] = None
         records = run_experiment(point)
         ok = [r for r in records if not r.error]
-        nm, nmed = _agg([r.nmse_db for r in ok])
-        sm, smed = _agg([r.source_mse for r in ok])
-        snm, snmed = _agg([r.snr_db for r in ok])
-        rm, rmed = _agg([r.residual for r in ok])
-        summary.append({
-            "param": param, "value": value,
-            "rows": len(records), "errors": len(records) - len(ok),
-            "nmse_db_mean": nm, "nmse_db_median": nmed,
-            "source_mse_mean": sm, "source_mse_median": smed,
-            "snr_db_mean": snm, "snr_db_median": snmed,
-            "residual_mean": rm, "residual_median": rmed,
-        })
+        row = {"param": param, "value": value,
+               "rows": len(records), "errors": len(records) - len(ok)}
+        for metric in _SWEPT_METRICS:
+            row[f"{metric}_mean"], row[f"{metric}_median"] = _agg(
+                [getattr(r, metric) for r in ok])
+        summary.append(row)
     if out:
         _write_csv(out, [[_fmt(row[c]) for c in SWEEP_COLUMNS] for row in summary],
                    SWEEP_COLUMNS)

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from .channel import MimoDims, BlockFadingChannel
+from .channel import MimoDims
 
 #: Column schema of the per-trial results CSV. nmse_db uses '-inf' as the
 #: documented sentinel for exact recovery; wall_ms is empty unless timing
@@ -35,30 +34,25 @@ class MetricsRecord:
     error: str = ""
 
 
-def _blocks(ch) -> np.ndarray:
-    return ch.blocks if isinstance(ch, BlockFadingChannel) else np.asarray(ch)
-
-
-def nmse_db(H_true: Sequence, H_est: Sequence) -> float:
-    """Channel NMSE in dB, summed per-user and averaged by user count:
+def nmse_db(H_true: np.ndarray, H_est: np.ndarray) -> float:
+    """Channel NMSE in dB over the (N_u, K, N_r, N_t) channels, summed
+    per-user and averaged by user count:
 
         10 log10( sum_i ||H_i - Hhat_i||_F^2 / (N_u ||H_i||_F^2) ),
 
     computed over the free block entries (the structural zeros of the
     compound matrix cancel identically). Exact recovery returns -inf.
     """
-    if len(H_true) != len(H_est):
-        raise ValueError("user counts of true and estimated channels differ")
+    H_true, H_est = np.asarray(H_true), np.asarray(H_est)
+    if H_true.shape != H_est.shape:
+        raise ValueError(f"shape mismatch: {H_true.shape} vs {H_est.shape}")
     n_u = len(H_true)
     total = 0.0
     for t, e in zip(H_true, H_est):
-        tb, eb = _blocks(t), _blocks(e)
-        if tb.shape != eb.shape:
-            raise ValueError(f"shape mismatch: {tb.shape} vs {eb.shape}")
-        denom = float(np.sum(np.abs(tb) ** 2))
+        denom = float(np.sum(np.abs(t) ** 2))
         if denom == 0:
             raise ValueError("true channel has zero norm")
-        total += float(np.sum(np.abs(tb - eb) ** 2)) / (n_u * denom)
+        total += float(np.sum(np.abs(t - e) ** 2)) / (n_u * denom)
     if total == 0.0:
         return float("-inf")
     return float(10.0 * np.log10(total))

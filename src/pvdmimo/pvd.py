@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import MimoDims, BlockFadingChannel, block_product, complex_normal
+from .channel import MimoDims, block_product, complex_normal
 from .encoder import Linearization, NonFiniteInputError, _hutchinson_frobenius2
 from .priors import PriorPoint, ScorePrior
 
@@ -100,7 +100,7 @@ class ReverseStep:
     eps_D: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class PvdConfig:
     """Reverse-process configuration.
 
@@ -175,10 +175,11 @@ class PvdStepDiag:
 
 @dataclass
 class RecoveryResult:
-    """Blind recovery output: per-user channel blocks and source vectors."""
+    """Blind recovery output: the (N_u, K, N_r, N_t) channel blocks and the
+    (N_u, n) source vectors."""
 
-    channels: list[BlockFadingChannel]
-    sources: list[np.ndarray]
+    channels: np.ndarray
+    sources: np.ndarray
     residual: float
     diagnostics: list[PvdStepDiag]
 
@@ -481,8 +482,8 @@ def run(
         ))
 
     return RecoveryResult(
-        channels=[BlockFadingChannel(h) for h in H_mean],
-        sources=D_mean,
+        channels=np.stack(H_mean),
+        sources=np.stack(D_mean),
         residual=diag[-1].residual,
         diagnostics=diag,
     )

@@ -258,7 +258,7 @@ def test_criterion_5_blind_scalar_identifiability():
                   mix, dims, cfg, rng)
         d_map, h_map = _grid_map(Y, A, mu_H, var_H, sn2, means, mix_var)
         relD = np.linalg.norm(res.sources[0] - d_map) / np.linalg.norm(d_map)
-        relH = np.linalg.norm(res.channels[0].blocks.ravel() - h_map) / np.linalg.norm(h_map)
+        relH = np.linalg.norm(res.channels[0].ravel() - h_map) / np.linalg.norm(h_map)
         hits += (relD < 0.10) and (relH < 0.10)
     ok = hits >= 80
     _report(5, "blind 2x1 recovery within 10% of grid MAP in >= 80/100 trials", ok,
@@ -286,7 +286,7 @@ def _blind_channel_trial(seed, snr_db):
                     chain_through_score=True)
     res = run(Y, enc, GaussianPrior(np.zeros((1, 4, 1), complex), 1.0, "complex"),
               GaussianPrior(d_true, 1e-4, "real"), dims, cfg, rng)
-    pvd_nmse = nmse_db([H], [res.channels[0].blocks])
+    pvd_nmse = nmse_db([H], [res.channels[0]])
     H_o = oracle_lmmse(Y.reshape(1, 4, 16), X.reshape(1, 1, 16), 1.0, sn2)
     return pvd_nmse, nmse_db([H], [H_o])
 
@@ -321,8 +321,8 @@ def test_criterion_7_lmmse_analytics():
     trials = 1000
     for _ in range(trials):
         h = complex_normal(rng, (1, 1), sigma_h2)
-        Y_p = h @ pilot.X_p + complex_normal(rng, (1, N_p), sigma_n2)
-        h_hat = lmmse_channel(Y_p, pilot.X_p, sigma_h2, sigma_n2)
+        Y_p = h @ pilot + complex_normal(rng, (1, N_p), sigma_n2)
+        h_hat = lmmse_channel(Y_p, pilot, sigma_h2, sigma_n2)
         err += abs(h_hat[0, 0] - h[0, 0]) ** 2
     emp = err / trials
     analytic = sigma_h2 * sigma_n2 / (sigma_h2 * N_p * P + sigma_n2)
@@ -344,7 +344,7 @@ def test_criterion_8_multi_user_degeneracy():
     cfg = _crit4_pvd_config()
     res_single = run(Y, enc, pH, pD, dims, cfg, np.random.default_rng(123))
     res_multi = run(Y, [enc], [pH], [pD], dims, cfg, np.random.default_rng(123))
-    ok = (np.array_equal(res_single.channels[0].blocks, res_multi.channels[0].blocks)
+    ok = (np.array_equal(res_single.channels[0], res_multi.channels[0])
           and np.array_equal(res_single.sources[0], res_multi.sources[0])
           and res_single.residual == res_multi.residual)
     _report(8, "N_u=1 multi-user path bit-identical to single-user path", ok,

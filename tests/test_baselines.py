@@ -19,27 +19,27 @@ from pvdmimo.priors import GaussianPrior
 # --- pilots -------------------------------------------------------------------
 
 def test_pilot_scalar():
-    p = make_pilots(1, 1, 1.0)
-    assert p.X_p.shape == (1, 1)
-    assert abs(abs(p.X_p[0, 0]) - 1.0) < 1e-12
+    X_p = make_pilots(1, 1, 1.0)
+    assert X_p.shape == (1, 1)
+    assert abs(abs(X_p[0, 0]) - 1.0) < 1e-12
 
 
 def test_pilot_dft_orthogonality():
-    p = make_pilots(2, 2, 1.0)
-    G = p.X_p @ p.X_p.conj().T
+    X_p = make_pilots(2, 2, 1.0)
+    G = X_p @ X_p.conj().T
     assert np.allclose(G, 2.0 * np.eye(2), atol=1e-12)
 
 
 def test_pilot_orthogonality_general():
     for N_t, N_p, P in [(2, 4, 1.0), (3, 8, 2.5), (4, 4, 0.5)]:
-        p = make_pilots(N_t, N_p, P)
-        assert np.allclose(p.X_p @ p.X_p.conj().T, N_p * P * np.eye(N_t), atol=1e-10)
+        X_p = make_pilots(N_t, N_p, P)
+        assert np.allclose(X_p @ X_p.conj().T, N_p * P * np.eye(N_t), atol=1e-10)
 
 
 def test_pilot_underdetermined_full_power():
-    p = make_pilots(4, 2, 2.0)
-    assert p.X_p.shape == (4, 2)
-    assert np.allclose(np.abs(p.X_p) ** 2, 2.0)
+    X_p = make_pilots(4, 2, 2.0)
+    assert X_p.shape == (4, 2)
+    assert np.allclose(np.abs(X_p) ** 2, 2.0)
 
 
 def test_pilot_validation():
@@ -62,9 +62,9 @@ def test_lmmse_scalar_hand():
 def test_lmmse_noiseless_exact():
     rng = np.random.default_rng(0)
     H_true = complex_normal(rng, (2, 3))
-    p = make_pilots(3, 4, 1.0)
-    Y_p = H_true @ p.X_p
-    H = lmmse_channel(Y_p, p.X_p, 1.0, 0.0)
+    X_p = make_pilots(3, 4, 1.0)
+    Y_p = H_true @ X_p
+    H = lmmse_channel(Y_p, X_p, 1.0, 0.0)
     assert np.allclose(H, H_true, atol=1e-10)
 
 
@@ -73,13 +73,13 @@ def test_lmmse_matches_analytic_nmse():
     # sigma_h2 sigma_n2 / (sigma_h2 N_p P + sigma_n2) within 5%
     rng = np.random.default_rng(1)
     sigma_h2, sigma_n2, N_p, P = 1.0, 0.5, 4, 1.0
-    p = make_pilots(1, N_p, P)
+    X_p = make_pilots(1, N_p, P)
     err = 0.0
     trials = 1000
     for _ in range(trials):
         h = complex_normal(rng, (1, 1), sigma_h2)
-        Y_p = h @ p.X_p + complex_normal(rng, (1, N_p), sigma_n2)
-        h_hat = lmmse_channel(Y_p, p.X_p, sigma_h2, sigma_n2)
+        Y_p = h @ X_p + complex_normal(rng, (1, N_p), sigma_n2)
+        h_hat = lmmse_channel(Y_p, X_p, sigma_h2, sigma_n2)
         err += abs(h_hat[0, 0] - h[0, 0]) ** 2
     emp = err / trials
     analytic = sigma_h2 * sigma_n2 / (sigma_h2 * N_p * P + sigma_n2)
@@ -88,21 +88,21 @@ def test_lmmse_matches_analytic_nmse():
 
 def test_lmmse_block_stack():
     rng = np.random.default_rng(2)
-    p = make_pilots(2, 4, 1.0)
+    X_p = make_pilots(2, 4, 1.0)
     H_true = complex_normal(rng, (3, 2, 2))
-    Y_p = np.einsum("krc,ct->krt", H_true, p.X_p)
-    H = lmmse_channel(Y_p, p.X_p, 1.0, 0.0)
+    Y_p = np.einsum("krc,ct->krt", H_true, X_p)
+    H = lmmse_channel(Y_p, X_p, 1.0, 0.0)
     assert H.shape == (3, 2, 2)
     assert np.allclose(H, H_true, atol=1e-10)
 
 
 def test_lmmse_covariance_reduces_to_iid():
     rng = np.random.default_rng(3)
-    p = make_pilots(2, 3, 1.0)
+    X_p = make_pilots(2, 3, 1.0)
     H_true = complex_normal(rng, (2, 2))
-    Y_p = H_true @ p.X_p + complex_normal(rng, (2, 3), 0.2)
-    plain = lmmse_channel(Y_p, p.X_p, 1.0, 0.2)
-    general = lmmse_channel(Y_p, p.X_p, 1.0, 0.2, Sigma=np.eye(4))
+    Y_p = H_true @ X_p + complex_normal(rng, (2, 3), 0.2)
+    plain = lmmse_channel(Y_p, X_p, 1.0, 0.2)
+    general = lmmse_channel(Y_p, X_p, 1.0, 0.2, Sigma=np.eye(4))
     assert np.allclose(plain, general, atol=1e-10)
 
 
@@ -139,15 +139,15 @@ def test_oracle_beats_pilot_on_same_trial():
     # N_p < T: the oracle sees more (and the actual) symbols
     rng = np.random.default_rng(6)
     sigma_n2, N_p, T = 0.3, 2, 10
-    p = make_pilots(1, N_p, 1.0)
+    X_p = make_pilots(1, N_p, 1.0)
     wins = 0
     trials = 300
     for _ in range(trials):
         h = complex_normal(rng, (1, 1), 1.0)
         x_d = complex_normal(rng, (1, T), 1.0)
-        Y_p = h @ p.X_p + complex_normal(rng, (1, N_p), sigma_n2)
+        Y_p = h @ X_p + complex_normal(rng, (1, N_p), sigma_n2)
         Y_d = h @ x_d + complex_normal(rng, (1, T), sigma_n2)
-        h_pilot = lmmse_channel(Y_p, p.X_p, 1.0, sigma_n2)
+        h_pilot = lmmse_channel(Y_p, X_p, 1.0, sigma_n2)
         h_orac = oracle_lmmse(Y_d, x_d, 1.0, sigma_n2)
         wins += (abs(h_orac[0, 0] - h[0, 0]) <= abs(h_pilot[0, 0] - h[0, 0]))
     assert wins / trials > 0.75
@@ -234,14 +234,14 @@ def test_two_stage_rejects_nonlinear_encoder():
 def test_lmmse_beats_ls_and_zero_under_matched_prior():
     rng = np.random.default_rng(11)
     sigma_h2, sigma_n2, N_p = 1.0, 1.0, 3
-    p = make_pilots(2, N_p, 1.0)
+    X_p = make_pilots(2, N_p, 1.0)
     se = {"lmmse": 0.0, "ls": 0.0, "zero": 0.0}
     trials = 400
     for _ in range(trials):
         H = complex_normal(rng, (2, 2), sigma_h2)
-        Y_p = H @ p.X_p + complex_normal(rng, (2, N_p), sigma_n2)
-        H_lmmse = lmmse_channel(Y_p, p.X_p, sigma_h2, sigma_n2)
-        H_ls = Y_p @ p.X_p.conj().T @ np.linalg.inv(p.X_p @ p.X_p.conj().T)
+        Y_p = H @ X_p + complex_normal(rng, (2, N_p), sigma_n2)
+        H_lmmse = lmmse_channel(Y_p, X_p, sigma_h2, sigma_n2)
+        H_ls = Y_p @ X_p.conj().T @ np.linalg.inv(X_p @ X_p.conj().T)
         se["lmmse"] += np.linalg.norm(H_lmmse - H) ** 2
         se["ls"] += np.linalg.norm(H_ls - H) ** 2
         se["zero"] += np.linalg.norm(H) ** 2

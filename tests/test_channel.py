@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvdmimo.channel import (
     MimoDims,
-    BlockFadingChannel,
     complex_normal,
     compound,
     draw_kronecker_correlated,
     draw_rayleigh,
+    hermitian_sqrt,
     transmit,
 )
 
@@ -24,33 +26,30 @@ def test_dims_validation():
     d = MimoDims(N_r=2, N_t=3, K=4, T=5, N_u=2, n=7)
     assert d.signal_shape == (12, 5)
     assert d.output_shape == (8, 5)
-    assert d.channel_entries == 24
 
 
 def test_rayleigh_shapes():
     dims = MimoDims(N_r=2, N_t=1, K=2, T=4)
     chans = draw_rayleigh(dims, np.random.default_rng(0))
-    assert len(chans) == 1
-    assert chans[0].blocks.shape == (2, 2, 1)
+    assert chans.shape == (1, 2, 2, 1) and chans.dtype == np.complex128
 
 
 def test_rayleigh_determinism():
     dims = MimoDims(N_r=3, N_t=2, K=2, T=4, N_u=2)
     a = draw_rayleigh(dims, np.random.default_rng(42))
     b = draw_rayleigh(dims, np.random.default_rng(42))
-    for ca, cb in zip(a, b):
-        assert np.array_equal(ca.blocks, cb.blocks)
+    assert np.array_equal(a, b)
 
 
 def test_rayleigh_unit_variance():
     # 10^5 CN(0,1) samples: per-entry variance within 1.0 +- 0.02
     dims = MimoDims(N_r=10, N_t=10, K=10, T=1)
     chans = draw_rayleigh(MimoDims(N_r=10, N_t=10, K=100, T=1), np.random.default_rng(7))
-    samples = chans[0].blocks.ravel()
+    samples = chans[0].ravel()
     assert samples.size == 10_000
-    more = draw_rayleigh(dims, np.random.default_rng(8))[0].blocks.ravel()
+    more = draw_rayleigh(dims, np.random.default_rng(8))[0].ravel()
     all_samples = np.concatenate([samples] + [
-        draw_rayleigh(dims, np.random.default_rng(9 + k))[0].blocks.ravel()
+        draw_rayleigh(dims, np.random.default_rng(9 + k))[0].ravel()
         for k in range(89)
     ] + [more])
     assert all_samples.size >= 100_000
@@ -62,18 +61,18 @@ def test_rayleigh_unit_variance():
 
 def test_kronecker_identity_matches_rayleigh():
     dims = MimoDims(N_r=3, N_t=2, K=2, T=4)
-    eye_r = np.eye(3)
-    eye_t = np.eye(2)
+    S_rx, S_tx = hermitian_sqrt(np.eye(3), "R_rx"), hermitian_sqrt(np.eye(2), "R_tx")
+    assert S_rx is None and S_tx is None
     a = draw_rayleigh(dims, np.random.default_rng(5))
-    b = draw_kronecker_correlated(dims, eye_r, eye_t, np.random.default_rng(5))
-    assert np.array_equal(a[0].blocks, b[0].blocks)
+    b = draw_kronecker_correlated(dims, S_rx, S_tx, np.random.default_rng(5))
+    assert np.array_equal(a, b)
 
 
 def test_kronecker_zero_covariance():
     dims = MimoDims(N_r=2, N_t=2, K=3, T=4)
-    chans = draw_kronecker_correlated(dims, np.zeros((2, 2)), np.eye(2),
+    chans = draw_kronecker_correlated(dims, hermitian_sqrt(np.zeros((2, 2)), "R_rx"), None,
                                       np.random.default_rng(0))
-    assert np.all(chans[0].blocks == 0)
+    assert chans.shape == (1, 3, 2, 2) and np.all(chans == 0)
 
 
 def test_kronecker_rank1_columns_align():
@@ -81,36 +80,37 @@ def test_kronecker_rank1_columns_align():
     dims = MimoDims(N_r=2, N_t=2, K=1, T=1)
     v = np.array([1.0, 1.0j]) / np.sqrt(2)
     R_tx = np.outer(v, v.conj())
+    S_tx = hermitian_sqrt(R_tx, "R_tx")
     rng = np.random.default_rng(11)
     for _ in range(1000):
-        H = draw_kronecker_correlated(dims, np.eye(2), R_tx, rng)[0].blocks[0]
+        H = draw_kronecker_correlated(dims, None, S_tx, rng)[0, 0]
         # H = G R_tx^{1/2}: rows proportional to v^H, i.e. H @ (I - vv^H) = 0
         proj = H @ (np.eye(2) - np.outer(v, v.conj()))
         assert np.linalg.norm(proj) < 1e-10 * max(1.0, np.linalg.norm(H))
 
 
 def test_kronecker_rejects_bad_covariance():
-    dims = MimoDims(N_r=2, N_t=2, K=1, T=1)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        draw_kronecker_correlated(dims, np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), rng)
-    with pytest.raises(ValueError):
-        draw_kronecker_correlated(dims, np.diag([1.0, -0.5]), np.eye(2), rng)
+    with pytest.raises(ValueError, match="R_rx is not Hermitian"):
+        hermitian_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]), "R_rx")
+    with pytest.raises(ValueError, match="R_rx is not positive semidefinite"):
+        hermitian_sqrt(np.diag([1.0, -0.5]), "R_rx")
+    with pytest.raises(ValueError, match="R_tx must be square"):
+        hermitian_sqrt(np.ones((2, 3)), "R_tx")
 
 
 def test_compound_single_block():
-    H = BlockFadingChannel(np.arange(6, dtype=complex).reshape(1, 2, 3))
-    assert np.array_equal(compound(H), H.blocks[0])
+    H = np.arange(6, dtype=complex).reshape(1, 2, 3)
+    assert np.array_equal(compound(H), H[0])
 
 
 def test_compound_scalar_blocks():
-    H = BlockFadingChannel(np.array([[[2.0]], [[3.0]]], dtype=complex))
+    H = np.array([[[2.0]], [[3.0]]], dtype=complex)
     assert np.array_equal(compound(H), np.diag([2.0 + 0j, 3.0 + 0j]))
 
 
 def test_compound_structural_zeros():
     rng = np.random.default_rng(3)
-    H = BlockFadingChannel(complex_normal(rng, (3, 2, 2)))
+    H = complex_normal(rng, (3, 2, 2))
     H0 = compound(H)
     assert H0.shape == (6, 6)
     mask = np.ones((6, 6), dtype=bool)
@@ -120,45 +120,46 @@ def test_compound_structural_zeros():
 
 
 def test_transmit_identity_noiseless():
-    blocks = np.stack([np.eye(2, dtype=complex)] * 3)
-    ch = BlockFadingChannel(blocks)
+    H = np.stack([np.eye(2, dtype=complex)] * 3)[None]
     X = complex_normal(np.random.default_rng(0), (6, 5))
-    Y = transmit([ch], [X], 0.0, np.random.default_rng(1))
+    Y = transmit(H, X[None], 0.0, np.random.default_rng(1))
     assert np.allclose(Y, X)
 
 
 def test_transmit_scalar():
-    ch = BlockFadingChannel(np.array([[[2.0]]], dtype=complex))
-    Y = transmit([ch], [np.array([[3.0 + 0j]])], 0.0, np.random.default_rng(0))
+    H = np.array([[[[2.0]]]], dtype=complex)
+    Y = transmit(H, np.array([[[3.0 + 0j]]]), 0.0, np.random.default_rng(0))
     assert Y.shape == (1, 1) and Y[0, 0] == 6.0
 
 
 def test_transmit_two_user_superposition():
-    c1 = BlockFadingChannel(np.array([[[1.0]]], dtype=complex))
-    c2 = BlockFadingChannel(np.array([[[2.0]]], dtype=complex))
-    x = np.array([[1.0 + 0j]])
-    Y = transmit([c1, c2], [x, x], 0.0, np.random.default_rng(0))
+    H = np.array([[[[1.0]]], [[[2.0]]]], dtype=complex)
+    X = np.ones((2, 1, 1), dtype=complex)
+    Y = transmit(H, X, 0.0, np.random.default_rng(0))
     assert Y[0, 0] == 3.0
 
 
 def test_transmit_shape_errors():
-    ch = BlockFadingChannel(np.ones((1, 2, 2), dtype=complex))
-    with pytest.raises(ValueError):
-        transmit([ch], [np.ones((3, 4), dtype=complex)], 0.0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        transmit([ch, ch], [np.ones((2, 4), dtype=complex)], 0.0, np.random.default_rng(0))
+    H = np.ones((1, 1, 2, 2), dtype=complex)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):  # 3 signal rows for N_t*K = 2
+        transmit(H, np.ones((1, 3, 4), dtype=complex), 0.0, rng)
+    with pytest.raises(ValueError):  # 2 channels, 1 signal
+        transmit(np.concatenate([H, H]), np.ones((1, 2, 4), dtype=complex), 0.0, rng)
+    with pytest.raises(ValueError):  # one user's blocks, not the stacked channels
+        transmit(H[0], np.ones((1, 2, 4), dtype=complex), 0.0, rng)
 
 
 def test_block_locality():
     # zeroing signal rows outside block k leaves Y rows outside block k unchanged
     rng = np.random.default_rng(9)
     dims = MimoDims(N_r=2, N_t=2, K=3, T=4)
-    ch = draw_rayleigh(dims, rng)[0]
-    X = complex_normal(rng, dims.signal_shape)
-    Y_full = transmit([ch], [X], 0.0, np.random.default_rng(0))
+    H = draw_rayleigh(dims, rng)
+    X = complex_normal(rng, (1,) + dims.signal_shape)
+    Y_full = transmit(H, X, 0.0, np.random.default_rng(0))
     X_k = np.zeros_like(X)
-    X_k[2:4] = X[2:4]  # block k=1 only
-    Y_k = transmit([ch], [X_k], 0.0, np.random.default_rng(0))
+    X_k[:, 2:4] = X[:, 2:4]  # block k=1 only
+    Y_k = transmit(H, X_k, 0.0, np.random.default_rng(0))
     assert np.allclose(Y_k[2:4], Y_full[2:4])
     assert np.all(Y_k[:2] == 0) and np.all(Y_k[4:] == 0)
 
@@ -166,21 +167,21 @@ def test_block_locality():
 def test_transmit_linearity():
     rng = np.random.default_rng(10)
     dims = MimoDims(N_r=2, N_t=1, K=2, T=3)
-    ch = draw_rayleigh(dims, rng)[0]
-    X1 = complex_normal(rng, dims.signal_shape)
-    X2 = complex_normal(rng, dims.signal_shape)
+    H = draw_rayleigh(dims, rng)
+    X1 = complex_normal(rng, (1,) + dims.signal_shape)
+    X2 = complex_normal(rng, (1,) + dims.signal_shape)
     a, b = 2.0 - 1.0j, 0.5 + 0.25j
-    lhs = transmit([ch], [a * X1 + b * X2], 0.0, np.random.default_rng(0))
-    rhs = (a * transmit([ch], [X1], 0.0, np.random.default_rng(0))
-           + b * transmit([ch], [X2], 0.0, np.random.default_rng(0)))
+    lhs = transmit(H, a * X1 + b * X2, 0.0, np.random.default_rng(0))
+    rhs = (a * transmit(H, X1, 0.0, np.random.default_rng(0))
+           + b * transmit(H, X2, 0.0, np.random.default_rng(0)))
     assert np.allclose(lhs, rhs)
 
 
 def test_noise_statistics():
     # X = 0: per-entry variance of Y equals sigma_n2 within 3% over 1e5 samples
     dims = MimoDims(N_r=10, N_t=1, K=10, T=1000)
-    ch = BlockFadingChannel(np.zeros((10, 10, 1), dtype=complex))
-    Y = transmit([ch], [np.zeros(dims.signal_shape, dtype=complex)], 0.7,
+    H = np.zeros((1, 10, 10, 1), dtype=complex)
+    Y = transmit(H, np.zeros((1,) + dims.signal_shape, dtype=complex), 0.7,
                  np.random.default_rng(123))
     assert Y.size == 100_000
     assert abs(np.mean(np.abs(Y) ** 2) - 0.7) < 0.03 * 0.7
@@ -188,8 +189,61 @@ def test_noise_statistics():
 
 def test_transmit_determinism():
     dims = MimoDims(N_r=2, N_t=1, K=2, T=3)
-    ch = draw_rayleigh(dims, np.random.default_rng(1))[0]
-    X = complex_normal(np.random.default_rng(2), dims.signal_shape)
-    Y1 = transmit([ch], [X], 0.5, np.random.default_rng(77))
-    Y2 = transmit([ch], [X], 0.5, np.random.default_rng(77))
+    H = draw_rayleigh(dims, np.random.default_rng(1))
+    X = complex_normal(np.random.default_rng(2), (1,) + dims.signal_shape)
+    Y1 = transmit(H, X, 0.5, np.random.default_rng(77))
+    Y2 = transmit(H, X, 0.5, np.random.default_rng(77))
     assert np.array_equal(Y1, Y2)
+
+
+# --- properties over random (N_u, K, N_r, N_t, T) ------------------------------
+
+def _links(min_users=1):
+    return st.builds(lambda N_u, K, N_r, N_t, T: MimoDims(N_r=N_r, N_t=N_t, K=K, T=T, N_u=N_u),
+                     N_u=st.integers(min_users, 4), K=st.integers(1, 4), N_r=st.integers(1, 4),
+                     N_t=st.integers(1, 3), T=st.integers(1, 5))
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=_links(), seed=seeds)
+def test_transmit_is_the_sum_of_compound_products(dims, seed):
+    rng = np.random.default_rng(seed)
+    H = draw_rayleigh(dims, rng)
+    X = complex_normal(rng, (dims.N_u,) + dims.signal_shape)
+    Y = transmit(H, X, 0.0, rng)
+    ref = sum(compound(H[u]) @ X[u] for u in range(dims.N_u))
+    assert Y.shape == dims.output_shape
+    assert np.allclose(Y, ref, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=_links(), seed=seeds, data=st.data())
+def test_block_k_of_y_sees_only_block_k_of_every_user(dims, seed, data):
+    k = data.draw(st.integers(0, dims.K - 1), label="k")
+    rng = np.random.default_rng(seed)
+    H = draw_rayleigh(dims, rng)
+    X = complex_normal(rng, (dims.N_u,) + dims.signal_shape)
+    Y = transmit(H, X, 0.0, rng)
+    rows_t = slice(k * dims.N_t, (k + 1) * dims.N_t)
+    rows_r = slice(k * dims.N_r, (k + 1) * dims.N_r)
+    X_k = np.zeros_like(X)
+    X_k[:, rows_t] = X[:, rows_t]
+    Y_k = transmit(H, X_k, 0.0, rng)
+    assert np.array_equal(Y_k[rows_r], Y[rows_r])
+    Y_k[rows_r] = 0
+    assert np.all(Y_k == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=_links(min_users=2), seed=seeds)
+def test_draw_rayleigh_stacks_the_per_user_draws(dims, seed):
+    # reference: one draw per user, in user order
+    ref_rng = np.random.default_rng(seed)
+    per_user = [complex_normal(ref_rng, (dims.K, dims.N_r, dims.N_t)) for _ in range(dims.N_u)]
+    H = draw_rayleigh(dims, np.random.default_rng(seed))
+    assert H.shape == (dims.N_u, dims.K, dims.N_r, dims.N_t)
+    for u in range(dims.N_u):
+        assert np.array_equal(H[u], per_user[u])

@@ -258,6 +258,28 @@ def test_validate_kronecker_hermitian_psd():
                    "channel.R_tx: R_tx is not positive semidefinite (min eigval -1.000e+00)"]
 
 
+
+def test_run_takes_the_kronecker_roots_once_per_run(monkeypatch):
+    # the roots belong to the link: no cell takes them again
+    from pvdmimo import channel, harness
+    calls, original = [], channel.hermitian_sqrt
+
+    def counting(R, name):
+        calls.append(name)
+        return original(R, name)
+
+    for module in (channel, harness):
+        monkeypatch.setattr(module, "hermitian_sqrt", counting)
+    counts = []
+    for trials in (1, 4):
+        calls.clear()
+        cfg = _kronecker([[1.0, 0.5], [0.5, 1.0]], [[2.0]])
+        cfg.update(trials=trials, pvd={"enabled": False})
+        assert len(run_experiment(cfg)) == trials
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_validate_source_draw_truth_rejected():
     cfg = tiny_config(source_draw={"type": "gaussian", "mean": "truth", "var": 1.0})
     out = validate_dict(cfg)

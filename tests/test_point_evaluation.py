@@ -286,8 +286,10 @@ def test_run_matches_reference_loop(n_u, L, source, exact):
     res = run(Y, encoders, prior_H, prior_D, dims, cfg, np.random.default_rng(7))
     H, D, diag = reference_run(Y, encoders, [prior_H] * n_u, [prior_D] * n_u, dims, cfg,
                                np.random.default_rng(7))
+    assert res.channels.shape == (n_u, dims.K, dims.N_r, dims.N_t)
+    assert res.sources.shape == (n_u, dims.n)
     for i in range(n_u):
-        assert np.array_equal(res.channels[i].blocks, H[i])
+        assert np.array_equal(res.channels[i], H[i])
         assert np.array_equal(res.sources[i], D[i])
     assert [(s.j, s.residual, s.grad_norm_H, s.grad_norm_D) for s in res.diagnostics] == diag
 

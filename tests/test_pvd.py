@@ -1,5 +1,6 @@
 """Reverse-process operations against hand values, closed forms, and FD/MC oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -139,6 +140,14 @@ def test_steps_reject_a_schedule_that_rounds_to_zero(sigma_1, sigma_J):
     sched = NoiseSchedule(sigma_1, sigma_J, 30)
     with pytest.raises(ValueError, match=r"step size is not positive at j=\d+"):
         PvdConfig(schedule_H=sched, schedule_D=sched)
+
+
+def test_config_is_frozen():
+    # a field set after construction would skip the checks of __post_init__
+    cfg = PvdConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.J_in = 0
+    assert cfg.J_in == 20
 
 
 # --- variational sampling -------------------------------------------------------
@@ -503,7 +512,7 @@ def test_run_uninformative_observation_shrinks_to_prior():
         res = run(Y, enc, GaussianPrior(np.zeros((1, 2, 1), complex), 1.0, "complex"),
                   GaussianPrior(np.zeros(1), 1.0, "real"), dims, cfg, rng)
         d_norms.append(np.linalg.norm(res.sources[0]))
-        h_norms.append(np.linalg.norm(res.channels[0].blocks))
+        h_norms.append(np.linalg.norm(res.channels[0]))
     assert np.median(d_norms) <= 0.1
     assert np.median(h_norms) <= 0.1 * math.sqrt(2)
 
@@ -517,7 +526,7 @@ def test_run_single_user_bitwise_equals_n_u_1_lists():
     cfg = _tuned_cfg(J=10, J_in=5)
     res_scalar = run(Y, enc, pH, pD, dims, cfg, rng_a)
     res_list = run(Y, [enc], [pH], [pD], dims, cfg, rng_b)
-    assert np.array_equal(res_scalar.channels[0].blocks, res_list.channels[0].blocks)
+    assert np.array_equal(res_scalar.channels[0], res_list.channels[0])
     assert np.array_equal(res_scalar.sources[0], res_list.sources[0])
 
 
