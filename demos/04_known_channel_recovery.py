@@ -31,7 +31,7 @@ def conjugate_mmse(Y, H, A, var_d, sn2):
 config = PvdConfig(
     schedule_H=NoiseSchedule(1e-3, 10.0, 30),
     schedule_D=NoiseSchedule(0.01, 10.0, 30),
-    J_in=20, L=1, zeta_H=0.06, zeta_D=0.06, chain_through_score=True,
+    J_in=20, L=1, zeta_H=0.06, zeta_D=0.06,
 )
 
 print("seed | rel gap to closed-form MMSE")

@@ -2,17 +2,17 @@
 
 A JSON config (a plain key/value tree, schema documented in the README)
 describes the link dimensions, channel model, encoder, priors, reverse
-process, baselines, SNR grid, and trial count. run_experiment builds the
-link once (the fixed transmitter: encoders with their power calibration,
-pilots, channel covariances and their square roots), then executes every
+process, baselines, SNR grid, and trial count. The config is parsed once,
+by building its typed parts (among them the pilots and the Kronecker
+covariance roots). run_experiment then builds the link once (the fixed
+transmitter: encoders with their power calibration), executes every
 (snr, trial) cell with its own generator derived deterministically from
 (master seed, snr index, trial index), scores each enabled method on the
-cell's scene, and writes one CSV row per (trial, method). The config is
-parsed once, by building its typed parts; a fault there or in the link
-fails the run, while per-trial failures are recorded as error-flagged rows
-and never abort the sweep. sweep repeats an experiment across values of
-one numeric config field (with optional linked fields) and aggregates
-summary statistics.
+cell's scene, and writes one CSV row per (trial, method). A fault in the
+config or the link fails the run, while per-trial failures are recorded
+as error-flagged rows and never abort the sweep. sweep repeats an
+experiment across values of one numeric config field (with optional
+linked fields) and aggregates summary statistics.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ DEFAULT_CONFIG: dict = {
         "enabled": True, "J": 30, "J_in": 20, "L": 1,
         "sigma1_H": 0.01, "sigmaJ_H": 100.0,
         "sigma1_D": 0.01, "sigmaJ_D": 100.0,
-        "zeta_H": 0.06, "zeta_D": 0.06,
-        "chain_through_score": True, "probes": 8, "exact_threshold": 65536,
+        "zeta_H": 0.06, "zeta_D": 0.06, "probes": 8, "exact_threshold": 65536,
     },
     "baselines": {"lmmse": True, "oracle_lmmse": True, "N_p": 2},
     "power_mode": "exact",
@@ -99,8 +98,9 @@ class ConfigError(ValueError):
 # Config parsing: one pass that validates by building the typed parts
 # ---------------------------------------------------------------------------
 
-def _covariance(spec, size: int, name: str) -> np.ndarray:
-    """A Hermitian PSD size x size matrix, its entries numbers or [re, im] pairs."""
+def _covariance(spec, size: int, name: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """A Hermitian PSD size x size matrix, its entries numbers or [re, im]
+    pairs, and its square root (None for the identity)."""
     try:
         R = np.array([[complex(*v) if isinstance(v, (list, tuple)) else complex(v) for v in row]
                       for row in spec], dtype=np.complex128)
@@ -109,8 +109,7 @@ def _covariance(spec, size: int, name: str) -> np.ndarray:
     if R is None or R.shape != (size, size):
         raise ValueError(f"the kronecker model needs a {size}x{size} matrix of numbers "
                          "or [re, im] pairs")
-    hermitian_sqrt(R, name)  # Hermitian PSD; the link takes the roots once per run
-    return R
+    return R, hermitian_sqrt(R, name)  # raises unless Hermitian PSD
 
 
 def _is_number(v) -> bool:
@@ -238,8 +237,11 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
             np.zeros((dims.N_t * dims.K * dims.T, 0)), enc["gain"], dims.signal_shape), enc)
 
     if dims and ch.get("model") == "kronecker":
-        parts["kron"] = tuple(build(f"channel.{key}", lambda: _covariance(ch.get(key), size, key))
-                              for key, size in (("R_rx", dims.N_r), ("R_tx", dims.N_t)))
+        (R_rx, S_rx), (R_tx, S_tx) = (
+            build(f"channel.{key}", lambda: _covariance(ch.get(key), size, key)) or (None, None)
+            for key, size in (("R_rx", dims.N_r), ("R_tx", dims.N_t)))
+        if R_rx is not None and R_tx is not None:
+            parts["kron"] = S_rx, S_tx, np.kron(R_tx.T, R_rx)
 
     check(cfg["prior_channel"]["type"] != "mixture", "prior_channel",
           "mixture priors are supported for the source only")
@@ -289,7 +291,9 @@ class ExperimentConfig:
     pvd: pv.PvdConfig
     prior_source: ScorePrior  # a 'truth' anchor has a zero mean here
     source: ScorePrior  # draws the true sources
-    kron: tuple[np.ndarray, np.ndarray] | None  # (R_rx, R_tx); None: Rayleigh
+    # (S_rx, S_tx, cov_vec): the covariance roots (None: identity) and the
+    # covariance of vec(H_k); None: Rayleigh
+    kron: tuple | None
     pilots: np.ndarray | None  # (N_t, N_p) pilot rows, when baselines.lmmse is on
     raw: dict = field(repr=False)
 
@@ -376,8 +380,6 @@ class _Link:
     their power calibration depend on the config and the master seed only."""
 
     encoders: list[Encoder]  # per user, over all T slots
-    kron_sqrt: tuple | None = None  # (S_rx, S_tx) covariance roots; None: Rayleigh
-    cov_vec: np.ndarray | None = None  # covariance of vec(H_k); None: Rayleigh
     pilot_encoder: Encoder | None = None  # data encoder over the T - N_p data slots
     pilot_prior: GaussianPrior | None = None  # None: no closed-form source decode
 
@@ -387,10 +389,6 @@ def _build_link(cfg: ExperimentConfig) -> _Link:
     exact = raw["power_mode"] == "exact"
     link = _Link([_link_encoder(cfg, dims.signal_shape, i, 1 + i, exact)
                   for i in range(dims.N_u)])
-    if cfg.kron is not None:
-        R_rx, R_tx = cfg.kron
-        link.kron_sqrt = hermitian_sqrt(R_rx, "R_rx"), hermitian_sqrt(R_tx, "R_tx")
-        link.cov_vec = np.kron(R_tx.T, R_rx)
     if cfg.pilots is not None:
         # Calibrated in either power mode, so a linear map decodes in closed form.
         link.pilot_encoder = _link_encoder(
@@ -427,8 +425,8 @@ def _scene(cfg: ExperimentConfig, link: _Link, snr_db: float,
            rng: np.random.Generator) -> _Scene:
     """Draw channel, sources and noise from rng, in that order."""
     dims, raw = cfg.dims, cfg.raw
-    channels = draw_rayleigh(dims, rng) if link.kron_sqrt is None \
-        else draw_kronecker_correlated(dims, *link.kron_sqrt, rng)
+    channels = draw_rayleigh(dims, rng) if cfg.kron is None \
+        else draw_kronecker_correlated(dims, *cfg.kron[:2], rng)
     sources = np.stack([cfg.source.sample(rng) for _ in range(dims.N_u)])
     X = np.stack([enc.encode(d) for enc, d in zip(link.encoders, sources)])
     signal = transmit(channels, X, 0.0, rng)
@@ -466,7 +464,7 @@ def _lmmse(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
     signal = apply_channel(sc.channels[0], X.reshape(dims.N_t * dims.K, dims.T))
     Yb = (signal + sc.noise).reshape(dims.K, dims.N_r, dims.T)
     H_hat = bl.lmmse_channel(Yb[:, :, :N_p], cfg.pilots, 1.0, sigma_n2,
-                             Sigma=link.cov_vec)
+                             Sigma=None if cfg.kron is None else cfg.kron[2])
     fields = {"nmse_db": mt.nmse_db(sc.channels, H_hat[None]),
               "snr_db": mt.snr_db(signal, sc.noise), "cbr": mt.cbr(dims, T_d)}
     if link.pilot_prior is not None:
@@ -480,7 +478,8 @@ def _oracle_lmmse(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
     dims = cfg.dims
     H_hat = bl.oracle_lmmse(sc.Y.reshape(dims.K, dims.N_r, dims.T),
                             sc.X[0].reshape(dims.K, dims.N_t, dims.T),
-                            1.0, sc.dims.sigma_n2, Sigma=link.cov_vec)
+                            1.0, sc.dims.sigma_n2,
+                            Sigma=None if cfg.kron is None else cfg.kron[2])
     return {"nmse_db": mt.nmse_db(sc.channels, H_hat[None]),
             "cbr": mt.cbr(dims, dims.T)}
 
@@ -523,14 +522,18 @@ def _run_trial(cfg: ExperimentConfig, link: _Link, snr_idx: int, trial: int):
         wall = (time.perf_counter() - t0) * 1e3 if raw["record_timing"] else None
         records.append(mt.MetricsRecord(trial=trial, seed=seed_int, method=method,
                                         wall_ms=wall, error=err, **fields))
-    diag_rows = [[snr_target, trial, s.j, s.sigma_H, s.sigma_D, s.residual, s.grad_norm_H,
-                  s.grad_norm_D] for s in sc.steps] if raw["diagnostics"] else []
+    diag_rows = [[snr_target, trial, *dataclasses.astuple(s)]
+                 for s in sc.steps] if raw["diagnostics"] else []
     return records, diag_rows
 
 
 # ---------------------------------------------------------------------------
 # Experiment driver
 # ---------------------------------------------------------------------------
+
+#: Columns of the '.diag.csv' trace: the cell, then one PVD reverse step.
+DIAG_COLUMNS = ["snr_db", "trial"] + [f.name for f in dataclasses.fields(pv.PvdStepDiag)]
+
 
 def _fmt(v) -> str:
     if v is None:
@@ -594,9 +597,7 @@ def run_experiment(cfg: ExperimentConfig | dict, out=None) -> list[mt.MetricsRec
         _write_csv(out, [_record_row(r) for r in records], mt.CSV_COLUMNS)
         if raw["diagnostics"]:
             _write_csv(str(out) + ".diag.csv",
-                       [[_fmt(v) for v in row] for row in diag_rows],
-                       ["snr_db", "trial", "j", "sigma_H", "sigma_D",
-                        "residual", "grad_norm_H", "grad_norm_D"])
+                       [[_fmt(v) for v in row] for row in diag_rows], DIAG_COLUMNS)
     return records
 
 

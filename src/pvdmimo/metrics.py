@@ -2,20 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from .channel import MimoDims
-
-#: Column schema of the per-trial results CSV. nmse_db uses '-inf' as the
-#: documented sentinel for exact recovery; wall_ms is empty unless timing
-#: capture was requested (timings are inherently non-reproducible).
-CSV_COLUMNS = [
-    "trial", "seed", "snr_db", "cbr", "nmse_db",
-    "source_mse", "residual", "method", "wall_ms", "error",
-]
 
 
 @dataclass(frozen=True)
@@ -34,6 +26,13 @@ class MetricsRecord:
     error: str = ""
 
 
+#: Column schema of the per-trial results CSV, the fields of MetricsRecord.
+#: nmse_db uses '-inf' as the documented sentinel for exact recovery; wall_ms
+#: is empty unless timing capture was requested (timings are inherently
+#: non-reproducible).
+CSV_COLUMNS = [f.name for f in fields(MetricsRecord)]
+
+
 def nmse_db(H_true: np.ndarray, H_est: np.ndarray) -> float:
     """Channel NMSE in dB over the (N_u, K, N_r, N_t) channels, summed
     per-user and averaged by user count:
@@ -44,8 +43,9 @@ def nmse_db(H_true: np.ndarray, H_est: np.ndarray) -> float:
     compound matrix cancel identically). Exact recovery returns -inf.
     """
     H_true, H_est = np.asarray(H_true), np.asarray(H_est)
-    if H_true.shape != H_est.shape:
-        raise ValueError(f"shape mismatch: {H_true.shape} vs {H_est.shape}")
+    if H_true.ndim != 4 or H_true.shape != H_est.shape:
+        raise ValueError("need two (N_u, K, N_r, N_t) arrays of equal shape, got "
+                         f"{H_true.shape} and {H_est.shape}")
     n_u = len(H_true)
     total = 0.0
     for t, e in zip(H_true, H_est):

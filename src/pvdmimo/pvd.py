@@ -105,11 +105,9 @@ class PvdConfig:
     """Reverse-process configuration.
 
     zeta_H / zeta_D scale the per-step learning rates
-    eps_j = zeta (sigma_{j+1}^2 - sigma_j^2). chain_through_score selects
-    the exact Tweedie-Jacobian chain rule for the likelihood gradients
-    (analytic for the shipped priors); with the flag off the Jacobian is
-    approximated by the identity. probes / exact_threshold control the
-    Frobenius-norm machinery inside the aggregated-noise estimate.
+    eps_j = zeta (sigma_{j+1}^2 - sigma_j^2). probes / exact_threshold
+    control the Frobenius-norm machinery inside the aggregated-noise
+    estimate.
     """
 
     schedule_H: NoiseSchedule = field(default_factory=lambda: NoiseSchedule(0.01, 100.0, 30))
@@ -118,7 +116,6 @@ class PvdConfig:
     L: int = 1
     zeta_H: float = 0.06
     zeta_D: float = 0.06
-    chain_through_score: bool = True
     probes: int = 8
     exact_threshold: int = 1 << 16
 
@@ -309,50 +306,48 @@ def aggregated_noise_variance(
     return total / (N_r * K * T)
 
 
+def _residual(Y: np.ndarray, channels, signals) -> np.ndarray:
+    """R = Y - sum_i H_i F_i over the users' block channels and signals."""
+    return Y - sum(block_product(H, F) for H, F in zip(channels, signals))
+
+
 def likelihood_scores(
     Y: np.ndarray,
     lins: Sequence[Linearization],
     H0j_list: Sequence[np.ndarray],
     var_dn: float,
     sigma_n2: float,
-    config: PvdConfig,
-    points_H: Sequence[PriorPoint] | None = None,
-    points_D: Sequence[PriorPoint] | None = None,
-    sigma_H: float = 0.0,
-    sigma_D: float = 0.0,
+    points_H: Sequence[PriorPoint],
+    points_D: Sequence[PriorPoint],
+    sigma_H: float,
+    sigma_D: float,
 ):
-    """Per-user gradients of the calibrated log-likelihood.
+    """Per-user gradients of the calibrated log-likelihood in the latents.
 
     With R = Y - sum_i H0j_i f_i(D0j_i) and s2 = var_dn + sigma_n2, the
-    conjugate-Wirtinger gradient in the channel blocks is R f^H / s2
-    restricted to block-diagonal support, and the source gradient flows
-    through the encoder pullback with cotangent H^H R / s2; lins[i] is
-    user i's encoder linearized at D0j_i. When config.chain_through_score
-    is set the gradients are pulled back through the Tweedie maps exactly,
-    by the prior evaluations at the latent points (H_j, D_j); otherwise
-    the Tweedie Jacobian is approximated by the identity.
+    conjugate-Wirtinger gradient in the denoised channel blocks is
+    R f^H / s2 restricted to block-diagonal support, and the gradient in the
+    denoised source flows through the encoder pullback with cotangent
+    H^H R / s2; lins[i] is user i's encoder linearized at D0j_i. Both are
+    then pulled back through the Tweedie maps x -> x + sigma^2 S(x) by the
+    prior evaluations at the latent points (H_j, D_j), points_H and
+    points_D; at sigma = 0 the map is the identity and the pullback is
+    skipped.
     """
     s2 = var_dn + sigma_n2
     if s2 <= 0:
         raise ValueError("var_dn + sigma_n2 must be > 0")
     T = Y.shape[1]
-    R = Y - sum(block_product(H, lin.value) for H, lin in zip(H0j_list, lins))
+    R = _residual(Y, H0j_list, [lin.value for lin in lins])
     grads_H, grads_D = [], []
-    for i, (lin, H0j) in enumerate(zip(lins, H0j_list)):
+    for lin, H0j, pt_H, pt_D in zip(lins, H0j_list, points_H, points_D):
         K, N_r, N_t = H0j.shape
         Rb = R.reshape(K, N_r, T)
         Fb = lin.value.reshape(K, N_t, T)
         gH = np.einsum("krt,kct->krc", Rb, Fb.conj()) / s2
         gD = lin(_blocks_adjoint(H0j, R).reshape(lin.value.shape) / s2)
-        if config.chain_through_score:
-            if points_H is None or points_D is None:
-                raise ValueError("chain_through_score requires the prior evaluations")
-            if sigma_H > 0:
-                gH = points_H[i].chain_vjp(gH)
-            if sigma_D > 0:
-                gD = points_D[i].chain_vjp(gD)
-        grads_H.append(gH)
-        grads_D.append(gD)
+        grads_H.append(pt_H.chain_vjp(gH) if sigma_H > 0 else gH)
+        grads_D.append(pt_D.chain_vjp(gD) if sigma_D > 0 else gD)
     return grads_H, grads_D
 
 
@@ -453,7 +448,7 @@ def run(
                 if not math.isfinite(var_dn):
                     raise PvdDivergenceError(j, it, "aggregated noise variance")
                 lik_H, lik_D = likelihood_scores(
-                    Y, lins, H0j, var_dn, dims.sigma_n2, config, pts_H, pts_D, sH, sD)
+                    Y, lins, H0j, var_dn, dims.sigma_n2, pts_H, pts_D, sH, sD)
                 trans = [transition_scores(H_latent[i], H_s[i], D_latent[i], D_s[i], step)
                          for i in range(n_u)]
                 for i, (tr_H, tr_D) in enumerate(trans):
@@ -477,7 +472,8 @@ def run(
         H_latent, D_latent = list(H_mean), list(D_mean)
         diag.append(PvdStepDiag(
             j=j, sigma_H=sH, sigma_D=sD,
-            residual=_residual(Y, encoders, H_mean, D_mean),
+            residual=float(np.linalg.norm(_residual(
+                Y, H_mean, [enc.encode(D) for enc, D in zip(encoders, D_mean)]))),
             grad_norm_H=last_gnorm_H, grad_norm_D=last_gnorm_D,
         ))
 
@@ -492,11 +488,3 @@ def run(
 def _first_nonfinite(*terms) -> str:
     bad = (what for what, *arrays in terms if not all(np.all(np.isfinite(a)) for a in arrays))
     return next(bad, "variational mean")
-
-
-def _residual(Y, encoders, H_means, D_means) -> float:
-    fit = sum(
-        block_product(H, enc.encode(D))
-        for enc, H, D in zip(encoders, H_means, D_means)
-    )
-    return float(np.linalg.norm(Y - fit))

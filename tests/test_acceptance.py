@@ -184,8 +184,7 @@ def _crit4_pvd_config():
     c = _CRIT4_CFG
     return PvdConfig(schedule_H=NoiseSchedule(c["s1_H"], c["sJ"], c["J"]),
                      schedule_D=NoiseSchedule(c["s1_D"], c["sJ"], c["J"]),
-                     J_in=c["J_in"], L=1, zeta_H=c["zeta"], zeta_D=c["zeta"],
-                     chain_through_score=True)
+                     J_in=c["J_in"], L=1, zeta_H=c["zeta"], zeta_D=c["zeta"])
 
 
 def test_criterion_4_known_channel_recovery():
@@ -238,8 +237,7 @@ def test_criterion_5_blind_scalar_identifiability():
     means = np.array([[1.5, 1.5], [-1.5, -1.5]])
     cfg = PvdConfig(schedule_H=NoiseSchedule(0.01, 10.0, 30),
                     schedule_D=NoiseSchedule(0.01, 10.0, 30),
-                    J_in=20, L=1, zeta_H=0.06, zeta_D=0.06,
-                    chain_through_score=True)
+                    J_in=20, L=1, zeta_H=0.06, zeta_D=0.06)
     hits = 0
     trials = 100
     for seed in range(trials):
@@ -282,8 +280,7 @@ def _blind_channel_trial(seed, snr_db):
     dims = MimoDims(N_r=4, N_t=1, K=1, T=16, n=8, P=1.0, sigma_n2=sn2)
     cfg = PvdConfig(schedule_H=NoiseSchedule(0.01, 10.0, 30),
                     schedule_D=NoiseSchedule(0.01, 10.0, 30),
-                    J_in=20, L=1, zeta_H=0.06, zeta_D=0.06,
-                    chain_through_score=True)
+                    J_in=20, L=1, zeta_H=0.06, zeta_D=0.06)
     res = run(Y, enc, GaussianPrior(np.zeros((1, 4, 1), complex), 1.0, "complex"),
               GaussianPrior(d_true, 1e-4, "real"), dims, cfg, rng)
     pvd_nmse = nmse_db([H], [res.channels[0]])

@@ -260,7 +260,7 @@ def test_validate_kronecker_hermitian_psd():
 
 
 def test_run_takes_the_kronecker_roots_once_per_run(monkeypatch):
-    # the roots belong to the link: no cell takes them again
+    # the parse takes each root once; neither the link nor a cell takes them again
     from pvdmimo import channel, harness
     calls, original = [], channel.hermitian_sqrt
 
@@ -277,7 +277,7 @@ def test_run_takes_the_kronecker_roots_once_per_run(monkeypatch):
         cfg.update(trials=trials, pvd={"enabled": False})
         assert len(run_experiment(cfg)) == trials
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    assert counts == [2, 2]
 
 
 def test_validate_source_draw_truth_rejected():

@@ -48,6 +48,19 @@ def test_nmse_multi_user_average():
     assert nmse_db(H1, E1) == pytest.approx(10 * math.log10(0.005), abs=1e-9)
 
 
+def test_nmse_rejects_one_users_blocks():
+    # one user's (K, N_r, N_t) blocks would be scored as K users of one block
+    # blocks of norm^2 2, 8 and 18; block 1 off by 0.2 in both entries
+    H = np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1, 1) * np.ones((1, 3, 2, 1), complex)
+    E = H.copy()
+    E[0, 1] *= 1.1
+    assert nmse_db(H, E) == pytest.approx(10 * math.log10(0.08 / 28), abs=1e-9)
+    with pytest.raises(ValueError, match=r"\(N_u, K, N_r, N_t\)"):
+        nmse_db(H[0], E[0])
+    with pytest.raises(ValueError, match="equal shape"):
+        nmse_db(H, E[:, :2])
+
+
 def test_snr_equal_norms():
     S = np.ones((2, 2), dtype=complex)
     assert snr_db(S, S) == pytest.approx(0.0)

@@ -165,7 +165,7 @@ def _ref_aggregated_noise(enc, H0j, D0j, var_H, var_D, dims, probes, rng, exact_
     return total / (N_r * K * T)
 
 
-def _ref_likelihood(Y, encoders, H0j_list, D0j_list, var_dn, sigma_n2, config,
+def _ref_likelihood(Y, encoders, H0j_list, D0j_list, var_dn, sigma_n2,
                     priors_H, priors_D, H_j_list, D_j_list, sH, sD):
     s2 = var_dn + sigma_n2
     T = Y.shape[1]
@@ -177,11 +177,10 @@ def _ref_likelihood(Y, encoders, H0j_list, D0j_list, var_dn, sigma_n2, config,
         gH = np.einsum("krt,kct->krc", R.reshape(K, N_r, T),
                        F.reshape(K, N_t, T).conj()) / s2
         gD = enc.vjp(D0j, _blocks_adjoint(H0j, R).reshape(enc.output_shape) / s2)
-        if config.chain_through_score:
-            if sH > 0:
-                gH = priors_H[i].tweedie_chain_vjp(H_j_list[i], sH, gH)
-            if sD > 0:
-                gD = priors_D[i].tweedie_chain_vjp(D_j_list[i], sD, gD)
+        if sH > 0:
+            gH = priors_H[i].tweedie_chain_vjp(H_j_list[i], sH, gH)
+        if sD > 0:
+            gD = priors_D[i].tweedie_chain_vjp(D_j_list[i], sD, gD)
         grads_H.append(gH)
         grads_D.append(gD)
     return grads_H, grads_D
@@ -238,7 +237,7 @@ def reference_run(Y, encoders, priors_H, priors_D, dims, config, rng):
                     H0j_list.append(H0j)
                     D0j_list.append(D0j)
                 lik_H, lik_D = _ref_likelihood(
-                    Y, encoders, H0j_list, D0j_list, var_dn, dims.sigma_n2, config,
+                    Y, encoders, H0j_list, D0j_list, var_dn, dims.sigma_n2,
                     priors_H, priors_D, H_s, D_s, sH, sD)
                 for i in range(n_u):
                     pr_H = priors_H[i].first_order(H_s[i], sH)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvdmimo.priors import GaussianMixturePrior, GaussianPrior
 
@@ -206,6 +208,47 @@ def test_chain_vjp_mixture_fd():
         fdc[i] = 0.5 * ((loss_c(xc + er) - loss_c(xc - er)) / (2 * h)
                         + 1j * (loss_c(xc + ei) - loss_c(xc - ei)) / (2 * h))
     assert np.max(np.abs(gotc - fdc)) <= 1e-5 * (1 + np.max(np.abs(fdc)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("gaussian", "mixture")),
+       domain=st.sampled_from(("real", "complex")),
+       shape=st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+       components=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_chain_vjp_matches_fd_over_shapes(kind, domain, shape, components, seed):
+    # transpose-Jacobian of x -> x + sigma^2 S(x) against central differences
+    # in stacked real coordinates [Re x, Im x]; a complex vjp is top + i bottom
+    rng = np.random.default_rng(seed)
+    cplx = domain == "complex"
+
+    def draw(shp, scale=1.0):
+        z = rng.normal(size=shp) * scale
+        return z + 1j * rng.normal(size=shp) * scale if cplx else z
+
+    if kind == "gaussian":
+        prior = GaussianPrior(draw(shape), rng.uniform(0.2, 2.0), domain)
+    else:
+        w = rng.uniform(0.2, 1.0, components)
+        prior = GaussianMixturePrior(draw((components,) + shape, 2.0), rng.uniform(0.2, 2.0),
+                                     w / np.sum(w), domain)
+    sigma = float(rng.uniform(0.1, 2.0))
+    x, c = draw(shape, 2.0), draw(shape)
+
+    def stacked(z):
+        return np.concatenate([z.real.ravel(), z.imag.ravel()]) if cplx else z.ravel()
+
+    def tweedie_map(v):
+        return v + sigma**2 * prior.first_order(v, sigma)
+
+    h = 1e-6
+    units = [e.reshape(shape) for e in np.eye(x.size)]
+    dirs = units + [1j * e for e in units] if cplx else units
+    jac_t = np.array([stacked(tweedie_map(x + h * e) - tweedie_map(x - h * e)) / (2 * h)
+                      for e in dirs])  # row r: the derivative along input coordinate r
+    fd = jac_t @ stacked(c)
+    got = stacked(prior.tweedie_chain_vjp(x, sigma, c))
+    assert np.max(np.abs(got - fd)) <= 1e-5 * (1 + np.max(np.abs(fd)))
 
 
 def test_prior_validation():

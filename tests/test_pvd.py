@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvdmimo.channel import MimoDims, complex_normal
-from pvdmimo.encoder import LinearEncoder, SaturatingEncoder
+from pvdmimo.encoder import LinearEncoder, PowerNormalizedEncoder, SaturatingEncoder
 from pvdmimo.priors import GaussianMixturePrior, GaussianPrior
 from pvdmimo.pvd import (
     NoiseSchedule,
@@ -304,17 +304,18 @@ def test_aggregated_noise_hutchinson_close_to_exact():
 
 # --- likelihood scores --------------------------------------------------------------
 
-def _identity_cfg(J=4):
-    sched = NoiseSchedule(0.01, 10.0, J)
-    return PvdConfig(schedule_H=sched, schedule_D=sched, J_in=1, L=1,
-                     zeta_H=0.1, zeta_D=0.1, chain_through_score=False)
+def _at_sigma_zero(H, D):
+    """Prior evaluations and noise levels at sigma = 0, where the Tweedie maps
+    are the identity: the likelihood gradients come out unchained."""
+    return ([GaussianPrior(np.zeros_like(H), 1.0, "complex").at(H, 0.0)],
+            [GaussianPrior(np.zeros_like(D), 1.0, "real").at(D, 0.0)], 0.0, 0.0)
 
 
 def test_likelihood_scores_zero_residual():
     rng = np.random.default_rng(7)
     dims, enc, H, D = _small_scene(rng)
     Y = np.einsum("krc,kct->krt", H, enc.encode(D).reshape(1, 1, 5)).reshape(2, 5)
-    gH, gD = likelihood_scores(Y, [enc.linearize(D)], [H], 0.0, 1.0, _identity_cfg())
+    gH, gD = likelihood_scores(Y, [enc.linearize(D)], [H], 0.0, 1.0, *_at_sigma_zero(H, D))
     assert np.allclose(gH[0], 0.0, atol=1e-12)
     assert np.allclose(gD[0], 0.0, atol=1e-12)
 
@@ -325,16 +326,18 @@ def test_likelihood_scores_scalar_hand():
     Y = np.array([[2.0 + 0j]])
     H = np.ones((1, 1, 1), dtype=complex)
     D = np.array([1.0])
-    gH, gD = likelihood_scores(Y, [enc.linearize(D)], [H], 0.0, 1.0, _identity_cfg())
+    gH, gD = likelihood_scores(Y, [enc.linearize(D)], [H], 0.0, 1.0, *_at_sigma_zero(H, D))
     assert np.allclose(gH[0], 1.0)
     # grad_D = vjp(H^H R / s2) = 2 Re(conj(1) * 1) = 2
     assert np.allclose(gD[0], 2.0)
 
 
-@pytest.mark.parametrize("chain", [False, True])
-def test_likelihood_scores_match_fd(chain):
+@pytest.mark.parametrize("s_H, s_D", [(0.0, 0.0), (0.6, 0.8)],
+                         ids=["sigma-zero", "sigma-positive"])
+def test_likelihood_scores_match_fd(s_H, s_D):
     # central differences of -||Y - H0j(H) f(D0j(D))||^2/s2 on a 2x2 instance,
-    # differentiating through the Tweedie maps when chaining is on
+    # differentiating through the Tweedie maps (the identity at sigma = 0, so
+    # that case checks the raw gradient)
     rng = np.random.default_rng(8)
     dims = MimoDims(N_r=2, N_t=2, K=1, T=4, n=3, P=1.0)
     A = complex_normal(rng, (8, 3)) / math.sqrt(3)
@@ -345,29 +348,18 @@ def test_likelihood_scores_match_fd(chain):
     H_j = complex_normal(rng, (1, 2, 2))
     D_j = rng.standard_normal(3)
     Y = complex_normal(rng, (2, 4))
-    s_H, s_D = 0.6, 0.8
     var_dn, sn2 = 0.05, 0.2
     s2 = var_dn + sn2
 
-    sched = NoiseSchedule(0.01, 10.0, 4)
-    cfg = PvdConfig(schedule_H=sched, schedule_D=sched, J_in=1, L=1,
-                    zeta_H=0.1, zeta_D=0.1, chain_through_score=chain)
-
     def objective(Hj, Dj):
-        if chain:
-            H0, D0 = tweedie(pH, pD, Hj, Dj, s_H, s_D)
-        else:
-            H0, D0 = Hj, Dj
+        H0, D0 = tweedie(pH, pD, Hj, Dj, s_H, s_D)
         F = enc.encode(D0)
         R = Y - np.einsum("krc,kct->krt", H0, F.reshape(1, 2, 4)).reshape(2, 4)
         return -np.linalg.norm(R) ** 2 / s2
 
-    if chain:
-        H0, D0 = tweedie(pH, pD, H_j, D_j, s_H, s_D)
-        gH, gD = likelihood_scores(Y, [enc.linearize(D0)], [H0], var_dn, sn2, cfg,
-                                   [pH.at(H_j, s_H)], [pD.at(D_j, s_D)], s_H, s_D)
-    else:
-        gH, gD = likelihood_scores(Y, [enc.linearize(D_j)], [H_j], var_dn, sn2, cfg)
+    H0, D0 = tweedie(pH, pD, H_j, D_j, s_H, s_D)
+    gH, gD = likelihood_scores(Y, [enc.linearize(D0)], [H0], var_dn, sn2,
+                               [pH.at(H_j, s_H)], [pD.at(D_j, s_D)], s_H, s_D)
 
     h = 1e-5
     fdH = np.zeros_like(H_j)
@@ -383,6 +375,67 @@ def test_likelihood_scores_match_fd(chain):
 
     assert np.max(np.abs(gH[0] - fdH)) <= 1e-5 * (1 + np.max(np.abs(fdH)))
     assert np.max(np.abs(gD[0] - fdD)) <= 1e-5 * (1 + np.max(np.abs(fdD)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_u=st.integers(1, 3),
+       shape=st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2),
+                       st.integers(1, 3), st.integers(1, 4)),
+       kind=st.sampled_from(("linear", "saturating", "pn-linear", "pn-saturating")),
+       sigma_zero=st.tuples(st.booleans(), st.booleans()),
+       seed=st.integers(0, 2**32 - 1))
+def test_likelihood_scores_match_fd_over_shapes(n_u, shape, kind, sigma_zero, seed):
+    # every user's gradients against central differences of
+    # -||Y - sum_i H0j_i f_i(D0j_i)||^2 / s2 through the Tweedie maps
+    K, N_r, N_t, T, n = shape
+    rng = np.random.default_rng(seed)
+    s_H, s_D = (0.0 if zero else float(rng.uniform(0.2, 1.5)) for zero in sigma_zero)
+    encs, pHs, pDs = [], [], []
+    for _ in range(n_u):
+        A = complex_normal(rng, (N_t * K * T, n)) / math.sqrt(n)
+        base = (SaturatingEncoder(A, 0.7, (N_t * K, T)) if kind.endswith("saturating")
+                else LinearEncoder(A, (N_t * K, T)))
+        encs.append(PowerNormalizedEncoder(base, 1.0) if kind.startswith("pn-") else base)
+        pHs.append(GaussianMixturePrior(complex_normal(rng, (2, K, N_r, N_t)), 0.8,
+                                        [0.5, 0.5], "complex"))
+        pDs.append(GaussianMixturePrior(rng.normal(size=(2, n)), 0.7, [0.4, 0.6], "real"))
+    H_j = [complex_normal(rng, (K, N_r, N_t)) for _ in range(n_u)]
+    D_j = [rng.standard_normal(n) for _ in range(n_u)]
+    Y = complex_normal(rng, (N_r * K, T))
+    var_dn, sn2 = 0.05, 0.2
+
+    def objective(Hs, Ds):
+        fit = 0
+        for enc, pH, pD, Hj, Dj in zip(encs, pHs, pDs, Hs, Ds):
+            H0, D0 = tweedie(pH, pD, Hj, Dj, s_H, s_D)
+            fit = fit + np.einsum("krc,kct->krt", H0,
+                                  enc.encode(D0).reshape(K, N_t, T)).reshape(N_r * K, T)
+        return -np.linalg.norm(Y - fit) ** 2 / (var_dn + sn2)
+
+    pts_H = [pH.at(Hj, s_H) for pH, Hj in zip(pHs, H_j)]
+    pts_D = [pD.at(Dj, s_D) for pD, Dj in zip(pDs, D_j)]
+    H0 = [Hj if s_H == 0 else Hj + s_H**2 * pt.score for Hj, pt in zip(H_j, pts_H)]
+    lins = [enc.linearize(Dj if s_D == 0 else Dj + s_D**2 * pt.score)
+            for enc, Dj, pt in zip(encs, D_j, pts_D)]
+    gH, gD = likelihood_scores(Y, lins, H0, var_dn, sn2, pts_H, pts_D, s_H, s_D)
+
+    def shifted(latents, i, e):
+        return [x + e if u == i else x for u, x in enumerate(latents)]
+
+    h = 1e-6
+    for i in range(n_u):
+        fdH = np.zeros((K, N_r, N_t), dtype=complex)
+        for idx in np.ndindex(fdH.shape):
+            for step in (h, 1j * h):
+                e = np.zeros_like(fdH); e[idx] = step
+                d = (objective(shifted(H_j, i, e), D_j)
+                     - objective(shifted(H_j, i, -e), D_j)) / (2 * h)
+                fdH[idx] += 0.5 * (step / h) * d
+        fdD = np.array([(objective(H_j, shifted(D_j, i, h * e))
+                         - objective(H_j, shifted(D_j, i, -h * e))) / (2 * h)
+                        for e in np.eye(n)])
+        for got, fd in ((gH[i], fdH), (gD[i], fdD)):
+            assert np.max(np.abs(got - fd)) <= 1e-5 * (1 + np.max(np.abs(fd)))
 
 
 # --- transition scores ----------------------------------------------------------
@@ -478,8 +531,7 @@ def _conjugate_mmse(Y, H, A, var_d, sn2):
 def _tuned_cfg(s1_H=1e-3, s1_D=0.01, sJ=10.0, J=30, J_in=20, zeta=0.06):
     return PvdConfig(schedule_H=NoiseSchedule(s1_H, sJ, J),
                      schedule_D=NoiseSchedule(s1_D, sJ, J),
-                     J_in=J_in, L=1, zeta_H=zeta, zeta_D=zeta,
-                     chain_through_score=True)
+                     J_in=J_in, L=1, zeta_H=zeta, zeta_D=zeta)
 
 
 def test_run_known_channel_tracks_mmse():
