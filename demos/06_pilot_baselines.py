@@ -14,6 +14,8 @@ from pvdmimo import (
     MimoDims,
     cbr,
     complex_normal,
+    draw_kronecker_correlated,
+    hermitian_sqrt,
     lmmse_channel,
     make_pilots,
     nmse_db,
@@ -58,3 +60,25 @@ blind = cbr(dims, dims.T)
 piloted = cbr(dims, T_d)
 print(f"CBR blind {blind:.4f} vs piloted {piloted:.4f} "
       f"(+{100 * (piloted / blind - 1):.0f}% channel uses for the same payload)")
+
+
+def exp_corr(N, rho):
+    """Exponential correlation rho^|i - j| across N antennas."""
+    return rho ** np.abs(np.subtract.outer(np.arange(N), np.arange(N)))
+
+
+# Kronecker-correlated channel. One call estimates all blocks; the covariance
+# over the column-major vec(H_k) is R_tx^T kron R_rx. Same pilots, same
+# received data, two priors.
+R_rx, R_tx = exp_corr(dims.N_r, 0.9), exp_corr(dims.N_t, 0.6)
+blocks = 400
+H_c = draw_kronecker_correlated(MimoDims(N_r=dims.N_r, N_t=dims.N_t, K=blocks, T=N_p),
+                                hermitian_sqrt(R_rx, "R_rx"), hermitian_sqrt(R_tx, "R_tx"),
+                                rng)[0]
+sigma_n2_c = 0.5
+Y_c = H_c @ X_p + complex_normal(rng, (blocks, dims.N_r, N_p), sigma_n2_c)
+H_iid = lmmse_channel(Y_c, X_p, 1.0, sigma_n2_c)
+H_cov = lmmse_channel(Y_c, X_p, 1.0, sigma_n2_c, Sigma=np.kron(R_tx.T, R_rx))
+print(f"Kronecker channel, {blocks} blocks at sigma_n2 = {sigma_n2_c}: "
+      f"i.i.d. LMMSE {nmse_db(H_c[None], H_iid[None]):6.2f} dB, "
+      f"covariance-aware LMMSE {nmse_db(H_c[None], H_cov[None]):6.2f} dB")

@@ -35,38 +35,15 @@ def make_pilots(N_t: int, N_p: int, P: float) -> np.ndarray:
     return np.sqrt(P) * np.exp(-2j * np.pi * k * l / N)
 
 
-def _lmmse_block(Y_k: np.ndarray, X_k: np.ndarray, sigma_h2: float, sigma_n2: float) -> np.ndarray:
-    """LMMSE estimate of one N_r x N_t block from Y_k = H_k X_k + N."""
-    N_t = X_k.shape[0]
-    G = X_k @ X_k.conj().T + (sigma_n2 / sigma_h2) * np.eye(N_t)
-    try:
-        return Y_k @ X_k.conj().T @ np.linalg.inv(G)
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(f"singular LMMSE normal matrix: {err}") from err
-
-
-def _lmmse_block_covariance(
-    Y_k: np.ndarray,
-    X_k: np.ndarray,
-    Sigma: np.ndarray,
-    sigma_n2: float,
-) -> np.ndarray:
-    """Generalized LMMSE with full channel covariance Sigma over vec(H_k).
-
-    vec is column-major, so the observation operator for Y = H X + N is
-    A = X^T kron I_{N_r}. Desk-scale dimensions keep the dense solve cheap.
-    """
-    N_r = Y_k.shape[0]
-    N_t = X_k.shape[0]
-    A = np.kron(X_k.T, np.eye(N_r))
-    y = Y_k.reshape(-1, order="F")
-    C = A @ Sigma @ A.conj().T + sigma_n2 * np.eye(A.shape[0])
-    h = Sigma @ A.conj().T @ np.linalg.solve(C, y)
-    return h.reshape(N_r, N_t, order="F")
-
-
 def _lmmse_blocks(Y, X, sigma_h2: float, sigma_n2: float, Sigma) -> np.ndarray:
-    """Per-block LMMSE of H_k from Y_k = H_k X_k + N; a 2-D X is shared by all blocks."""
+    """LMMSE of every block H_k from Y_k = H_k X_k + N; a 2-D X is shared by all blocks.
+
+    With A_k = X_k^T kron I_{N_r} over the column-major vec(H_k), the estimate
+    Sigma A^H (A Sigma A^H + sigma_n2 I)^-1 vec(Y_k) equals, by push-through,
+    (Sigma (conj(G_k) kron I) + sigma_n2 I)^-1 Sigma vec(Y_k X_k^H) with
+    G_k = X_k X_k^H: one N_r N_t system per block whatever its length, solved
+    for all blocks at once, with no inverse of Sigma (sigma_h2 I if None).
+    """
     Y = np.asarray(Y, dtype=np.complex128)
     X = np.asarray(X, dtype=np.complex128)
     single = Y.ndim == 2
@@ -75,13 +52,23 @@ def _lmmse_blocks(Y, X, sigma_h2: float, sigma_n2: float, Sigma) -> np.ndarray:
         X = np.broadcast_to(X, (Yb.shape[0],) + X.shape)
     if Yb.shape[0] != X.shape[0]:
         raise ValueError("Y and X must have the same number of blocks")
-    if Sigma is None and sigma_h2 <= 0:
-        raise ValueError("sigma_h2 must be > 0")
-    if Sigma is not None:
+    K, N_r, _ = Yb.shape
+    N_t = X.shape[1]
+    m = N_r * N_t
+    if Sigma is None:
+        if sigma_h2 <= 0:
+            raise ValueError("sigma_h2 must be > 0")
+        Sigma = sigma_h2 * np.eye(m)
+    else:
         Sigma = np.asarray(Sigma, dtype=np.complex128)
-    est = np.stack([_lmmse_block(Yk, Xk, sigma_h2, sigma_n2) if Sigma is None
-                    else _lmmse_block_covariance(Yk, Xk, Sigma, sigma_n2)
-                    for Yk, Xk in zip(Yb, X)])
+        if Sigma.shape != (m, m):
+            raise ValueError(f"Sigma must be {m}x{m} over vec(H_k), got {Sigma.shape}")
+    XH = X.conj().swapaxes(-1, -2)
+    # conj(G_k) kron I_{N_r}: entry (a N_r + r, b N_r + s) is conj(G_k)[a, b] delta_rs
+    GI = ((X @ XH).conj()[:, :, None, :, None] * np.eye(N_r)[:, None, :]).reshape(K, m, m)
+    b = (Yb @ XH).swapaxes(-1, -2).reshape(K, m, 1)
+    h = np.linalg.solve(Sigma @ GI + sigma_n2 * np.eye(m), Sigma @ b)
+    est = h.reshape(K, N_t, N_r).swapaxes(-1, -2)
     return est[0] if single else est
 
 

@@ -349,13 +349,16 @@ def _build_base_encoder(spec: dict, out_shape: tuple[int, int], n: int,
     return SaturatingEncoder(A, gain, out_shape)
 
 
+_CALIBRATION_DRAWS = 256
+
+
 def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], stream: int,
-                  cal_stream: int, exact: bool, n_draws: int = 256) -> Encoder:
+                  cal_stream: int, exact: bool) -> Encoder:
     """Base encoder from seed stream `stream`, held to the power budget P.
 
     exact: per-realization normalization, part of the map the receiver
     differentiates. Otherwise a linear encoder gets the fixed scale that
-    gives average power P over n_draws source draws (seed stream
+    gives average power P over _CALIBRATION_DRAWS source draws (seed stream
     `cal_stream`), so the map stays linear; a saturating one is used as-is.
     """
     seed = cfg.raw["seed"] & 0xFFFFFFFF
@@ -366,8 +369,8 @@ def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], stream: int
     if not isinstance(base, LinearEncoder):
         return base
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCA11B, cal_stream]))
-    mean_power = sum(float(np.linalg.norm(base.encode(cfg.source.sample(rng)))) ** 2
-                     for _ in range(n_draws)) / n_draws
+    D = np.stack([cfg.source.sample(rng) for _ in range(_CALIBRATION_DRAWS)])
+    mean_power = float(np.linalg.norm(base.A @ D.T)) ** 2 / _CALIBRATION_DRAWS
     if mean_power == 0:
         raise ConfigError("encoder output power is zero under the source prior")
     m = out_shape[0] * out_shape[1]

@@ -160,7 +160,8 @@ class PvdConfig:
 
 @dataclass
 class PvdStepDiag:
-    """One reverse step of the diagnostics trace."""
+    """One reverse step of the diagnostics trace. The gradient norms are
+    over all users' averaged scores of the step's last inner iteration."""
 
     j: int
     sigma_H: float
@@ -424,7 +425,6 @@ def run(
     diag: list[PvdStepDiag] = []
     for step in config.steps():
         j, sH, sD = step.j, step.sigma_H, step.sigma_D
-        last_gnorm_H = last_gnorm_D = 0.0
         for it in range(config.J_in):
             acc_H = [np.zeros(h_shape, dtype=np.complex128) for _ in range(n_u)]
             acc_D = [np.zeros(dims.n) for _ in range(n_u)]
@@ -454,19 +454,17 @@ def run(
                 for i, (tr_H, tr_D) in enumerate(trans):
                     acc_H[i] += tr_H + pts_H[i].score + lik_H[i]
                     acc_D[i] += tr_D + pts_D[i].score + lik_D[i]
+            g_H = [a / config.L for a in acc_H]
+            g_D = [a / config.L for a in acc_D]
             for i in range(n_u):
-                g_H = acc_H[i] / config.L
-                g_D = acc_D[i] / config.L
-                H_mean[i] = update_means(H_mean[i], g_H, step.eps_H)
-                D_mean[i] = update_means(D_mean[i], g_D, step.eps_D)
+                H_mean[i] = update_means(H_mean[i], g_H[i], step.eps_H)
+                D_mean[i] = update_means(D_mean[i], g_D[i], step.eps_D)
                 if not (np.all(np.isfinite(H_mean[i])) and np.all(np.isfinite(D_mean[i]))):
                     # Name the first non-finite term of the last sample.
                     raise PvdDivergenceError(j, it, _first_nonfinite(
                         ("likelihood score", lik_H[i], lik_D[i]),
                         ("prior score", pts_H[i].score, pts_D[i].score),
                         ("transition score", *trans[i])))
-                last_gnorm_H = float(np.linalg.norm(g_H))
-                last_gnorm_D = float(np.linalg.norm(g_D))
         # Algorithm carry: latents take the refined means into step j-1. The
         # means are rebound, never written in place, so no copy is needed.
         H_latent, D_latent = list(H_mean), list(D_mean)
@@ -474,7 +472,8 @@ def run(
             j=j, sigma_H=sH, sigma_D=sD,
             residual=float(np.linalg.norm(_residual(
                 Y, H_mean, [enc.encode(D) for enc, D in zip(encoders, D_mean)]))),
-            grad_norm_H=last_gnorm_H, grad_norm_D=last_gnorm_D,
+            grad_norm_H=float(np.linalg.norm(np.stack(g_H))),
+            grad_norm_D=float(np.linalg.norm(np.stack(g_D))),
         ))
 
     return RecoveryResult(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvdmimo.channel import MimoDims, complex_normal, draw_rayleigh
 from pvdmimo.baselines import (
@@ -164,6 +166,56 @@ def test_oracle_covariance_matches_stacked_lmmse_channel():
         + complex_normal(rng, (K, N_r, T), s2)
     stacked = np.stack([lmmse_channel(Y[k], X[k], 1, s2, Sigma=Sigma) for k in range(K)])
     assert np.array_equal(oracle_lmmse(Y, X, 1, s2, Sigma), stacked)
+
+
+def _dense_lmmse(Y, X, Sigma, sigma_n2):
+    """One block by the (N_r L)-sized formula Sigma A^H (A Sigma A^H + sigma_n2 I)^-1 vec(Y),
+    A = X^T kron I_{N_r} over the column-major vec(H)."""
+    N_r, N_t = Y.shape[0], X.shape[0]
+    A = np.kron(X.T, np.eye(N_r))
+    C = A @ Sigma @ A.conj().T + sigma_n2 * np.eye(A.shape[0])
+    h = Sigma @ A.conj().T @ np.linalg.solve(C, Y.reshape(-1, order="F"))
+    return h.reshape(N_r, N_t, order="F")
+
+
+@settings(max_examples=80, deadline=None)
+@given(K=st.integers(1, 4), N_r=st.integers(1, 4), N_t=st.integers(1, 3), L=st.integers(1, 6),
+       sigma_n2=st.floats(0.05, 2.0), sigma_h2=st.floats(0.5, 2.0),
+       prior=st.sampled_from(["iid", "pd", "psd"]),
+       form=st.sampled_from(["one-block", "shared-X", "per-block-X"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_lmmse_matches_dense_formula_over_shapes(K, N_r, N_t, L, sigma_n2, sigma_h2, prior,
+                                                 form, seed):
+    rng = np.random.default_rng(seed)
+    m = N_r * N_t
+    if prior == "iid":
+        Sigma, Sigma_dense = None, sigma_h2 * np.eye(m)
+    else:  # PD, or PSD of rank m - 1 (zero at m = 1)
+        B = complex_normal(rng, (m, m if prior == "pd" else m - 1))
+        Sigma = Sigma_dense = B @ B.conj().T / m
+    if form == "one-block":
+        K = 1
+    X = complex_normal(rng, (K, N_t, L))
+    if form != "per-block-X":
+        X[:] = X[0]
+    Y = complex_normal(rng, (K, N_r, L))
+    want = np.stack([_dense_lmmse(Yk, Xk, Sigma_dense, sigma_n2) for Yk, Xk in zip(Y, X)])
+    if form == "one-block":
+        got = lmmse_channel(Y[0], X[0], sigma_h2, sigma_n2, Sigma=Sigma)[None]
+    elif form == "shared-X":
+        got = lmmse_channel(Y, X[0], sigma_h2, sigma_n2, Sigma=Sigma)
+    else:
+        got = oracle_lmmse(Y, X, sigma_h2, sigma_n2, Sigma)
+    assert got.shape == (K, N_r, N_t)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_lmmse_rejects_wrong_shape_covariance():
+    X_p = make_pilots(2, 3, 1.0)
+    Y_p = np.zeros((4, 2, 3), complex)
+    for bad in (np.eye(2), np.eye(4)[:, :3], np.eye(8)):  # N_r N_t = 4
+        with pytest.raises(ValueError, match="Sigma must be 4x4"):
+            lmmse_channel(Y_p, X_p, 1.0, 0.1, Sigma=bad)
 
 
 # --- two-stage decode ------------------------------------------------------------

@@ -280,6 +280,22 @@ def test_run_takes_the_kronecker_roots_once_per_run(monkeypatch):
     assert counts == [2, 2]
 
 
+def test_average_power_calibration_matches_per_draw_loop():
+    # the calibrated link encoder's power, one encode per calibration draw
+    # from the same stream, averages to the budget P over every entry
+    from pvdmimo import harness
+    raw = tiny_config(power_mode="average",
+                      prior_source={"type": "gaussian", "mean": 0.3, "var": 2.0})
+    raw["dims"] = dict(raw["dims"], K=2, P=2.5)
+    cfg = ExperimentConfig.from_dict(raw)
+    rows, cols = cfg.dims.signal_shape
+    enc = harness._link_encoder(cfg, (rows, cols), 0, 1, exact=False)
+    rng = np.random.default_rng(np.random.SeedSequence([2024, 0xCA11B, 1]))
+    power = np.mean([np.linalg.norm(enc.encode(cfg.source.sample(rng))) ** 2
+                     for _ in range(256)])
+    assert abs(power / (2.5 * rows * cols) - 1.0) < 1e-12
+
+
 def test_validate_source_draw_truth_rejected():
     cfg = tiny_config(source_draw={"type": "gaussian", "mean": "truth", "var": 1.0})
     out = validate_dict(cfg)

@@ -244,12 +244,12 @@ def reference_run(Y, encoders, priors_H, priors_D, dims, config, rng):
                     pr_D = priors_D[i].first_order(D_s[i], sD)
                     acc_H[i] += (H_latent[i] - H_s[i]) / gap_H + pr_H + lik_H[i]
                     acc_D[i] += (D_latent[i] - D_s[i]) / gap_D + pr_D + lik_D[i]
+            g_H = [a / config.L for a in acc_H]
+            g_D = [a / config.L for a in acc_D]
             for i in range(n_u):
-                g_H = acc_H[i] / config.L
-                g_D = acc_D[i] / config.L
-                H_mean[i] = H_mean[i] + config.zeta_H * gap_H * g_H
-                D_mean[i] = D_mean[i] + config.zeta_D * gap_D * g_D
-                last = (float(np.linalg.norm(g_H)), float(np.linalg.norm(g_D)))
+                H_mean[i] = H_mean[i] + config.zeta_H * gap_H * g_H[i]
+                D_mean[i] = D_mean[i] + config.zeta_D * gap_D * g_D[i]
+            last = (float(np.linalg.norm(np.stack(g_H))), float(np.linalg.norm(np.stack(g_D))))
         H_latent = [h.copy() for h in H_mean]
         D_latent = [d.copy() for d in D_mean]
         fit = sum(_apply_blocks(H, enc.encode(D))
