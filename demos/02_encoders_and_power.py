@@ -2,8 +2,9 @@
 
 The recovery engine needs two things from an encoder: the forward map and
 an exact vector-Jacobian product. This script checks both against finite
-differences, demonstrates the power constraint, and round-trips encoder
-parameters through the text file format.
+differences, demonstrates the power constraint, compares the Hutchinson
+Jacobian norms against the dense ones, and round-trips encoder parameters
+through the text file format.
 """
 
 import tempfile
@@ -16,10 +17,12 @@ from pvdmimo import (
     PowerNormalizedEncoder,
     SaturatingEncoder,
     complex_normal,
+    compound,
     jacobian_frobenius2,
     load_encoder,
     save_encoder,
 )
+from pvdmimo.encoder import EXACT_MAX_ENTRIES
 
 rng = np.random.default_rng(3)
 dims = MimoDims(N_r=2, N_t=1, K=2, T=6, n=4, P=2.0)
@@ -54,11 +57,23 @@ for scale in (0.1, 1.0, 30.0):
     print(f"  per-symbol power {raw:10.4f} -> {np.linalg.norm(X) ** 2 / m:.12f} "
           f"(budget P = {dims.P})")
 
-# Jacobian energy: exact vs Hutchinson probes through the vjp
-exact = jacobian_frobenius2(saturating, d)
-est = jacobian_frobenius2(saturating, d, probes=2000,
-                          rng=np.random.default_rng(5), exact_threshold=0)
-print(f"||J||_F^2 exact {exact:.4f}, Hutchinson (2000 probes) {est:.4f}")
+# Jacobian energies ||J||_F^2 and ||H0 J||_F^2 weight the blind likelihood.
+# Up to EXACT_MAX_ENTRIES Jacobian entries (n * m) they come from the dense
+# Jacobian; above it, from Hutchinson probes pushed through the pullback.
+print(f"||J||_F^2 of the saturating encoder (n*m = {dims.n * m}, exact): "
+      f"{jacobian_frobenius2(saturating, d):.4f}")
+big = MimoDims(N_r=4, N_t=4, K=4, T=32, n=160)
+m_big = big.N_t * big.K * big.T
+big_enc = SaturatingEncoder(complex_normal(rng, (m_big, big.n)) / np.sqrt(big.n), 1.5,
+                            big.signal_shape)
+H = complex_normal(rng, (big.K, big.N_r, big.N_t))
+lin = big_enc.linearize(rng.standard_normal(big.n))
+j2, hj2 = lin.frobenius2(H, probes=400, rng=np.random.default_rng(5))
+J = lin.jacobian()
+print(f"n*m = {big.n * m_big} > EXACT_MAX_ENTRIES = {EXACT_MAX_ENTRIES}, 400 probes each:")
+print(f"  ||J||_F^2    Hutchinson {j2:9.2f}, dense {np.linalg.norm(J) ** 2:9.2f}")
+print(f"  ||H0 J||_F^2 Hutchinson {hj2:9.2f}, dense "
+      f"{np.linalg.norm(compound(H) @ J.reshape(big.N_t * big.K, -1)) ** 2:9.2f}")
 
 # parameters survive a file round trip
 with tempfile.NamedTemporaryFile(suffix=".txt", mode="w", delete=False) as fh:

@@ -26,20 +26,7 @@ from .encoder import (
     save_encoder,
 )
 from .priors import GaussianMixturePrior, GaussianPrior, ScorePrior
-from .pvd import (
-    NoiseSchedule,
-    PvdConfig,
-    PvdDivergenceError,
-    RecoveryResult,
-    aggregated_noise_variance,
-    error_variances,
-    likelihood_scores,
-    run,
-    sample_variational,
-    transition_scores,
-    tweedie,
-    update_means,
-)
+from .pvd import NoiseSchedule, PvdConfig, PvdDivergenceError, RecoveryResult, run
 from .baselines import (
     lmmse_channel,
     make_pilots,

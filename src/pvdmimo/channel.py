@@ -10,6 +10,7 @@ matrix is materialized only on demand.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ class MimoDims:
     def __post_init__(self):
         for name in ("N_r", "N_t", "K", "T", "N_u", "n"):
             v = getattr(self, name)
-            if int(v) != v or v < 1:
+            if not isinstance(v, numbers.Integral) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.P <= 0:
             raise ValueError(f"P must be > 0, got {self.P!r}")
@@ -133,6 +134,14 @@ def block_product(blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
     K, N_r, N_t = blocks.shape
     Yb = np.einsum("krt,ktc->krc", blocks, X.reshape(K, N_t, -1))
     return Yb.reshape((K * N_r,) + X.shape[1:])
+
+
+def block_adjoint(blocks: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """H0^H @ Y from the (K, N_r, N_t) blocks of H0; Y is (N_r*K, T) and the
+    result (N_t*K, T)."""
+    K, N_r, N_t = blocks.shape
+    Yb = Y.reshape(K, N_r, -1)
+    return np.einsum("krc,krt->kct", blocks.conj(), Yb).reshape(K * N_t, -1)
 
 
 def apply_channel(H: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -12,10 +12,12 @@ which is exactly dL/dd under the Wirtinger convention used throughout.
 Every encoder is evaluated through one routine, linearize(d) ->
 Linearization, which checks d once and does the work that depends on d
 alone (tanh' factors; the base linearization, its norm and the radial term
-under power normalization). Its value is f(d), jacobian() the dense J, and
+under power normalization). Its value is f(d), jacobian() the dense J,
 calling it pulls a cotangent back for one matrix-vector product, however
-many are pushed through one point (as Hutchinson probes are). encode, vjp
-and jacobian are views of it.
+many are pushed through one point, and frobenius2(H) gives the Jacobian
+norms ||J||_F^2 and ||H0 J||_F^2 (dense, or Hutchinson probes through the
+pullback for a Jacobian too large to form). encode, vjp and jacobian are
+views of it.
 
 LinearEncoder applies a fixed complex matrix; SaturatingEncoder squashes
 real and imaginary parts elementwise through tanh (a smooth, bounded
@@ -28,9 +30,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import block_adjoint, block_product
+
 
 class NonFiniteInputError(ValueError):
     """A source vector handed to an encoder has a non-finite entry."""
+
+
+# Largest Jacobian (n * m entries) whose Frobenius norms are taken from the
+# dense matrix; above it they are Hutchinson estimates.
+EXACT_MAX_ENTRIES = 1 << 16
 
 
 class Linearization:
@@ -44,6 +53,43 @@ class Linearization:
 
     def __call__(self, cotangent) -> np.ndarray:
         return self._pull(cotangent)
+
+    def frobenius2(self, H: np.ndarray | None = None, probes: int = 8,
+                   rng: np.random.Generator | None = None):
+        """(||J||_F^2, ||H0 J||_F^2), H0 the block-diagonal channel of the
+        (K, N_r, N_t) blocks H; the second is None when H is None.
+
+        Exact (dense Jacobian) when n * m is at most EXACT_MAX_ENTRIES;
+        otherwise unbiased Hutchinson estimates from `probes` real +-1 probe
+        matrices V each: ||G J||_F^2 ~ (||pull(G^H V)||^2 + ||pull(i G^H V)||^2)
+        / 4, with all ||J|| probes drawn from rng before all ||H0 J|| probes.
+        """
+        if self.d.size * self.value.size <= EXACT_MAX_ENTRIES:
+            J = self.jacobian()
+            HJ = None if H is None else block_product(H, J.reshape(*self.value.shape, -1))
+            return _abs2_sum(J), None if HJ is None else _abs2_sum(HJ)
+        j2 = self._hutchinson(self.value.shape, probes, rng)
+        if H is None:
+            return j2, None
+        return j2, self._hutchinson((H.shape[0] * H.shape[1], self.value.shape[1]), probes,
+                                    rng, lambda V: block_adjoint(H, V))
+
+    def _hutchinson(self, probe_shape, probes, rng, to_cotangent=lambda W: W) -> float:
+        """Hutchinson estimate of ||G J||_F^2 with to_cotangent(V) = G^H V.
+        Each probe is one rng.integers call, in order, and costs two pullbacks."""
+        if rng is None:
+            raise ValueError("rng is required for the Hutchinson estimate")
+        acc = 0.0
+        for _ in range(probes):
+            V = rng.integers(0, 2, size=probe_shape) * 2.0 - 1.0
+            W = to_cotangent(V.astype(np.complex128))
+            g_re, g_im = self(W), self(1j * W)
+            acc += 0.25 * (np.dot(g_re, g_re) + np.dot(g_im, g_im))
+        return float(acc / probes)
+
+
+def _abs2_sum(M: np.ndarray) -> float:
+    return float(np.sum((M * M.conj()).real))
 
 
 class Encoder:
@@ -192,49 +238,13 @@ class PowerNormalizedEncoder(Encoder):
     encode, vjp, jacobian = _VIEWS
 
 
-def jacobian_frobenius2(
-    enc: Encoder,
-    d: np.ndarray,
-    probes: int = 8,
-    rng: np.random.Generator | None = None,
-    exact_threshold: int = 1 << 16,
-) -> float:
-    """||J||_F^2 of the encode Jacobian at d.
-
-    Exact (dense Jacobian) when n * N_t*K*T is at or below exact_threshold;
-    otherwise an unbiased Hutchinson estimate using `probes` random +-1
-    probe matrices pushed through the pullback: for a real Rademacher probe V,
-    ||J^H vec(V)||^2 = (||vjp(V)||^2 + ||vjp(iV)||^2) / 4 is unbiased for
-    ||J||_F^2.
-    """
+def jacobian_frobenius2(enc: Encoder, d: np.ndarray, probes: int = 8,
+                        rng: np.random.Generator | None = None) -> float:
+    """||J||_F^2 of the encode Jacobian at d, as Linearization.frobenius2
+    gives it (exact or a Hutchinson estimate from `probes` probes)."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    lin = enc.linearize(d)
-    if enc.input_dim * lin.value.size <= exact_threshold:
-        J = lin.jacobian()
-        return float(np.sum((J * J.conj()).real))
-    return _hutchinson_frobenius2(lin, enc.output_shape, probes, rng)
-
-
-def _hutchinson_frobenius2(pullback, probe_shape, probes, rng, to_cotangent=None) -> float:
-    """Hutchinson estimate of ||G J||_F^2, where pullback(c) = 2 Re(J^H vec c)
-    and to_cotangent(V) = G^H V (G is the identity when None).
-
-    Each of the `probes` real Rademacher probes V of shape probe_shape is
-    drawn with one rng.integers call, in order, and costs two pullbacks.
-    """
-    if rng is None:
-        raise ValueError("rng is required for the Hutchinson estimate")
-    acc = 0.0
-    for _ in range(probes):
-        V = rng.integers(0, 2, size=probe_shape) * 2.0 - 1.0
-        W = V.astype(np.complex128)
-        if to_cotangent is not None:
-            W = to_cotangent(W)
-        g_re = pullback(W)
-        g_im = pullback(1j * W)
-        acc += 0.25 * (np.dot(g_re, g_re) + np.dot(g_im, g_im))
-    return float(acc / probes)
+    return enc.linearize(d).frobenius2(None, probes, rng)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ DEFAULT_CONFIG: dict = {
         "enabled": True, "J": 30, "J_in": 20, "L": 1,
         "sigma1_H": 0.01, "sigmaJ_H": 100.0,
         "sigma1_D": 0.01, "sigmaJ_D": 100.0,
-        "zeta_H": 0.06, "zeta_D": 0.06, "probes": 8, "exact_threshold": 65536,
+        "zeta_H": 0.06, "zeta_D": 0.06, "probes": 8,
     },
     "baselines": {"lmmse": True, "oracle_lmmse": True, "N_p": 2},
     "power_mode": "exact",

@@ -59,6 +59,7 @@ class ScorePrior:
     """Interface: analytic scores of a sigma-smoothed density."""
 
     domain: str  # "real" or "complex"
+    dim: int  # free entries (one per complex scalar)
 
     def at(self, x, sigma: float) -> PriorPoint:
         raise NotImplementedError

@@ -32,13 +32,14 @@ conjugate; under this convention the transition score is literally
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .channel import MimoDims, block_product, complex_normal
-from .encoder import Linearization, NonFiniteInputError, _hutchinson_frobenius2
+from .channel import MimoDims, block_adjoint, block_product, complex_normal
+from .encoder import Linearization, NonFiniteInputError
 from .priors import PriorPoint, ScorePrior
 
 
@@ -66,7 +67,7 @@ class NoiseSchedule:
             raise ValueError(
                 f"need 0 < sigma_1 < sigma_J, got {self.sigma_1!r}, {self.sigma_J!r}"
             )
-        if int(self.J) != self.J or self.J < 1:
+        if not isinstance(self.J, numbers.Integral) or self.J < 1:
             raise ValueError(f"J must be a positive integer, got {self.J!r}")
 
     def value(self, j: int) -> float:
@@ -105,9 +106,9 @@ class PvdConfig:
     """Reverse-process configuration.
 
     zeta_H / zeta_D scale the per-step learning rates
-    eps_j = zeta (sigma_{j+1}^2 - sigma_j^2). probes / exact_threshold
-    control the Frobenius-norm machinery inside the aggregated-noise
-    estimate.
+    eps_j = zeta (sigma_{j+1}^2 - sigma_j^2). probes is the Hutchinson
+    probe count of the aggregated-noise estimate for encoders whose Jacobian
+    is too large to form (Linearization.frobenius2).
     """
 
     schedule_H: NoiseSchedule = field(default_factory=lambda: NoiseSchedule(0.01, 100.0, 30))
@@ -117,20 +118,19 @@ class PvdConfig:
     zeta_H: float = 0.06
     zeta_D: float = 0.06
     probes: int = 8
-    exact_threshold: int = 1 << 16
 
     def __post_init__(self):
         if self.schedule_H.J != self.schedule_D.J:
             raise ValueError("channel and source schedules must share J")
-        if int(self.J_in) != self.J_in or self.J_in < 1:
+        if not isinstance(self.J_in, numbers.Integral) or self.J_in < 1:
             raise ValueError("J_in must be a positive integer")
-        if int(self.L) != self.L or self.L < 1:
+        if not isinstance(self.L, numbers.Integral) or self.L < 1:
             raise ValueError("L must be a positive integer")
         for name in ("zeta_H", "zeta_D"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.probes < 1:
-            raise ValueError("probes must be >= 1")
+        if not isinstance(self.probes, numbers.Integral) or self.probes < 1:
+            raise ValueError("probes must be a positive integer")
         self.steps()  # a schedule that rounds to 0 fails here, not mid-run
 
     @property
@@ -253,13 +253,6 @@ def error_variances(
             _error_variance(D_j, prior_D.at(D_j, sigma_D), sigma_D))
 
 
-def _blocks_adjoint(H_blocks: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Adjoint block product: H^H Y, returning signal shape (N_t*K, T)."""
-    K, N_r, N_t = H_blocks.shape
-    Yb = Y.reshape(K, N_r, -1)
-    return np.einsum("krc,krt->kct", H_blocks.conj(), Yb).reshape(K * N_t, -1)
-
-
 def aggregated_noise_variance(
     lin: Linearization,
     H0j: np.ndarray,
@@ -268,7 +261,6 @@ def aggregated_noise_variance(
     dims: MimoDims,
     probes: int = 8,
     rng: np.random.Generator | None = None,
-    exact_threshold: int = 1 << 16,
 ) -> float:
     """Expected per-entry power of the linearization noise.
 
@@ -281,9 +273,7 @@ def aggregated_noise_variance(
        + var_H var_D N_r ||J||_F^2] / (N_r K T),
 
     with f, J and the pullback taken from `lin`, the encoder linearized at
-    the denoised source. The Jacobian norms are computed exactly below the
-    size threshold and otherwise by Hutchinson probes pushed through the
-    pullback: all ||J|| probes, then all ||HJ|| probes.
+    the denoised source, and both Jacobian norms from `lin.frobenius2`.
     """
     if var_H < 0 or var_D < 0:
         raise ValueError("error variances must be non-negative")
@@ -293,16 +283,7 @@ def aggregated_noise_variance(
     F = lin.value
     total = var_H * N_r * float(np.sum((F * F.conj()).real))
     if var_D > 0:
-        n = lin.d.size
-        if n * F.size <= exact_threshold:
-            J = lin.jacobian()
-            j_frob2 = float(np.sum((J * J.conj()).real))
-            HJ = block_product(H0j, J.reshape(dims.N_t * K, T, n))
-            hj_frob2 = float(np.sum((HJ * HJ.conj()).real))
-        else:
-            j_frob2 = _hutchinson_frobenius2(lin, F.shape, probes, rng)
-            hj_frob2 = _hutchinson_frobenius2(
-                lin, (N_r * K, T), probes, rng, lambda V: _blocks_adjoint(H0j, V))
+        j_frob2, hj_frob2 = lin.frobenius2(H0j, probes, rng)
         total += var_D * hj_frob2 + var_H * var_D * N_r * j_frob2
     return total / (N_r * K * T)
 
@@ -346,7 +327,7 @@ def likelihood_scores(
         Rb = R.reshape(K, N_r, T)
         Fb = lin.value.reshape(K, N_t, T)
         gH = np.einsum("krt,kct->krc", Rb, Fb.conj()) / s2
-        gD = lin(_blocks_adjoint(H0j, R).reshape(lin.value.shape) / s2)
+        gD = lin(block_adjoint(H0j, R).reshape(lin.value.shape) / s2)
         grads_H.append(pt_H.chain_vjp(gH) if sigma_H > 0 else gH)
         grads_D.append(pt_D.chain_vjp(gD) if sigma_D > 0 else gD)
     return grads_H, grads_D
@@ -401,6 +382,9 @@ def run(
         raise ValueError(f"Y has shape {Y.shape}, expected {dims.output_shape}")
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y contains non-finite entries")
+    if not dims.sigma_n2 > 0:
+        raise ValueError(f"dims.sigma_n2 must be > 0 (it alone weights the j=0 "
+                         f"likelihood), got {dims.sigma_n2!r}")
     n_u = dims.N_u
     encoders = _as_list(encoders, n_u)
     priors_H = _as_list(priors_H, n_u)
@@ -410,6 +394,13 @@ def run(
             raise ValueError(
                 f"encoder output {enc.output_shape} != signal shape {dims.signal_shape}"
             )
+    for what, priors, domain, dim in (
+            ("channel", priors_H, "complex", dims.K * dims.N_r * dims.N_t),
+            ("source", priors_D, "real", dims.n)):
+        for p in priors:
+            if p.domain != domain or p.dim != dim:
+                raise ValueError(f"{what} prior must be {domain} with {dim} entries, "
+                                 f"got {p.domain} with {p.dim}")
 
     sched_H, sched_D = config.schedule_H, config.schedule_D
     J = config.J
@@ -444,7 +435,7 @@ def run(
                     var_dn += aggregated_noise_variance(
                         lins[i], H0j[i], _error_variance(H_s[i], pts_H[i], sH),
                         _error_variance(D_s[i], pts_D[i], sD), dims,
-                        config.probes, rng, config.exact_threshold)
+                        config.probes, rng)
                 if not math.isfinite(var_dn):
                     raise PvdDivergenceError(j, it, "aggregated noise variance")
                 lik_H, lik_D = likelihood_scores(

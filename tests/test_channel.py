@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from pvdmimo.channel import (
     MimoDims,
+    block_adjoint,
+    block_product,
     complex_normal,
     compound,
     draw_kronecker_correlated,
@@ -247,3 +249,19 @@ def test_draw_rayleigh_stacks_the_per_user_draws(dims, seed):
     assert H.shape == (dims.N_u, dims.K, dims.N_r, dims.N_t)
     for u in range(dims.N_u):
         assert np.array_equal(H[u], per_user[u])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=_links(), seed=seeds)
+def test_block_adjoint_is_the_compound_adjoint(dims, seed):
+    # H0^H Y block-wise, and Re<H0 X, Y> = Re<X, H0^H Y>
+    rng = np.random.default_rng(seed)
+    H = draw_rayleigh(dims, rng)[0]
+    X = complex_normal(rng, dims.signal_shape)
+    Y = complex_normal(rng, dims.output_shape)
+    HY = block_adjoint(H, Y)
+    assert HY.shape == dims.signal_shape
+    assert np.allclose(HY, compound(H).conj().T @ Y, rtol=0.0, atol=1e-12)
+    lhs = np.vdot(block_product(H, X), Y).real
+    rhs = np.vdot(X, HY).real
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(H) * np.linalg.norm(X) * np.linalg.norm(Y)

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvdmimo.channel import MimoDims, complex_normal
+from pvdmimo.channel import MimoDims, block_adjoint, complex_normal, compound
 from pvdmimo.encoder import (
     LinearEncoder,
     PowerNormalizedEncoder,
     SaturatingEncoder,
     jacobian_frobenius2,
 )
-from pvdmimo.pvd import _blocks_adjoint, aggregated_noise_variance
+from pvdmimo.pvd import aggregated_noise_variance
 
 KINDS = ("linear", "saturating", "pn-linear", "pn-saturating")
 
@@ -94,7 +94,7 @@ def reference_aggregated_noise_variance(enc, H0j, D0j, var_H, var_D, dims, probe
     acc = 0.0
     for _ in range(probes):
         V = rng.integers(0, 2, size=(N_r * K, T)) * 2.0 - 1.0
-        W = _blocks_adjoint(H0j, V.astype(np.complex128))
+        W = block_adjoint(H0j, V.astype(np.complex128))
         g_re = reference_vjp(enc, D0j, W)
         g_im = reference_vjp(enc, D0j, 1j * W)
         acc += 0.25 * (np.dot(g_re, g_re) + np.dot(g_im, g_im))
@@ -123,23 +123,24 @@ def test_pullback_matches_reference_vjp(kind, scene):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_jacobian_frobenius2_matches_reference_loop(kind, scene):
+def test_jacobian_frobenius2_matches_reference_loop(kind, scene, monkeypatch):
     rng, dims, _, d = scene
     enc = make_encoder(kind, rng, dims.N_t, dims.K, dims.T, dims.n)
     r_new, r_ref = np.random.default_rng(5), np.random.default_rng(5)
-    new = jacobian_frobenius2(enc, d, probes=8, rng=r_new, exact_threshold=0)
+    monkeypatch.setattr("pvdmimo.encoder.EXACT_MAX_ENTRIES", 0)  # force the probes
+    new = jacobian_frobenius2(enc, d, probes=8, rng=r_new)
     ref = reference_jacobian_frobenius2(enc, d, 8, r_ref)
     assert new == ref
     assert r_new.random() == r_ref.random()
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_aggregated_noise_variance_matches_reference_loop(kind, scene):
+def test_aggregated_noise_variance_matches_reference_loop(kind, scene, monkeypatch):
     rng, dims, H, d = scene
     enc = make_encoder(kind, rng, dims.N_t, dims.K, dims.T, dims.n)
     r_new, r_ref = np.random.default_rng(5), np.random.default_rng(5)
-    new = aggregated_noise_variance(enc.linearize(d), H, 0.3, 0.2, dims, probes=8, rng=r_new,
-                                    exact_threshold=0)
+    monkeypatch.setattr("pvdmimo.encoder.EXACT_MAX_ENTRIES", 0)  # force the probes
+    new = aggregated_noise_variance(enc.linearize(d), H, 0.3, 0.2, dims, probes=8, rng=r_new)
     ref = reference_aggregated_noise_variance(enc, H, d, 0.3, 0.2, dims, 8, r_ref)
     assert new == ref
     assert r_new.random() == r_ref.random()
@@ -216,3 +217,38 @@ def test_power_normalized_linearize_encodes_base_once(kind, shape, seed, pulls):
     for _ in range(pulls):
         pull(complex_normal(rng, base.output_shape))
     assert len(calls) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), shape=shapes, N_r=st.integers(1, 3), seed=seeds)
+def test_frobenius2_exact_path_is_the_dense_norms(kind, shape, N_r, seed):
+    rng, enc, d = point(kind, shape, seed)
+    N_t, K, T, n = shape
+    H = complex_normal(rng, (K, N_r, N_t))
+    lin = enc.linearize(d)
+    J = lin.jacobian()
+    HJ = compound(H) @ J.reshape(N_t * K, T * n)
+    j2, hj2 = lin.frobenius2(H)
+    assert j2 == pytest.approx(np.linalg.norm(J) ** 2, rel=1e-12, abs=1e-300)
+    assert hj2 == pytest.approx(np.linalg.norm(HJ) ** 2, rel=1e-12, abs=1e-300)
+    assert lin.frobenius2() == (j2, None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3), shape=shapes,
+       N_r=st.integers(1, 3), seed=seeds)
+def test_per_user_vjp_adjoint_to_jacobian(kinds, shape, N_r, seed):
+    # Each user's pullback of its likelihood cotangent c_i = H0_i^H R, over
+    # N_u = len(kinds) users of mixed encoder types:
+    # v . vjp_i(d_i, c_i) = 2 Re <c_i, J_i v> for every real v.
+    rng = np.random.default_rng(seed)
+    N_t, K, T, n = shape
+    R = complex_normal(rng, (N_r * K, T))
+    for kind in kinds:
+        enc = make_encoder(kind, rng, N_t, K, T, n)
+        d, v = rng.standard_normal(n), rng.standard_normal(n)
+        c = block_adjoint(complex_normal(rng, (K, N_r, N_t)), R)
+        lhs = np.dot(enc.vjp(d, c), v)
+        rhs = 2.0 * np.vdot(c.ravel(), enc.jacobian(d) @ v).real
+        assert abs(lhs - rhs) <= (1e-10 * np.linalg.norm(c) * np.linalg.norm(v)
+                                  * jacobian_size(enc, d))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from pvdmimo.channel import MimoDims, complex_normal
 from pvdmimo.encoder import LinearEncoder, PowerNormalizedEncoder, SaturatingEncoder
-from pvdmimo.encoder import _hutchinson_frobenius2
 from pvdmimo.priors import GaussianMixturePrior, GaussianPrior
 from pvdmimo.pvd import NoiseSchedule, PvdConfig, run
 
@@ -142,7 +141,16 @@ def _ref_error_variances(pH, pD, H_j, D_j, sH, sD):
     return out[0], out[1]
 
 
-def _ref_aggregated_noise(enc, H0j, D0j, var_H, var_D, dims, probes, rng, exact_threshold):
+def _ref_hutchinson(pullback, probe_shape, probes, rng, to_cotangent=lambda W: W):
+    acc = 0.0
+    for _ in range(probes):
+        W = to_cotangent((rng.integers(0, 2, size=probe_shape) * 2.0 - 1.0).astype(complex))
+        g_re, g_im = pullback(W), pullback(1j * W)
+        acc += 0.25 * (np.dot(g_re, g_re) + np.dot(g_im, g_im))
+    return float(acc / probes)
+
+
+def _ref_aggregated_noise(enc, H0j, D0j, var_H, var_D, dims, probes, rng, exact_max):
     if var_H == 0.0 and var_D == 0.0:
         return 0.0
     N_r, K, T = dims.N_r, dims.K, dims.T
@@ -150,7 +158,7 @@ def _ref_aggregated_noise(enc, H0j, D0j, var_H, var_D, dims, probes, rng, exact_
     total = var_H * N_r * float(np.sum((F * F.conj()).real))
     if var_D > 0:
         m = enc.output_shape[0] * enc.output_shape[1]
-        if enc.input_dim * m <= exact_threshold:
+        if enc.input_dim * m <= exact_max:
             J = enc.jacobian(D0j)
             j_frob2 = float(np.sum((J * J.conj()).real))
             cols = J.reshape(K, dims.N_t, T, enc.input_dim)
@@ -158,8 +166,8 @@ def _ref_aggregated_noise(enc, H0j, D0j, var_H, var_D, dims, probes, rng, exact_
             hj_frob2 = float(np.sum((HJ * HJ.conj()).real))
         else:
             pullback = lambda c: enc.vjp(D0j, c)  # noqa: E731
-            j_frob2 = _hutchinson_frobenius2(pullback, enc.output_shape, probes, rng)
-            hj_frob2 = _hutchinson_frobenius2(
+            j_frob2 = _ref_hutchinson(pullback, enc.output_shape, probes, rng)
+            hj_frob2 = _ref_hutchinson(
                 pullback, (N_r * K, T), probes, rng, lambda V: _blocks_adjoint(H0j, V))
         total += var_D * hj_frob2 + var_H * var_D * N_r * j_frob2
     return total / (N_r * K * T)
@@ -201,9 +209,10 @@ def _ref_sample(H_mean, D_mean, lam_H, lam_D, rng):
     return H_s, D_s
 
 
-def reference_run(Y, encoders, priors_H, priors_D, dims, config, rng):
+def reference_run(Y, encoders, priors_H, priors_D, dims, config, rng, exact_max):
     """pvd.run as it was, per-user lists throughout and every step constant
-    recomputed from the schedules where it is used; returns (H, D, diag rows)."""
+    recomputed from the schedules where it is used, with dense Jacobian norms
+    up to exact_max entries; returns (H, D, diag rows)."""
     n_u = dims.N_u
     sched_H, sched_D = config.schedule_H, config.schedule_D
     J = config.J
@@ -233,7 +242,7 @@ def reference_run(Y, encoders, priors_H, priors_D, dims, config, rng):
                         priors_H[i], priors_D[i], H_s[i], D_s[i], sH, sD)
                     var_dn += _ref_aggregated_noise(
                         encoders[i], H0j, D0j, vH, vD, dims,
-                        config.probes, rng, config.exact_threshold)
+                        config.probes, rng, exact_max)
                     H0j_list.append(H0j)
                     D0j_list.append(D0j)
                 lik_H, lik_D = _ref_likelihood(
@@ -262,7 +271,7 @@ def reference_run(Y, encoders, priors_H, priors_D, dims, config, rng):
 @pytest.mark.parametrize("source", ["gaussian", "mixture"])
 @pytest.mark.parametrize("L", [1, 2])
 @pytest.mark.parametrize("n_u", [1, 3])
-def test_run_matches_reference_loop(n_u, L, source, exact):
+def test_run_matches_reference_loop(n_u, L, source, exact, monkeypatch):
     rng = np.random.default_rng(100 + 10 * n_u + L)
     dims = MimoDims(N_r=3, N_t=2, K=2, T=3, N_u=n_u, n=4, P=1.0, sigma_n2=0.05)
     shape = dims.signal_shape
@@ -280,11 +289,12 @@ def test_run_matches_reference_loop(n_u, L, source, exact):
     # read from the wrong domain shows
     cfg = PvdConfig(schedule_H=NoiseSchedule(0.01, 2.0, 4),
                     schedule_D=NoiseSchedule(0.02, 1.5, 4), J_in=3, L=L,
-                    zeta_H=0.06, zeta_D=0.05, probes=2,
-                    exact_threshold=(1 << 16) if exact else 0)
+                    zeta_H=0.06, zeta_D=0.05, probes=2)
+    exact_max = 1 << 16 if exact else 0
+    monkeypatch.setattr("pvdmimo.encoder.EXACT_MAX_ENTRIES", exact_max)
     res = run(Y, encoders, prior_H, prior_D, dims, cfg, np.random.default_rng(7))
     H, D, diag = reference_run(Y, encoders, [prior_H] * n_u, [prior_D] * n_u, dims, cfg,
-                               np.random.default_rng(7))
+                               np.random.default_rng(7), exact_max)
     assert res.channels.shape == (n_u, dims.K, dims.N_r, dims.N_t)
     assert res.sources.shape == (n_u, dims.n)
     for i in range(n_u):

@@ -293,12 +293,13 @@ def test_aggregated_noise_monte_carlo_oracle():
     assert abs(got - mc) <= 0.03 * mc
 
 
-def test_aggregated_noise_hutchinson_close_to_exact():
+def test_aggregated_noise_hutchinson_close_to_exact(monkeypatch):
     rng = np.random.default_rng(5)
     dims, enc, H, D = _small_scene(rng, N_r=3, T=6, n=4)
     exact = aggregated_noise_variance(enc.linearize(D), H, 0.2, 0.4, dims)
+    monkeypatch.setattr("pvdmimo.encoder.EXACT_MAX_ENTRIES", 0)  # force the probes
     est = aggregated_noise_variance(enc.linearize(D), H, 0.2, 0.4, dims, probes=600,
-                                    rng=np.random.default_rng(6), exact_threshold=0)
+                                    rng=np.random.default_rng(6))
     assert abs(est - exact) < 0.1 * exact
 
 
@@ -676,6 +677,63 @@ def test_run_shape_validation():
     with pytest.raises(ValueError):
         run(Y[:2], enc, GaussianPrior(H, 1e-6, "complex"),
             GaussianPrior(np.zeros(8), 1.0, "real"), dims, _tuned_cfg(), rng)
+
+
+def _entry_scene():
+    rng = np.random.default_rng(12)
+    dims = MimoDims(N_r=4, N_t=1, K=2, T=4, n=3, P=1.0, sigma_n2=0.1)
+    enc = LinearEncoder(complex_normal(rng, (8, 3)), dims.signal_shape)
+    return dims, enc, complex_normal(rng, dims.output_shape)
+
+
+_GOOD_H = GaussianPrior(np.zeros((2, 4, 1), complex), 1.0, "complex")
+_GOOD_D = GaussianPrior(np.zeros(3), 1.0, "real")
+
+
+@pytest.mark.parametrize("noise, pH, pD, message", [
+    (0.0, _GOOD_H, _GOOD_D, "dims.sigma_n2 must be > 0"),
+    # a broadcastable mean would divide the Tweedie trace by the wrong entry count
+    (0.1, GaussianPrior(np.zeros((1, 1, 1), complex), 1.0, "complex"), _GOOD_D,
+     "channel prior must be complex with 8 entries, got complex with 1"),
+    # a real channel prior would drop the imaginary parts
+    (0.1, GaussianPrior(np.zeros((2, 4, 1)), 1.0, "real"), _GOOD_D,
+     "channel prior must be complex with 8 entries, got real with 8"),
+    (0.1, _GOOD_H, GaussianPrior(np.zeros(3, complex), 1.0, "complex"),
+     "source prior must be real with 3 entries, got complex with 3"),
+    (0.1, _GOOD_H, GaussianMixturePrior(np.array([[1.0], [-1.0]]), 0.25, [0.5, 0.5]),
+     "source prior must be real with 3 entries, got real with 1"),
+    (0.1, [_GOOD_H, _GOOD_H], [_GOOD_D, GaussianPrior(np.zeros(2), 1.0, "real")],
+     "source prior must be real with 3 entries, got real with 2"),
+], ids=["noiseless", "broadcast-channel-mean", "real-channel", "complex-source",
+        "short-source-mixture", "second-user"])
+def test_run_checks_its_inputs_at_entry(noise, pH, pD, message):
+    dims, enc, Y = _entry_scene()
+    n_u = len(pH) if isinstance(pH, list) else 1
+    dims = dataclasses.replace(dims, sigma_n2=noise, N_u=n_u)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        run(Y, enc, pH, pD, dims, _tuned_cfg(J=3, J_in=2), rng)
+    assert rng.bit_generator.state == state  # nothing was drawn: no step ran
+
+
+def test_counts_must_be_integers():
+    for make, message in [
+        (lambda: MimoDims(N_r=2.0, N_t=1, K=1, T=1), "N_r must be a positive integer"),
+        (lambda: NoiseSchedule(0.01, 1.0, 3.0), "J must be a positive integer"),
+        (lambda: PvdConfig(J_in=3.0), "J_in must be a positive integer"),
+        (lambda: PvdConfig(L=1.0), "L must be a positive integer"),
+        (lambda: PvdConfig(probes=2.0), "probes must be a positive integer"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            make()
+    # numpy integers are integers
+    dims = MimoDims(N_r=np.int64(2), N_t=np.int32(1), K=1, T=np.int64(3))
+    assert dims.output_shape == (2, 3)
+    sched = NoiseSchedule(0.01, 1.0, np.int64(3))
+    cfg = PvdConfig(schedule_H=sched, schedule_D=sched, J_in=np.int64(3), L=np.int32(2),
+                    probes=np.int64(4))
+    assert len(cfg.steps()) == 3
 
 
 def test_run_returns_diagnostics():
