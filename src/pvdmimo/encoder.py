@@ -14,9 +14,8 @@ Linearization, which checks d once and does the work that depends on d
 alone (tanh' factors; the base linearization, its norm and the radial term
 under power normalization). Its value is f(d), jacobian() the dense J,
 calling it pulls a cotangent back for one matrix-vector product, however
-many are pushed through one point, and frobenius2(H) gives the Jacobian
-norms ||J||_F^2 and ||H0 J||_F^2 (dense, or Hutchinson probes through the
-pullback for a Jacobian too large to form). encode, vjp and jacobian are
+many are pushed through one point, and frobenius2(H) the Jacobian norms
+||J||_F^2 and ||H0 J||_F^2 in closed form. encode, vjp and jacobian are
 views of it.
 
 LinearEncoder applies a fixed complex matrix; SaturatingEncoder squashes
@@ -30,66 +29,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import block_adjoint, block_product
-
 
 class NonFiniteInputError(ValueError):
     """A source vector handed to an encoder has a non-finite entry."""
-
-
-# Largest Jacobian (n * m entries) whose Frobenius norms are taken from the
-# dense matrix; above it they are Hutchinson estimates.
-EXACT_MAX_ENTRIES = 1 << 16
 
 
 class Linearization:
     """An encoder at one point d: `value` = encode(d), calling it pulls a
     cotangent back (c -> 2 Re(J^H vec c)), `jacobian()` is the dense J."""
 
-    __slots__ = ("d", "value", "_pull", "jacobian")
+    __slots__ = ("d", "value", "_pull", "jacobian", "_norms")
 
-    def __init__(self, d: np.ndarray, value: np.ndarray, pull, jacobian):
+    def __init__(self, d: np.ndarray, value: np.ndarray, pull, jacobian, norms):
         self.d, self.value, self._pull, self.jacobian = d, value, pull, jacobian
+        self._norms = norms
 
     def __call__(self, cotangent) -> np.ndarray:
         return self._pull(cotangent)
 
-    def frobenius2(self, H: np.ndarray | None = None, probes: int = 8,
-                   rng: np.random.Generator | None = None):
+    def frobenius2(self, H: np.ndarray | None = None):
         """(||J||_F^2, ||H0 J||_F^2), H0 the block-diagonal channel of the
-        (K, N_r, N_t) blocks H; the second is None when H is None.
-
-        Exact (dense Jacobian) when n * m is at most EXACT_MAX_ENTRIES;
-        otherwise unbiased Hutchinson estimates from `probes` real +-1 probe
-        matrices V each: ||G J||_F^2 ~ (||pull(G^H V)||^2 + ||pull(i G^H V)||^2)
-        / 4, with all ||J|| probes drawn from rng before all ||H0 J|| probes.
-        """
-        if self.d.size * self.value.size <= EXACT_MAX_ENTRIES:
-            J = self.jacobian()
-            HJ = None if H is None else block_product(H, J.reshape(*self.value.shape, -1))
-            return _abs2_sum(J), None if HJ is None else _abs2_sum(HJ)
-        j2 = self._hutchinson(self.value.shape, probes, rng)
-        if H is None:
-            return j2, None
-        return j2, self._hutchinson((H.shape[0] * H.shape[1], self.value.shape[1]), probes,
-                                    rng, lambda V: block_adjoint(H, V))
-
-    def _hutchinson(self, probe_shape, probes, rng, to_cotangent=lambda W: W) -> float:
-        """Hutchinson estimate of ||G J||_F^2 with to_cotangent(V) = G^H V.
-        Each probe is one rng.integers call, in order, and costs two pullbacks."""
-        if rng is None:
-            raise ValueError("rng is required for the Hutchinson estimate")
-        acc = 0.0
-        for _ in range(probes):
-            V = rng.integers(0, 2, size=probe_shape) * 2.0 - 1.0
-            W = to_cotangent(V.astype(np.complex128))
-            g_re, g_im = self(W), self(1j * W)
-            acc += 0.25 * (np.dot(g_re, g_re) + np.dot(g_im, g_im))
-        return float(acc / probes)
+        (K, N_r, N_t) blocks H (None: only ||J||_F^2, with H0 = I). Exact, from
+        the channel's block Grams Q_k = H_k^H H_k and J's (_block_norms)."""
+        Q = (np.ones((self.value.shape[0], 1, 1)) if H is None
+             else H.conj().transpose(0, 2, 1) @ H)
+        j2, hj2 = self._norms(Q)
+        return j2, None if H is None else hj2
 
 
-def _abs2_sum(M: np.ndarray) -> float:
-    return float(np.sum((M * M.conj()).real))
+def _block_norms(C: np.ndarray, Q: np.ndarray):
+    """(sum_k tr C_k, sum_k tr(Q_k C_k)), C_k = sum_t J_kt J_kt^H the (K, N_t, N_t)
+    Grams of the rows J_kt of J that channel block k carries in slot t."""
+    return float(np.einsum("kaa->", C).real), float(np.einsum("kab,kba->", Q, C).real)
 
 
 class Encoder:
@@ -131,8 +102,8 @@ class Encoder:
 _VIEWS = (Encoder.encode, Encoder.vjp, Encoder.jacobian)
 
 
-class LinearEncoder(Encoder):
-    """X = reshape(A d), with A complex of shape (N_t*K*T, n)."""
+class _MatrixEncoder(Encoder):
+    """An encoder on a fixed complex matrix A of shape (N_t*K*T, n)."""
 
     def __init__(self, A: np.ndarray, output_shape: tuple[int, int]):
         A = np.asarray(A, dtype=np.complex128)
@@ -142,6 +113,24 @@ class LinearEncoder(Encoder):
         self.A = A
         self.output_shape = (int(rows), int(cols))
         self.input_dim = A.shape[1]
+        self._grams: dict[int, np.ndarray] = {}
+
+    def _gram(self, Q: np.ndarray) -> np.ndarray:
+        """[[R R^T, -i R I^T], [i I R^T, I I^T]], (K, T, 2, N_t, 2, N_t), with R
+        and I the rows of Re A and Im A that block k carries in slot t; taken
+        once per block size N_t of Q."""
+        N_t = Q.shape[1]
+        if N_t not in self._grams:
+            K, T, n = self.output_shape[0] // N_t, self.output_shape[1], self.input_dim
+            A4 = self.A.reshape(K, N_t, T, n).transpose(0, 2, 1, 3)
+            S = np.concatenate([A4.real, A4.imag], axis=2)  # (K, T, 2N_t, n)
+            G = (S @ S.transpose(0, 1, 3, 2)).reshape(K, T, 2, N_t, 2, N_t)
+            self._grams[N_t] = G * np.array([[1, -1j], [1j, 1]])[:, None, :, None]
+        return self._grams[N_t]
+
+
+class LinearEncoder(_MatrixEncoder):
+    """X = reshape(A d), with A complex of shape (N_t*K*T, n)."""
 
     def linearize(self, d: np.ndarray) -> Linearization:
         d = self._check_input(d)
@@ -150,13 +139,16 @@ class LinearEncoder(Encoder):
             # Re(c^H A) = Re(A^H c) without a conjugate copy of A.
             return 2.0 * (self._check_cotangent(cotangent).ravel().conj() @ self.A).real
 
+        def norms(Q):  # J = A, so C_k = sum_t A_kt A_kt^H: the Gram's blocks, summed
+            return _block_norms(self._gram(Q).sum(axis=(1, 2, 4)), Q)
+
         return Linearization(d, (self.A @ d).reshape(self.output_shape), pullback,
-                             lambda: self.A)
+                             lambda: self.A, norms)
 
     encode, vjp, jacobian = _VIEWS
 
 
-class SaturatingEncoder(Encoder):
+class SaturatingEncoder(_MatrixEncoder):
     """X = tanh(Re(g A d)) + i tanh(Im(g A d)), reshaped.
 
     Output entries are bounded in magnitude by sqrt(2) and the map is
@@ -164,16 +156,10 @@ class SaturatingEncoder(Encoder):
     """
 
     def __init__(self, A: np.ndarray, gain: float, output_shape: tuple[int, int]):
-        A = np.asarray(A, dtype=np.complex128)
-        rows, cols = output_shape
-        if A.ndim != 2 or A.shape[0] != rows * cols:
-            raise ValueError(f"A must have {rows * cols} rows for output {output_shape}")
+        super().__init__(A, output_shape)
         if gain <= 0:
             raise ValueError("gain must be > 0")
-        self.A = A
         self.gain = float(gain)
-        self.output_shape = (int(rows), int(cols))
-        self.input_dim = A.shape[1]
 
     def linearize(self, d: np.ndarray) -> Linearization:
         d = self._check_input(d)
@@ -190,8 +176,15 @@ class SaturatingEncoder(Encoder):
         def jacobian():
             return self.gain * (dr[:, None] * self.A.real + 1j * di[:, None] * self.A.imag)
 
+        def norms(Q):
+            # J_kt = g (diag(dr) R + i diag(di) I), so C_k weighs the Gram by
+            # w = g (dr, di) on both sides before summing its blocks.
+            G = self._gram(Q)
+            w = self.gain * np.stack([dr, di]).reshape(2, G.shape[0], G.shape[3], -1)
+            return _block_norms(np.einsum("pkat,ktpaqb,qkbt->kab", w, G, w), Q)
+
         return Linearization(d, (t_re + 1j * t_im).reshape(self.output_shape), pullback,
-                             jacobian)
+                             jacobian, norms)
 
     encode, vjp, jacobian = _VIEWS
 
@@ -233,18 +226,28 @@ class PowerNormalizedEncoder(Encoder):
             grad_c = -(scale / nrm**2) * (J.conj().T @ f).real
             return scale * J + np.outer(f, grad_c)
 
-        return Linearization(base.d, scale * F, pullback, jacobian)
+        def norms(Q):
+            # J_PN = s J + F g^T with g = grad c = -(s / (2||F||^2)) radial, so
+            # ||G J_PN||^2 = s^2 ||G J||^2 + s g.pull(G^H G F) + ||G F||^2 ||g||^2
+            # for G = I and G = H0 (H0^H H0 F = Q_k F_k per block). Where J_PN = 0
+            # (a linear base, n = 1) the terms cancel, to rounding below 0.
+            g = -(scale / (2.0 * nrm**2)) * radial
+            gg = float(np.dot(g, g))
+            j2, hj2 = base._norms(Q)
+            QF = (Q @ F.reshape(Q.shape[0], Q.shape[1], -1)).reshape(F.shape)
+            j2 = scale**2 * j2 + scale * float(np.dot(g, radial)) + nrm**2 * gg
+            hj2 = (scale**2 * hj2 + scale * float(np.dot(g, base(QF)))
+                   + float(np.vdot(F, QF).real) * gg)
+            return max(j2, 0.0), max(hj2, 0.0)
+
+        return Linearization(base.d, scale * F, pullback, jacobian, norms)
 
     encode, vjp, jacobian = _VIEWS
 
 
-def jacobian_frobenius2(enc: Encoder, d: np.ndarray, probes: int = 8,
-                        rng: np.random.Generator | None = None) -> float:
-    """||J||_F^2 of the encode Jacobian at d, as Linearization.frobenius2
-    gives it (exact or a Hutchinson estimate from `probes` probes)."""
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    return enc.linearize(d).frobenius2(None, probes, rng)[0]
+def jacobian_frobenius2(enc: Encoder, d: np.ndarray) -> float:
+    """||J||_F^2 of the encode Jacobian at d (Linearization.frobenius2)."""
+    return enc.linearize(d).frobenius2()[0]
 
 
 # ---------------------------------------------------------------------------

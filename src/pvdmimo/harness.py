@@ -62,7 +62,7 @@ DEFAULT_CONFIG: dict = {
         "enabled": True, "J": 30, "J_in": 20, "L": 1,
         "sigma1_H": 0.01, "sigmaJ_H": 100.0,
         "sigma1_D": 0.01, "sigmaJ_D": 100.0,
-        "zeta_H": 0.06, "zeta_D": 0.06, "probes": 8,
+        "zeta_H": 0.06, "zeta_D": 0.06, "probes": 8,  # inert; goes once the benchmark drops it
     },
     "baselines": {"lmmse": True, "oracle_lmmse": True, "N_p": 2},
     "power_mode": "exact",
@@ -273,6 +273,8 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
 
     check(cfg["power_mode"] in ("exact", "average"), "power_mode",
           "must be 'exact' (per-realization normalization) or 'average' (fixed calibration)")
+    check(not (cfg["power_mode"] == "average" and enc["type"] == "saturating"), "power_mode",
+          "'average' calibrates linear encoders only; encoder.type 'saturating' needs 'exact'")
     snr = cfg["snr_db"]
     check(isinstance(snr, list) and len(snr) > 0 and all(map(_is_number, snr)), "snr_db",
           "must be a nonempty list of finite dB values")

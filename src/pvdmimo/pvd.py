@@ -106,9 +106,7 @@ class PvdConfig:
     """Reverse-process configuration.
 
     zeta_H / zeta_D scale the per-step learning rates
-    eps_j = zeta (sigma_{j+1}^2 - sigma_j^2). probes is the Hutchinson
-    probe count of the aggregated-noise estimate for encoders whose Jacobian
-    is too large to form (Linearization.frobenius2).
+    eps_j = zeta (sigma_{j+1}^2 - sigma_j^2).
     """
 
     schedule_H: NoiseSchedule = field(default_factory=lambda: NoiseSchedule(0.01, 100.0, 30))
@@ -117,7 +115,6 @@ class PvdConfig:
     L: int = 1
     zeta_H: float = 0.06
     zeta_D: float = 0.06
-    probes: int = 8
 
     def __post_init__(self):
         if self.schedule_H.J != self.schedule_D.J:
@@ -129,8 +126,6 @@ class PvdConfig:
         for name in ("zeta_H", "zeta_D"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if not isinstance(self.probes, numbers.Integral) or self.probes < 1:
-            raise ValueError("probes must be a positive integer")
         self.steps()  # a schedule that rounds to 0 fails here, not mid-run
 
     @property
@@ -259,8 +254,6 @@ def aggregated_noise_variance(
     var_H: float,
     var_D: float,
     dims: MimoDims,
-    probes: int = 8,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Expected per-entry power of the linearization noise.
 
@@ -272,8 +265,8 @@ def aggregated_noise_variance(
       [var_H N_r ||f(D)||_F^2 + var_D ||H J||_F^2
        + var_H var_D N_r ||J||_F^2] / (N_r K T),
 
-    with f, J and the pullback taken from `lin`, the encoder linearized at
-    the denoised source, and both Jacobian norms from `lin.frobenius2`.
+    with f taken from `lin`, the encoder linearized at the denoised source,
+    and both Jacobian norms from `lin.frobenius2`, exact and in closed form.
     """
     if var_H < 0 or var_D < 0:
         raise ValueError("error variances must be non-negative")
@@ -283,7 +276,7 @@ def aggregated_noise_variance(
     F = lin.value
     total = var_H * N_r * float(np.sum((F * F.conj()).real))
     if var_D > 0:
-        j_frob2, hj_frob2 = lin.frobenius2(H0j, probes, rng)
+        j_frob2, hj_frob2 = lin.frobenius2(H0j)
         total += var_D * hj_frob2 + var_H * var_D * N_r * j_frob2
     return total / (N_r * K * T)
 
@@ -434,8 +427,7 @@ def run(
                 for i in range(n_u):
                     var_dn += aggregated_noise_variance(
                         lins[i], H0j[i], _error_variance(H_s[i], pts_H[i], sH),
-                        _error_variance(D_s[i], pts_D[i], sD), dims,
-                        config.probes, rng)
+                        _error_variance(D_s[i], pts_D[i], sD), dims)
                 if not math.isfinite(var_dn):
                     raise PvdDivergenceError(j, it, "aggregated noise variance")
                 lik_H, lik_D = likelihood_scores(

@@ -234,6 +234,17 @@ def test_validate_encoder_file_rejects_pilot_chain():
     assert validate_dict(cfg) == []
 
 
+def test_validate_saturating_average_power_rejected():
+    # the link would use the tanh encoder unscaled: mean symbol power 1/3 at any P
+    cfg = tiny_config(encoder={"type": "saturating", "init": "gaussian", "gain": 0.7},
+                      power_mode="average")
+    out = validate_dict(cfg)
+    assert len(out) == 1 and out[0].startswith("power_mode: ")
+    assert "'average'" in out[0] and "encoder.type 'saturating'" in out[0]
+    for fixed in (dict(power_mode="exact"), dict(encoder={"type": "linear"})):
+        assert validate_dict(dict(cfg, **fixed)) == []
+
+
 def _kronecker(R_rx, R_tx):
     return tiny_config(channel={"model": "kronecker", "R_rx": R_rx, "R_tx": R_tx})
 

@@ -1,6 +1,7 @@
-"""Encoder.linearize: the cached pullback against the per-probe vjp loops it
-replaced and the per-call encode and Jacobian formulas (bitwise), and its
-properties over random shapes."""
+"""Encoder.linearize: the cached pullback against the per-call vjp, encode
+and Jacobian formulas it replaced (bitwise), and its properties over random
+shapes, the closed-form Jacobian norms against the dense Jacobian among
+them."""
 
 import numpy as np
 import pytest
@@ -8,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvdmimo.channel import MimoDims, block_adjoint, complex_normal, compound
-from pvdmimo.encoder import (
-    LinearEncoder,
-    PowerNormalizedEncoder,
-    SaturatingEncoder,
-    jacobian_frobenius2,
-)
-from pvdmimo.pvd import aggregated_noise_variance
+from pvdmimo.encoder import LinearEncoder, PowerNormalizedEncoder, SaturatingEncoder
 
 KINDS = ("linear", "saturating", "pn-linear", "pn-saturating")
 
@@ -27,7 +22,7 @@ def make_encoder(kind, rng, N_t, K, T, n):
     return PowerNormalizedEncoder(base, 1.0) if kind.startswith("pn-") else base
 
 
-# --- reference: the per-call vjp and per-probe loops before linearize -------
+# --- reference: the per-call vjp, encode and Jacobian before linearize ------
 
 def reference_vjp(enc, d, c):
     if isinstance(enc, PowerNormalizedEncoder):
@@ -75,34 +70,6 @@ def reference_jacobian(enc, d):
     return enc.A
 
 
-def reference_jacobian_frobenius2(enc, d, probes, rng):
-    acc = 0.0
-    for _ in range(probes):
-        V = rng.integers(0, 2, size=enc.output_shape) * 2.0 - 1.0
-        g_re = reference_vjp(enc, d, V.astype(np.complex128))
-        g_im = reference_vjp(enc, d, 1j * V)
-        acc += 0.25 * (np.dot(g_re, g_re) + np.dot(g_im, g_im))
-    return float(acc / probes)
-
-
-def reference_aggregated_noise_variance(enc, H0j, D0j, var_H, var_D, dims, probes, rng):
-    """The Hutchinson branch (var_D > 0, above the exact threshold)."""
-    N_r, K, T = dims.N_r, dims.K, dims.T
-    F = enc.encode(D0j)
-    total = var_H * N_r * float(np.sum((F * F.conj()).real))
-    j_frob2 = reference_jacobian_frobenius2(enc, D0j, probes, rng)
-    acc = 0.0
-    for _ in range(probes):
-        V = rng.integers(0, 2, size=(N_r * K, T)) * 2.0 - 1.0
-        W = block_adjoint(H0j, V.astype(np.complex128))
-        g_re = reference_vjp(enc, D0j, W)
-        g_im = reference_vjp(enc, D0j, 1j * W)
-        acc += 0.25 * (np.dot(g_re, g_re) + np.dot(g_im, g_im))
-    hj_frob2 = acc / probes
-    total += var_D * hj_frob2 + var_H * var_D * N_r * j_frob2
-    return total / (N_r * K * T)
-
-
 @pytest.fixture
 def scene():
     rng = np.random.default_rng(11)
@@ -120,30 +87,6 @@ def test_pullback_matches_reference_vjp(kind, scene):
     for _ in range(3):
         c = complex_normal(rng, enc.output_shape)
         assert np.array_equal(pull(c), reference_vjp(enc, d, c))
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_jacobian_frobenius2_matches_reference_loop(kind, scene, monkeypatch):
-    rng, dims, _, d = scene
-    enc = make_encoder(kind, rng, dims.N_t, dims.K, dims.T, dims.n)
-    r_new, r_ref = np.random.default_rng(5), np.random.default_rng(5)
-    monkeypatch.setattr("pvdmimo.encoder.EXACT_MAX_ENTRIES", 0)  # force the probes
-    new = jacobian_frobenius2(enc, d, probes=8, rng=r_new)
-    ref = reference_jacobian_frobenius2(enc, d, 8, r_ref)
-    assert new == ref
-    assert r_new.random() == r_ref.random()
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_aggregated_noise_variance_matches_reference_loop(kind, scene, monkeypatch):
-    rng, dims, H, d = scene
-    enc = make_encoder(kind, rng, dims.N_t, dims.K, dims.T, dims.n)
-    r_new, r_ref = np.random.default_rng(5), np.random.default_rng(5)
-    monkeypatch.setattr("pvdmimo.encoder.EXACT_MAX_ENTRIES", 0)  # force the probes
-    new = aggregated_noise_variance(enc.linearize(d), H, 0.3, 0.2, dims, probes=8, rng=r_new)
-    ref = reference_aggregated_noise_variance(enc, H, d, 0.3, 0.2, dims, 8, r_ref)
-    assert new == ref
-    assert r_new.random() == r_ref.random()
 
 
 # --- properties over random shapes ------------------------------------------
@@ -219,19 +162,42 @@ def test_power_normalized_linearize_encodes_base_once(kind, shape, seed, pulls):
     assert len(calls) == 1
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(KINDS), shape=shapes, N_r=st.integers(1, 3), seed=seeds)
-def test_frobenius2_exact_path_is_the_dense_norms(kind, shape, N_r, seed):
+def test_frobenius2_closed_forms_are_the_dense_norms(kind, shape, N_r, seed):
+    # Against the dense Jacobian. Power normalization subtracts a radial term
+    # that cancels scale * J_base exactly where the map is locally constant,
+    # so there the absolute error is held to the size of the terms instead.
     rng, enc, d = point(kind, shape, seed)
     N_t, K, T, n = shape
     H = complex_normal(rng, (K, N_r, N_t))
     lin = enc.linearize(d)
     J = lin.jacobian()
     HJ = compound(H) @ J.reshape(N_t * K, T * n)
+    floor = 1e-12 * jacobian_size(enc, d) ** 2 if kind.startswith("pn-") else 0.0
     j2, hj2 = lin.frobenius2(H)
-    assert j2 == pytest.approx(np.linalg.norm(J) ** 2, rel=1e-12, abs=1e-300)
-    assert hj2 == pytest.approx(np.linalg.norm(HJ) ** 2, rel=1e-12, abs=1e-300)
-    assert lin.frobenius2() == (j2, None)
+    assert j2 == pytest.approx(np.linalg.norm(J) ** 2, rel=1e-10, abs=floor)
+    assert hj2 == pytest.approx(np.linalg.norm(HJ) ** 2, rel=1e-10, abs=floor)
+    j2_alone, none = lin.frobenius2()
+    assert none is None
+    assert j2_alone == pytest.approx(np.linalg.norm(J) ** 2, rel=1e-10, abs=floor)
+
+
+def test_frobenius2_nonnegative_where_power_normalized_jacobian_vanishes():
+    # With n = 1 and a linear base, f(d) = sqrt(P m) sign(d) A / ||A|| is
+    # locally constant: J_PN = 0, and both closed forms are pure cancellation
+    # of terms of size s^2 ||A||^2 (times ||H0||^2 for the second).
+    rng = np.random.default_rng(2)
+    N_t, K, T, N_r = 2, 3, 4, 3
+    A = complex_normal(rng, (N_t * K * T, 1))
+    enc = PowerNormalizedEncoder(LinearEncoder(A, (N_t * K, T)), 1.0)
+    H = complex_normal(rng, (K, N_r, N_t))
+    h2 = np.linalg.norm(compound(H), 2) ** 2
+    for d in (-1e3, -0.3, 0.7, 2.5, 1e3):
+        j2, hj2 = enc.linearize(np.array([d])).frobenius2(H)
+        size = enc._target ** 2 / d**2  # s^2 ||A||^2
+        assert 0.0 <= j2 <= 1e-12 * size
+        assert 0.0 <= hj2 <= 1e-12 * size * h2
 
 
 @settings(max_examples=30, deadline=None)
