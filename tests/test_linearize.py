@@ -1,7 +1,7 @@
 """Encoder.linearize: the cached pullback against the per-call vjp, encode
-and Jacobian formulas it replaced (bitwise), and its properties over random
-shapes, the closed-form Jacobian norms against the dense Jacobian among
-them."""
+and Jacobian formulas it replaced (bitwise), the closed-form Jacobian norms
+against loops of reference pullbacks, and its properties over random shapes,
+the closed-form norms against the dense Jacobian among them."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvdmimo.channel import MimoDims, block_adjoint, complex_normal, compound
-from pvdmimo.encoder import LinearEncoder, PowerNormalizedEncoder, SaturatingEncoder
+from pvdmimo.encoder import (
+    LinearEncoder,
+    PowerNormalizedEncoder,
+    SaturatingEncoder,
+    jacobian_frobenius2,
+)
+from pvdmimo.pvd import aggregated_noise_variance
 
 KINDS = ("linear", "saturating", "pn-linear", "pn-saturating")
 
@@ -70,6 +76,31 @@ def reference_jacobian(enc, d):
     return enc.A
 
 
+def reference_frobenius2(enc, d, to_cotangent, shape):
+    """||G J||_F^2 as a loop over the unit cotangents e_m of `shape`, with
+    to_cotangent(e_m) = G^H e_m: 0.25 (|vjp(c)|^2 + |vjp(ic)|^2) = |(G J)^H e_m|^2."""
+    acc = 0.0
+    for m in range(int(np.prod(shape))):
+        e = np.zeros(shape, dtype=np.complex128)
+        e.flat[m] = 1.0
+        c = to_cotangent(e)
+        g_re = reference_vjp(enc, d, c)
+        g_im = reference_vjp(enc, d, 1j * c)
+        acc += 0.25 * (np.dot(g_re, g_re) + np.dot(g_im, g_im))
+    return float(acc)
+
+
+def reference_aggregated_noise_variance(enc, H0j, D0j, var_H, var_D, dims):
+    N_r, K, T = dims.N_r, dims.K, dims.T
+    F = reference_encode(enc, D0j)
+    total = var_H * N_r * float(np.sum((F * F.conj()).real))
+    j_frob2 = reference_frobenius2(enc, D0j, lambda e: e, enc.output_shape)
+    hj_frob2 = reference_frobenius2(
+        enc, D0j, lambda e: block_adjoint(H0j, e), (N_r * K, T))
+    total += var_D * hj_frob2 + var_H * var_D * N_r * j_frob2
+    return total / (N_r * K * T)
+
+
 @pytest.fixture
 def scene():
     rng = np.random.default_rng(11)
@@ -87,6 +118,23 @@ def test_pullback_matches_reference_vjp(kind, scene):
     for _ in range(3):
         c = complex_normal(rng, enc.output_shape)
         assert np.array_equal(pull(c), reference_vjp(enc, d, c))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_jacobian_frobenius2_matches_reference_loop(kind, scene):
+    rng, dims, _, d = scene
+    enc = make_encoder(kind, rng, dims.N_t, dims.K, dims.T, dims.n)
+    ref = reference_frobenius2(enc, d, lambda e: e, enc.output_shape)
+    assert jacobian_frobenius2(enc, d) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_aggregated_noise_variance_matches_reference_loop(kind, scene):
+    rng, dims, H, d = scene
+    enc = make_encoder(kind, rng, dims.N_t, dims.K, dims.T, dims.n)
+    new = aggregated_noise_variance(enc.linearize(d), H, 0.3, 0.2, dims)
+    ref = reference_aggregated_noise_variance(enc, H, d, 0.3, 0.2, dims)
+    assert new == pytest.approx(ref, rel=1e-10)
 
 
 # --- properties over random shapes ------------------------------------------
@@ -164,7 +212,7 @@ def test_power_normalized_linearize_encodes_base_once(kind, shape, seed, pulls):
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(KINDS), shape=shapes, N_r=st.integers(1, 3), seed=seeds)
-def test_frobenius2_closed_forms_are_the_dense_norms(kind, shape, N_r, seed):
+def test_frobenius2_exact_path_is_the_dense_norms(kind, shape, N_r, seed):
     # Against the dense Jacobian. Power normalization subtracts a radial term
     # that cancels scale * J_base exactly where the map is locally constant,
     # so there the absolute error is held to the size of the terms instead.

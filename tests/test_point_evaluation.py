@@ -247,10 +247,12 @@ def reference_run(Y, encoders, priors_H, priors_D, dims, config, rng):
     return H_mean, D_mean, diag
 
 
+# norms: the exact closed forms of Linearization.frobenius2, the only path
+@pytest.mark.parametrize("norms", ["exact"])
 @pytest.mark.parametrize("source", ["gaussian", "mixture"])
 @pytest.mark.parametrize("L", [1, 2])
 @pytest.mark.parametrize("n_u", [1, 3])
-def test_run_matches_reference_loop(n_u, L, source):
+def test_run_matches_reference_loop(n_u, L, source, norms):
     rng = np.random.default_rng(100 + 10 * n_u + L)
     dims = MimoDims(N_r=3, N_t=2, K=2, T=3, N_u=n_u, n=4, P=1.0, sigma_n2=0.05)
     shape = dims.signal_shape

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvdmimo.channel import MimoDims, complex_normal
+from pvdmimo.channel import MimoDims, block_adjoint, complex_normal
 from pvdmimo.encoder import LinearEncoder, PowerNormalizedEncoder, SaturatingEncoder
 from pvdmimo.priors import GaussianMixturePrior, GaussianPrior
 from pvdmimo.pvd import (
@@ -291,6 +291,35 @@ def test_aggregated_noise_monte_carlo_oracle():
         mc += np.linalg.norm(dN) ** 2
     mc /= draws * dims.N_r * dims.K * dims.T
     assert abs(got - mc) <= 0.03 * mc
+
+
+def test_aggregated_noise_hutchinson_close_to_exact():
+    # The closed forms against an independent Hutchinson estimate: Rademacher
+    # probes V pulled back through the linearization give
+    # E 0.25 (|pull(V)|^2 + |pull(iV)|^2) = ||J||_F^2, and ||H0 J||_F^2 with
+    # the probes taken through H0^H first.
+    rng = np.random.default_rng(5)
+    dims, enc, H, D = _small_scene(rng, N_r=3, T=6, n=4)
+    var_H, var_D = 0.2, 0.4
+    lin = enc.linearize(D)
+    exact = aggregated_noise_variance(lin, H, var_H, var_D, dims)
+    probe_rng = np.random.default_rng(6)
+
+    def hutchinson(shape, to_cotangent, probes=600):
+        acc = 0.0
+        for _ in range(probes):
+            V = (probe_rng.integers(0, 2, size=shape) * 2.0 - 1.0).astype(complex)
+            g_re, g_im = lin(to_cotangent(V)), lin(1j * to_cotangent(V))
+            acc += 0.25 * (np.dot(g_re, g_re) + np.dot(g_im, g_im))
+        return acc / probes
+
+    N_r, K, T = dims.N_r, dims.K, dims.T
+    j2 = hutchinson(enc.output_shape, lambda V: V)
+    hj2 = hutchinson((N_r * K, T), lambda V: block_adjoint(H, V))
+    F = lin.value
+    est = (var_H * N_r * float(np.sum((F * F.conj()).real))
+           + var_D * hj2 + var_H * var_D * N_r * j2) / (N_r * K * T)
+    assert abs(est - exact) < 0.1 * exact
 
 
 # --- likelihood scores --------------------------------------------------------------
