@@ -130,18 +130,19 @@ def compound(H: np.ndarray) -> np.ndarray:
 
 def block_product(blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
     """H0 @ X from the (K, N_r, N_t) blocks of H0; X is (N_t*K, ...), its
-    trailing axes flattened into columns."""
-    K, N_r, N_t = blocks.shape
-    Yb = np.einsum("krt,ktc->krc", blocks, X.reshape(K, N_t, -1))
-    return Yb.reshape((K * N_r,) + X.shape[1:])
+    trailing axes flattened into columns. Blocks stacked on a leading axis
+    (one channel per user) take X stacked the same way."""
+    *lead, K, N_r, N_t = blocks.shape
+    Yb = np.einsum("...krt,...ktc->...krc", blocks, X.reshape(*lead, K, N_t, -1))
+    return Yb.reshape(*lead, K * N_r, *X.shape[len(lead) + 1:])
 
 
 def block_adjoint(blocks: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """H0^H @ Y from the (K, N_r, N_t) blocks of H0; Y is (N_r*K, T) and the
-    result (N_t*K, T)."""
-    K, N_r, N_t = blocks.shape
+    """H0^H @ Y from the (K, N_r, N_t) blocks of H0, stacked on a leading axis
+    like block_product's; Y is (N_r*K, T) and the result (..., N_t*K, T)."""
+    *lead, K, N_r, N_t = blocks.shape
     Yb = Y.reshape(K, N_r, -1)
-    return np.einsum("krc,krt->kct", blocks.conj(), Yb).reshape(K * N_t, -1)
+    return np.einsum("...krc,krt->...kct", blocks.conj(), Yb).reshape(*lead, K * N_t, -1)
 
 
 def apply_channel(H: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ describes the link dimensions, channel model, encoder, priors, reverse
 process, baselines, SNR grid, and trial count. The config is parsed once,
 by building its typed parts (among them the pilots and the Kronecker
 covariance roots). run_experiment then builds the link once (the fixed
-transmitter: encoders with their power calibration), executes every
+transmitter: one encoder over all users, their matrices stacked on axis 0,
+with its power calibration), executes every
 (snr, trial) cell with its own generator derived deterministically from
 (master seed, snr index, trial index), scores each enabled method on the
 cell's scene, and writes one CSV row per (trial, method). A fault in the
@@ -135,12 +136,13 @@ def _section_problems(path: str, section: dict, schema: dict) -> list[str]:
 
 
 def _build_prior(spec: dict, domain: str, truth: np.ndarray) -> ScorePrior:
-    """The prior over arrays shaped like `truth`; a "truth" mean anchors it there."""
-    shape = truth.shape
+    """The prior over one user's arrays, shaped like a row of `truth` (users
+    on axis 0); a "truth" mean anchors each user at its own row."""
+    shape = truth.shape[1:]
     if spec["type"] == "gaussian":
         mean = spec.get("mean", 0.0)
         if mean == "truth":
-            return GaussianPrior(truth, spec["var"], domain)
+            return GaussianPrior(truth, spec["var"], domain, shape)
         if isinstance(mean, (list, tuple)):  # [re, im]; the real part for a real prior
             mean = complex(*mean) if domain == "complex" else mean[0]
         return GaussianPrior(np.full(shape, complex(mean) if domain == "complex"
@@ -252,7 +254,7 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
     if dims:  # a 'truth' anchor is built at a zero placeholder
         shapes = {"complex": (dims.K, dims.N_r, dims.N_t), "real": (dims.n,)}
         built = {key: build(key, lambda: _build_prior(
-            spec, _DOMAINS[key], np.zeros(shapes[_DOMAINS[key]])), spec)
+            spec, _DOMAINS[key], np.zeros((1,) + shapes[_DOMAINS[key]])), spec)
             for key, spec in priors.items() if key not in mistyped}
         parts["prior_source"] = built.get("prior_source")
         parts["source"] = built.get("source_draw", parts["prior_source"])
@@ -331,60 +333,58 @@ def load_config(path) -> dict:
 # The link: what stays fixed across the trials of one experiment
 # ---------------------------------------------------------------------------
 
-def _build_base_encoder(spec: dict, out_shape: tuple[int, int], n: int,
-                        rng: np.random.Generator) -> Encoder:
-    if spec["file"]:
-        enc = load_encoder(spec["file"])
-        if enc.output_shape != out_shape or enc.input_dim != n:
-            raise ConfigError(
-                f"encoder file shape {enc.output_shape}/{enc.input_dim} does not match "
-                f"{out_shape}/{n}")
-        return enc
-    m = out_shape[0] * out_shape[1]
-    if spec["init"] == "identity":  # the parse checks m == n
-        A = np.eye(m, dtype=np.complex128)
-    else:
-        A = complex_normal(rng, (m, n), 1.0) / np.sqrt(n)
-    gain = float(spec["gain"])
-    if spec["type"] == "linear":
-        return LinearEncoder(gain * A, out_shape)
-    return SaturatingEncoder(A, gain, out_shape)
-
-
 _CALIBRATION_DRAWS = 256
 
 
 def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], stream: int,
-                  cal_stream: int, exact: bool) -> Encoder:
-    """Base encoder from seed stream `stream`, held to the power budget P.
+                  cal_stream: int, exact: bool, users: int = 1) -> Encoder:
+    """One encoder over `users` users, each held to the power budget P: user
+    i's matrix, drawn from seed stream `stream` + i, on axis 0 of A (an
+    encoder file's A is shared by all).
 
     exact: per-realization normalization, part of the map the receiver
-    differentiates. Otherwise a linear encoder gets the fixed scale that
-    gives average power P over _CALIBRATION_DRAWS source draws (seed stream
-    `cal_stream`), so the map stays linear; a saturating one is used as-is.
+    differentiates. Otherwise a linear encoder gets, per user, the fixed
+    scale that gives average power P over _CALIBRATION_DRAWS source draws
+    (seed stream `cal_stream` + i), so the map stays linear; a saturating
+    one has no fixed calibration here and is normalized per realization.
     """
-    seed = cfg.raw["seed"] & 0xFFFFFFFF
-    base = _build_base_encoder(cfg.raw["encoder"], out_shape, cfg.dims.n, np.random.default_rng(
-        np.random.SeedSequence([seed, 0xE2C0DE, stream])))
-    if exact:
-        return PowerNormalizedEncoder(base, cfg.dims.P)
-    if not isinstance(base, LinearEncoder):
-        return base
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCA11B, cal_stream]))
-    D = np.stack([cfg.source.sample(rng) for _ in range(_CALIBRATION_DRAWS)])
-    mean_power = float(np.linalg.norm(base.A @ D.T)) ** 2 / _CALIBRATION_DRAWS
-    if mean_power == 0:
-        raise ConfigError("encoder output power is zero under the source prior")
+    seed, spec, n = cfg.raw["seed"] & 0xFFFFFFFF, cfg.raw["encoder"], cfg.dims.n
     m = out_shape[0] * out_shape[1]
-    return LinearEncoder(math.sqrt(cfg.dims.P * m / mean_power) * base.A, base.output_shape)
+    if spec["file"]:
+        base = load_encoder(spec["file"])
+        if base.output_shape != out_shape or base.input_dim != n:
+            raise ConfigError(
+                f"encoder file shape {base.output_shape}/{base.input_dim} does not match "
+                f"{out_shape}/{n}")
+    else:  # the parse checks m == n for 'identity'
+        rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0xE2C0DE, stream + i]))
+                for i in range(users)]
+        As = [np.eye(m, dtype=np.complex128) if spec["init"] == "identity"
+              else complex_normal(rng, (m, n), 1.0) / np.sqrt(n) for rng in rngs]
+        A = As[0][None] if users == 1 else np.stack(As)  # one user's A is not copied
+        gain = float(spec["gain"])
+        base = (LinearEncoder(gain * A, out_shape) if spec["type"] == "linear"
+                else SaturatingEncoder(A, gain, out_shape))
+        del As, A  # kept, the drawn matrices would raise the calibration's peak memory
+    if exact or not isinstance(base, LinearEncoder):
+        return PowerNormalizedEncoder(base, cfg.dims.P)
+    scales = []
+    for i, A in enumerate(np.broadcast_to(base.A, (users, m, n))):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCA11B, cal_stream + i]))
+        D = np.stack([cfg.source.sample(rng) for _ in range(_CALIBRATION_DRAWS)])
+        mean_power = float(np.linalg.norm(A @ D.T)) ** 2 / _CALIBRATION_DRAWS
+        if mean_power == 0:
+            raise ConfigError("encoder output power is zero under the source prior")
+        scales.append(math.sqrt(cfg.dims.P * m / mean_power))
+    return LinearEncoder(np.array(scales)[:, None, None] * base.A, out_shape)
 
 
 @dataclass
 class _Link:
-    """The transmitter, fixed across the trials of one run: its encoders and
-    their power calibration depend on the config and the master seed only."""
+    """The transmitter, fixed across the trials of one run: its encoder and
+    its power calibration depend on the config and the master seed only."""
 
-    encoders: list[Encoder]  # per user, over all T slots
+    encoder: Encoder  # all users over all T slots, their matrices on axis 0
     pilot_encoder: Encoder | None = None  # data encoder over the T - N_p data slots
     pilot_prior: GaussianPrior | None = None  # None: no closed-form source decode
 
@@ -392,8 +392,7 @@ class _Link:
 def _build_link(cfg: ExperimentConfig) -> _Link:
     raw, dims = cfg.raw, cfg.dims
     exact = raw["power_mode"] == "exact"
-    link = _Link([_link_encoder(cfg, dims.signal_shape, i, 1 + i, exact)
-                  for i in range(dims.N_u)])
+    link = _Link(_link_encoder(cfg, dims.signal_shape, 0, 1, exact, dims.N_u))
     if cfg.pilots is not None:
         # Calibrated in either power mode, so a linear map decodes in closed form.
         link.pilot_encoder = _link_encoder(
@@ -421,19 +420,20 @@ class _Scene:
     noise: np.ndarray
     Y: np.ndarray
     snr_db: float  # empirical
-    priors_H: list[ScorePrior]
-    priors_D: list[ScorePrior]
+    prior_H: ScorePrior  # one per domain over all users ('truth': one anchor each)
+    prior_D: ScorePrior
     steps: list = field(default_factory=list)  # PVD per-step trace
 
 
 def _scene(cfg: ExperimentConfig, link: _Link, snr_db: float,
            rng: np.random.Generator) -> _Scene:
-    """Draw channel, sources and noise from rng, in that order."""
+    """Draw channel, sources and noise from rng, in that order; all sources go
+    through the link's encoder in one call."""
     dims, raw = cfg.dims, cfg.raw
     channels = draw_rayleigh(dims, rng) if cfg.kron is None \
         else draw_kronecker_correlated(dims, *cfg.kron[:2], rng)
     sources = np.stack([cfg.source.sample(rng) for _ in range(dims.N_u)])
-    X = np.stack([enc.encode(d) for enc, d in zip(link.encoders, sources)])
+    X = link.encoder.encode(sources)
     signal = transmit(channels, X, 0.0, rng)
     sig_power = float(np.linalg.norm(signal) ** 2)
     sigma_n2 = sig_power / (dims.N_r * dims.K * dims.T * 10.0 ** (snr_db / 10.0))
@@ -441,13 +441,12 @@ def _scene(cfg: ExperimentConfig, link: _Link, snr_db: float,
     return _Scene(
         dataclasses.replace(dims, sigma_n2=sigma_n2), rng, channels, sources, X,
         noise, signal + noise, mt.snr_db(signal, noise),
-        [_build_prior(raw["prior_channel"], "complex", H) for H in channels],
-        [_build_prior(raw["prior_source"], "real", d) for d in sources])
+        _build_prior(raw["prior_channel"], "complex", channels),
+        _build_prior(raw["prior_source"], "real", sources))
 
 
 def _pvd(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
-    result = pv.run(sc.Y, link.encoders, sc.priors_H, sc.priors_D, sc.dims,
-                    cfg.pvd, sc.rng)
+    result = pv.run(sc.Y, link.encoder, sc.prior_H, sc.prior_D, sc.dims, cfg.pvd, sc.rng)
     fields = {
         "nmse_db": mt.nmse_db(sc.channels, result.channels),
         "source_mse": float(np.mean([mt.source_mse(dt, de) for dt, de

@@ -16,7 +16,8 @@ variance, so early steps (where the estimates are poor) are weighted
 down automatically. After the final step the variational means are the
 recovered channel and source.
 
-At each sample every prior and encoder is evaluated once (`ScorePrior.at`,
+Users sit on axis 0 throughout. At each sample point each prior and the
+encoder are evaluated once for all users (`ScorePrior.at`,
 `Encoder.linearize`), and that one evaluation feeds the Tweedie estimates,
 their error variances, the aggregated noise, the likelihood and the prior
 term alike.
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -44,14 +44,16 @@ from .priors import PriorPoint, ScorePrior
 
 
 class PvdDivergenceError(RuntimeError):
-    """Raised when a reverse step produces a non-finite quantity, named in the message."""
+    """Raised when a reverse step produces a non-finite quantity `what`, named
+    in the message with the step, the inner iteration and the first user it
+    shows in (`user`; None when no one user's term is non-finite)."""
 
-    def __init__(self, step: int, inner: int, what: str):
+    def __init__(self, step: int, inner: int, what: str, user: int | None = None):
+        at_user = "" if user is None else f", user {user}"
         super().__init__(
-            f"non-finite {what} at reverse step j={step}, inner iteration {inner}"
+            f"non-finite {what} at reverse step j={step}, inner iteration {inner}{at_user}"
         )
-        self.step = step
-        self.inner = inner
+        self.step, self.inner, self.what, self.user = step, inner, what, user
 
 
 @dataclass(frozen=True)
@@ -177,51 +179,37 @@ class RecoveryResult:
     diagnostics: list[PvdStepDiag]
 
 
-def sample_variational(
-    H_mean: Sequence[np.ndarray],
-    D_mean: Sequence[np.ndarray],
-    step: ReverseStep,
-    rng: np.random.Generator,
-):
+def sample_variational(H_mean: np.ndarray, D_mean: np.ndarray, step: ReverseStep,
+                       rng: np.random.Generator):
     """Draw one latent sample per user from the variational Gaussians.
 
-    H ~ CN(mean, 1/lambda_H) entrywise on the free block entries and
-    D ~ N(mean, 1/lambda_D), with the precisions of `step`; at infinite
-    precision the mean itself is returned. Draw order is fixed (per user:
-    channel then source) so runs are reproducible bit-for-bit.
+    H ~ CN(H_mean, 1/lambda_H) entrywise on the free block entries and
+    D ~ N(D_mean, 1/lambda_D), with the precisions of `step`; at j = 0, where
+    both are infinite, the means themselves are returned. One draw serves all
+    users, in a fixed order (per user: channel real and imaginary parts, then
+    source), so runs are reproducible bit-for-bit.
     """
-    H_s, D_s = [], []
-    for Hm, Dm in zip(H_mean, D_mean):
-        if math.isinf(step.lambda_H):
-            H_s.append(Hm)
-        else:
-            H_s.append(Hm + complex_normal(rng, Hm.shape, 1.0 / step.lambda_H))
-        if math.isinf(step.lambda_D):
-            D_s.append(Dm)
-        else:
-            D_s.append(Dm + rng.standard_normal(Dm.shape) / math.sqrt(step.lambda_D))
-    return H_s, D_s
+    if math.isinf(step.lambda_H):
+        return H_mean, D_mean
+    h = H_mean[0].size
+    z = rng.standard_normal((len(D_mean), 2 * h + D_mean.shape[1]))
+    noise_H = (z[:, :h] + 1j * z[:, h:2 * h]) * math.sqrt(1.0 / step.lambda_H / 2.0)
+    return (H_mean + noise_H.reshape(H_mean.shape),
+            D_mean + z[:, 2 * h:] / math.sqrt(step.lambda_D))
 
 
 def _denoised(x: np.ndarray, point: PriorPoint, sigma: float) -> np.ndarray:
     return x if sigma == 0 else x + sigma**2 * point.score
 
 
-def _error_variance(x: np.ndarray, point: PriorPoint, s: float) -> float:
-    if s == 0:
-        return 0.0
-    v = s * s + s**4 * point.trace() / x.size
-    return float(min(max(v, 0.0), s * s))
+def _error_variance(point: PriorPoint, s: float, dim: int):
+    v = s * s + s**4 * point.trace() / dim if s else 0.0
+    return (min(max(v, 0.0), s * s) if isinstance(v, float)
+            else np.minimum(np.maximum(v, 0.0), s * s))
 
 
-def tweedie(
-    prior_H: ScorePrior,
-    prior_D: ScorePrior,
-    H_j: np.ndarray,
-    D_j: np.ndarray,
-    sigma_H: float,
-    sigma_D: float,
-):
+def tweedie(prior_H: ScorePrior, prior_D: ScorePrior, H_j: np.ndarray, D_j: np.ndarray,
+            sigma_H: float, sigma_D: float):
     """Posterior-mean denoising of both latents at their current noise levels.
 
     x_hat = x + sigma^2 * first_order(prior, x, sigma); exact for the
@@ -231,31 +219,21 @@ def tweedie(
             _denoised(D_j, prior_D.at(D_j, sigma_D), sigma_D))
 
 
-def error_variances(
-    prior_H: ScorePrior,
-    prior_D: ScorePrior,
-    H_j: np.ndarray,
-    D_j: np.ndarray,
-    sigma_H: float,
-    sigma_D: float,
-):
-    """Per-entry variances of the Tweedie denoising errors.
+def error_variances(prior_H: ScorePrior, prior_D: ScorePrior, H_j: np.ndarray,
+                    D_j: np.ndarray, sigma_H: float, sigma_D: float):
+    """Per-entry variances of the Tweedie denoising errors (one per user for
+    stacked latents).
 
-    sigma_{0|j}^2 = sigma_j^2 + sigma_j^4 * trace / dim with dim the free
-    entry count; clamped to [0, sigma_j^2]. Exact for Gaussian priors
+    sigma_{0|j}^2 = sigma_j^2 + sigma_j^4 * trace / dim with dim one user's
+    free entry count; clamped to [0, sigma_j^2]. Exact for Gaussian priors
     (conjugate posterior variance)."""
-    return (_error_variance(H_j, prior_H.at(H_j, sigma_H), sigma_H),
-            _error_variance(D_j, prior_D.at(D_j, sigma_D), sigma_D))
+    return (_error_variance(prior_H.at(H_j, sigma_H), sigma_H, prior_H.dim),
+            _error_variance(prior_D.at(D_j, sigma_D), sigma_D, prior_D.dim))
 
 
-def aggregated_noise_variance(
-    lin: Linearization,
-    H0j: np.ndarray,
-    var_H: float,
-    var_D: float,
-    dims: MimoDims,
-) -> float:
-    """Expected per-entry power of the linearization noise.
+def aggregated_noise_variance(lin: Linearization, H0j: np.ndarray, var_H, var_D,
+                              dims: MimoDims):
+    """Expected per-entry power of each user's linearization noise.
 
     The residual model lumps three error terms into extra noise:
     dH * f(D), H_hat * J * dD, and dH * J * dD, with dH block-diagonal
@@ -267,72 +245,54 @@ def aggregated_noise_variance(
 
     with f taken from `lin`, the encoder linearized at the denoised source,
     and both Jacobian norms from `lin.frobenius2`, exact and in closed form.
+    For users stacked on axis 0 it is one value per user; the receiver's
+    aggregated noise is their sum.
     """
-    if var_H < 0 or var_D < 0:
-        raise ValueError("error variances must be non-negative")
-    if var_H == 0.0 and var_D == 0.0:
-        return 0.0
     N_r, K, T = dims.N_r, dims.K, dims.T
     F = lin.value
-    total = var_H * N_r * float(np.sum((F * F.conj()).real))
-    if var_D > 0:
+    total = var_H * N_r * (F * F.conj()).real.reshape(F.shape[:-2] + (-1,)).sum(axis=-1)
+    if isinstance(var_D, np.ndarray) or var_D > 0:  # no norms at sigma_D = 0
         j_frob2, hj_frob2 = lin.frobenius2(H0j)
-        total += var_D * hj_frob2 + var_H * var_D * N_r * j_frob2
+        total = total + (var_D * hj_frob2 + var_H * var_D * N_r * j_frob2)
     return total / (N_r * K * T)
 
 
-def _residual(Y: np.ndarray, channels, signals) -> np.ndarray:
-    """R = Y - sum_i H_i F_i over the users' block channels and signals."""
-    return Y - sum(block_product(H, F) for H, F in zip(channels, signals))
+def _residual(Y: np.ndarray, H: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """R = Y - sum_i H0_i F_i over the users' (N_u, K, N_r, N_t) block channels
+    and (N_u, N_t*K, T) signals, added in user order."""
+    return Y - np.add.accumulate(block_product(H, F))[-1]
 
 
-def likelihood_scores(
-    Y: np.ndarray,
-    lins: Sequence[Linearization],
-    H0j_list: Sequence[np.ndarray],
-    var_dn: float,
-    sigma_n2: float,
-    points_H: Sequence[PriorPoint],
-    points_D: Sequence[PriorPoint],
-    sigma_H: float,
-    sigma_D: float,
-):
-    """Per-user gradients of the calibrated log-likelihood in the latents.
+def likelihood_scores(Y: np.ndarray, lin: Linearization, H0j: np.ndarray, var_dn: float,
+                      sigma_n2: float, point_H: PriorPoint, point_D: PriorPoint,
+                      sigma_H: float, sigma_D: float):
+    """Gradients of the calibrated log-likelihood in every user's latents.
 
     With R = Y - sum_i H0j_i f_i(D0j_i) and s2 = var_dn + sigma_n2, the
-    conjugate-Wirtinger gradient in the denoised channel blocks is
-    R f^H / s2 restricted to block-diagonal support, and the gradient in the
-    denoised source flows through the encoder pullback with cotangent
-    H^H R / s2; lins[i] is user i's encoder linearized at D0j_i. Both are
-    then pulled back through the Tweedie maps x -> x + sigma^2 S(x) by the
-    prior evaluations at the latent points (H_j, D_j), points_H and
-    points_D; at sigma = 0 the map is the identity and the pullback is
-    skipped.
+    conjugate-Wirtinger gradient in user i's denoised channel blocks is
+    R f_i^H / s2 restricted to block-diagonal support, and the gradient in
+    its denoised source flows through the encoder pullback with cotangent
+    H0j_i^H R / s2; `lin` is the encoder linearized at all users' denoised
+    sources and H0j their (N_u, K, N_r, N_t) channels. Both are then pulled
+    back through the Tweedie maps x -> x + sigma^2 S(x) by the prior
+    evaluations at the latent points (H_j, D_j), point_H and point_D; at
+    sigma = 0 the map is the identity and the pullback is skipped.
     """
     s2 = var_dn + sigma_n2
     if s2 <= 0:
         raise ValueError("var_dn + sigma_n2 must be > 0")
-    T = Y.shape[1]
-    R = _residual(Y, H0j_list, [lin.value for lin in lins])
-    grads_H, grads_D = [], []
-    for lin, H0j, pt_H, pt_D in zip(lins, H0j_list, points_H, points_D):
-        K, N_r, N_t = H0j.shape
-        Rb = R.reshape(K, N_r, T)
-        Fb = lin.value.reshape(K, N_t, T)
-        gH = np.einsum("krt,kct->krc", Rb, Fb.conj()) / s2
-        gD = lin(block_adjoint(H0j, R).reshape(lin.value.shape) / s2)
-        grads_H.append(pt_H.chain_vjp(gH) if sigma_H > 0 else gH)
-        grads_D.append(pt_D.chain_vjp(gD) if sigma_D > 0 else gD)
-    return grads_H, grads_D
+    n_u, K, N_r, N_t = H0j.shape
+    F = lin.value
+    R = _residual(Y, H0j, F)
+    gH = np.einsum("krt,ukct->ukrc", R.reshape(K, N_r, -1),
+                   F.reshape(n_u, K, N_t, -1).conj()) / s2
+    gD = lin(block_adjoint(H0j, R) / s2)
+    return (point_H.chain_vjp(gH) if sigma_H > 0 else gH,
+            point_D.chain_vjp(gD) if sigma_D > 0 else gD)
 
 
-def transition_scores(
-    H_next: np.ndarray,
-    H_cur: np.ndarray,
-    D_next: np.ndarray,
-    D_cur: np.ndarray,
-    step: ReverseStep,
-):
+def transition_scores(H_next: np.ndarray, H_cur: np.ndarray, D_next: np.ndarray,
+                      D_cur: np.ndarray, step: ReverseStep):
     """Scores of the forward transition at `step`, evaluated at the samples.
 
     (value_{j+1} - value_j) / (sigma_{j+1}^2 - sigma_j^2), valid for the
@@ -346,27 +306,51 @@ def update_means(mean: np.ndarray, score_avg: np.ndarray, eps: float) -> np.ndar
     return mean + eps * score_avg
 
 
-def _as_list(obj, n_users: int) -> list:
-    if isinstance(obj, (list, tuple)):
-        if len(obj) != n_users:
-            raise ValueError(f"expected {n_users} per-user entries, got {len(obj)}")
-        return list(obj)
-    return [obj] * n_users
+class _PerUser:
+    """Per-user priors or encoders behind the stacked interface: member i is
+    evaluated at row i of axis 0 and the results are joined back along it."""
+
+    def __init__(self, members):
+        self.members = list(members)
+
+    def at(self, x, sigma: float) -> PriorPoint:
+        pts = [p.at(x_i, sigma) for p, x_i in zip(self.members, x[:, None])]
+        return PriorPoint(
+            np.concatenate([pt.score for pt in pts]),
+            lambda: np.hstack([pt.trace() for pt in pts]),
+            lambda c: np.concatenate([pt.chain_vjp(c_i) for pt, c_i in zip(pts, c[:, None])]))
+
+    def linearize(self, d) -> Linearization:
+        lins = [enc.linearize(d_i) for enc, d_i in zip(self.members, d[:, None])]
+        return Linearization(
+            np.concatenate([lin.value for lin in lins]),
+            lambda c: np.concatenate([lin._pull(c_i) for lin, c_i in zip(lins, c[:, None])]),
+            lambda: np.concatenate([lin.jacobian() for lin in lins]),
+            lambda Q: [np.concatenate(v) for v in
+                       zip(*(lin._norms(Q_i) for lin, Q_i in zip(lins, Q[:, None])))])
+
+    def encode(self, d) -> np.ndarray:
+        return self.linearize(d).value
 
 
-def run(
-    Y: np.ndarray,
-    encoders,
-    priors_H,
-    priors_D,
-    dims: MimoDims,
-    config: PvdConfig,
-    rng: np.random.Generator,
-) -> RecoveryResult:
+def _joined(objs, n_users: int):
+    """One object over all users: a single object as it is, a per-user
+    sequence joined by _PerUser (a sequence of one: its entry)."""
+    if not isinstance(objs, (list, tuple)):
+        return objs
+    if len(objs) != n_users:
+        raise ValueError(f"expected {n_users} per-user entries, got {len(objs)}")
+    return objs[0] if n_users == 1 else _PerUser(objs)
+
+
+def run(Y: np.ndarray, encoders, priors_H, priors_D, dims: MimoDims, config: PvdConfig,
+        rng: np.random.Generator) -> RecoveryResult:
     """Full reverse process: recover all users' channels and sources from Y.
 
-    encoders / priors_H / priors_D may be single objects (shared by all
-    users) or per-user sequences. The N_u = 1 case runs the identical code
+    encoders / priors_H / priors_D may each be one object over all users (an
+    encoder with one A per user stacked on axis 0, a prior with stacked
+    anchors, or one shared by all users) or a per-user sequence, which is
+    evaluated member by member. The N_u = 1 case runs the identical code
     path as the multi-user case. The per-step trace is returned in
     `diagnostics`; writing it out is left to the caller.
     """
@@ -379,92 +363,83 @@ def run(
         raise ValueError(f"dims.sigma_n2 must be > 0 (it alone weights the j=0 "
                          f"likelihood), got {dims.sigma_n2!r}")
     n_u = dims.N_u
-    encoders = _as_list(encoders, n_u)
-    priors_H = _as_list(priors_H, n_u)
-    priors_D = _as_list(priors_D, n_u)
-    for enc in encoders:
+    encoder, prior_H, prior_D = (_joined(objs, n_u) for objs in (encoders, priors_H, priors_D))
+    for enc in getattr(encoder, "members", [encoder]):
         if enc.output_shape != dims.signal_shape:
-            raise ValueError(
-                f"encoder output {enc.output_shape} != signal shape {dims.signal_shape}"
-            )
-    for what, priors, domain, dim in (
-            ("channel", priors_H, "complex", dims.K * dims.N_r * dims.N_t),
-            ("source", priors_D, "real", dims.n)):
-        for p in priors:
+            raise ValueError(f"encoder output {enc.output_shape} != signal shape "
+                             f"{dims.signal_shape}")
+    dim_H = dims.K * dims.N_r * dims.N_t
+    for what, prior, domain, dim in (
+            ("channel", prior_H, "complex", dim_H), ("source", prior_D, "real", dims.n)):
+        for p in getattr(prior, "members", [prior]):
             if p.domain != domain or p.dim != dim:
                 raise ValueError(f"{what} prior must be {domain} with {dim} entries, "
                                  f"got {p.domain} with {p.dim}")
 
-    sched_H, sched_D = config.schedule_H, config.schedule_D
-    J = config.J
+    sched_H, sched_D, J = config.schedule_H, config.schedule_D, config.J
     h_shape = (dims.K, dims.N_r, dims.N_t)
-
-    H_latent, D_latent, H_mean, D_mean = [], [], [], []
-    for _ in range(n_u):
-        H_latent.append(complex_normal(rng, h_shape, sched_H.variance(J)))
-        D_latent.append(rng.standard_normal(dims.n) * sched_D.value(J))
-        H_mean.append(complex_normal(rng, h_shape, sched_H.variance(J - 1)))
-        D_mean.append(rng.standard_normal(dims.n) * sched_D.value(J - 1))
+    H_latent, D_latent, H_mean, D_mean = (np.stack(a) for a in zip(*(
+        (complex_normal(rng, h_shape, sched_H.variance(J)),
+         rng.standard_normal(dims.n) * sched_D.value(J),
+         complex_normal(rng, h_shape, sched_H.variance(J - 1)),
+         rng.standard_normal(dims.n) * sched_D.value(J - 1)) for _ in range(n_u))))
 
     diag: list[PvdStepDiag] = []
     for step in config.steps():
         j, sH, sD = step.j, step.sigma_H, step.sigma_D
         for it in range(config.J_in):
-            acc_H = [np.zeros(h_shape, dtype=np.complex128) for _ in range(n_u)]
-            acc_D = [np.zeros(dims.n) for _ in range(n_u)]
+            acc_H = np.zeros(H_mean.shape, dtype=np.complex128)
+            acc_D = np.zeros(D_mean.shape)
             for _ in range(config.L):
                 H_s, D_s = sample_variational(H_mean, D_mean, step, rng)
-                # One prior and one encoder evaluation per user at this sample.
-                pts_H = [p.at(x, sH) for p, x in zip(priors_H, H_s)]
-                pts_D = [p.at(x, sD) for p, x in zip(priors_D, D_s)]
-                H0j = [_denoised(x, pt, sH) for x, pt in zip(H_s, pts_H)]
+                # One prior and one encoder evaluation for all users at this sample.
+                pt_H, pt_D = prior_H.at(H_s, sH), prior_D.at(D_s, sD)
+                H0j, D0j = _denoised(H_s, pt_H, sH), _denoised(D_s, pt_D, sD)
                 try:
-                    lins = [enc.linearize(_denoised(x, pt, sD))
-                            for enc, x, pt in zip(encoders, D_s, pts_D)]
+                    lin = encoder.linearize(D0j)
                 except NonFiniteInputError as exc:  # the samples are finite; the estimate is not
-                    raise PvdDivergenceError(j, it, "Tweedie source estimate") from exc
-                var_dn = 0.0
-                for i in range(n_u):
-                    var_dn += aggregated_noise_variance(
-                        lins[i], H0j[i], _error_variance(H_s[i], pts_H[i], sH),
-                        _error_variance(D_s[i], pts_D[i], sD), dims)
+                    raise PvdDivergenceError(j, it, "Tweedie source estimate",
+                                             _first_bad_user(D0j)) from exc
+                noise = aggregated_noise_variance(
+                    lin, H0j, _error_variance(pt_H, sH, dim_H),
+                    _error_variance(pt_D, sD, dims.n), dims)
+                var_dn = float(np.add.accumulate(noise)[-1])  # summed in user order
                 if not math.isfinite(var_dn):
-                    raise PvdDivergenceError(j, it, "aggregated noise variance")
+                    raise PvdDivergenceError(j, it, "aggregated noise variance",
+                                             _first_bad_user(noise))
                 lik_H, lik_D = likelihood_scores(
-                    Y, lins, H0j, var_dn, dims.sigma_n2, pts_H, pts_D, sH, sD)
-                trans = [transition_scores(H_latent[i], H_s[i], D_latent[i], D_s[i], step)
-                         for i in range(n_u)]
-                for i, (tr_H, tr_D) in enumerate(trans):
-                    acc_H[i] += tr_H + pts_H[i].score + lik_H[i]
-                    acc_D[i] += tr_D + pts_D[i].score + lik_D[i]
-            g_H = [a / config.L for a in acc_H]
-            g_D = [a / config.L for a in acc_D]
-            for i in range(n_u):
-                H_mean[i] = update_means(H_mean[i], g_H[i], step.eps_H)
-                D_mean[i] = update_means(D_mean[i], g_D[i], step.eps_D)
-                if not (np.all(np.isfinite(H_mean[i])) and np.all(np.isfinite(D_mean[i]))):
-                    # Name the first non-finite term of the last sample.
-                    raise PvdDivergenceError(j, it, _first_nonfinite(
-                        ("likelihood score", lik_H[i], lik_D[i]),
-                        ("prior score", pts_H[i].score, pts_D[i].score),
-                        ("transition score", *trans[i])))
+                    Y, lin, H0j, var_dn, dims.sigma_n2, pt_H, pt_D, sH, sD)
+                tr_H, tr_D = transition_scores(H_latent, H_s, D_latent, D_s, step)
+                acc_H += tr_H + pt_H.score + lik_H
+                acc_D += tr_D + pt_D.score + lik_D
+            g_H, g_D = acc_H / config.L, acc_D / config.L
+            H_mean = update_means(H_mean, g_H, step.eps_H)
+            D_mean = update_means(D_mean, g_D, step.eps_D)
+            if not (np.isfinite(H_mean).all() and np.isfinite(D_mean).all()):
+                u = _first_bad_user(H_mean, D_mean)
+                # Name the first non-finite term of the last sample.
+                raise PvdDivergenceError(j, it, _first_nonfinite(
+                    ("likelihood score", lik_H[u], lik_D[u]),
+                    ("prior score", pt_H.score[u], pt_D.score[u]),
+                    ("transition score", tr_H[u], tr_D[u])), u)
         # Algorithm carry: latents take the refined means into step j-1. The
         # means are rebound, never written in place, so no copy is needed.
-        H_latent, D_latent = list(H_mean), list(D_mean)
+        H_latent, D_latent = H_mean, D_mean
         diag.append(PvdStepDiag(
             j=j, sigma_H=sH, sigma_D=sD,
-            residual=float(np.linalg.norm(_residual(
-                Y, H_mean, [enc.encode(D) for enc, D in zip(encoders, D_mean)]))),
-            grad_norm_H=float(np.linalg.norm(np.stack(g_H))),
-            grad_norm_D=float(np.linalg.norm(np.stack(g_D))),
+            residual=float(np.linalg.norm(_residual(Y, H_mean, encoder.encode(D_mean)))),
+            grad_norm_H=float(np.linalg.norm(g_H)),
+            grad_norm_D=float(np.linalg.norm(g_D)),
         ))
 
-    return RecoveryResult(
-        channels=np.stack(H_mean),
-        sources=np.stack(D_mean),
-        residual=diag[-1].residual,
-        diagnostics=diag,
-    )
+    return RecoveryResult(channels=H_mean, sources=D_mean, residual=diag[-1].residual,
+                          diagnostics=diag)
+
+
+def _first_bad_user(*arrays) -> int | None:
+    """The first user (row of axis 0) with a non-finite entry in any of `arrays`."""
+    bad = np.any([~np.isfinite(a).reshape(len(a), -1).all(axis=1) for a in arrays], axis=0)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def _first_nonfinite(*terms) -> str:

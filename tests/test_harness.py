@@ -307,6 +307,22 @@ def test_average_power_calibration_matches_per_draw_loop():
     assert abs(power / (2.5 * rows * cols) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("P", [1.0, 4.0])
+def test_pilot_chain_saturating_data_symbols_have_power_P(P):
+    # exact power mode: the pilot chain's tanh data encoder is normalized to
+    # P like the pilots, not left at the tanh map's own power
+    from pvdmimo import harness
+    raw = tiny_config(encoder={"type": "saturating", "gain": 0.7})
+    raw["dims"] = dict(raw["dims"], P=P)
+    cfg = ExperimentConfig.from_dict(raw)
+    link = harness._build_link(cfg)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        X = link.pilot_encoder.encode(cfg.source.sample(rng))
+        assert np.mean(np.abs(X) ** 2) == pytest.approx(P, rel=1e-12)
+    assert np.mean(np.abs(cfg.pilots) ** 2) == pytest.approx(P, rel=1e-12)
+
+
 def test_validate_source_draw_truth_rejected():
     cfg = tiny_config(source_draw={"type": "gaussian", "mean": "truth", "var": 1.0})
     out = validate_dict(cfg)

@@ -285,11 +285,11 @@ def test_run_matches_reference_loop(n_u, L, source, norms):
 def test_run_evaluates_each_prior_and_encoder_once_per_point():
     rng = np.random.default_rng(3)
     dims = MimoDims(N_r=2, N_t=1, K=1, T=4, N_u=2, n=3, P=1.0, sigma_n2=0.1)
-    bases = [SaturatingEncoder(complex_normal(rng, (4, 3)), 0.8, dims.signal_shape)
-             for _ in range(2)]
+    base = SaturatingEncoder(np.stack([complex_normal(rng, (4, 3)) for _ in range(2)]), 0.8,
+                             dims.signal_shape)
     prior_H = GaussianPrior(np.zeros((1, 2, 1), complex), 1.0, "complex")
     prior_D = GaussianMixturePrior(np.stack([np.ones(3), -np.ones(3)]), 0.25, [0.5, 0.5])
-    calls = {"H": 0, "D": 0, 0: 0, 1: 0}
+    calls = {"H": 0, "D": 0, "encoder": 0}
 
     def counting(key, fn):
         def wrapped(*args):
@@ -299,13 +299,13 @@ def test_run_evaluates_each_prior_and_encoder_once_per_point():
 
     prior_H.at = counting("H", prior_H.at)
     prior_D.at = counting("D", prior_D.at)
-    for i, base in enumerate(bases):
-        base._check_input = counting(i, base._check_input)
+    base._check_input = counting("encoder", base._check_input)
     sched = NoiseSchedule(0.01, 2.0, 3)
     cfg = PvdConfig(schedule_H=sched, schedule_D=sched, J_in=2, L=2)
-    run(complex_normal(rng, dims.output_shape), [PowerNormalizedEncoder(b, 1.0) for b in bases],
+    run(complex_normal(rng, dims.output_shape), PowerNormalizedEncoder(base, 1.0),
         prior_H, prior_D, dims, cfg, rng)
     points = cfg.J * cfg.J_in * cfg.L
-    assert calls["H"] == calls["D"] == points * dims.N_u
+    # one evaluation per point for both users together
+    assert calls["H"] == calls["D"] == points
     # one check per point, plus the residual's encode once per reverse step
-    assert calls[0] == calls[1] == points + cfg.J
+    assert calls["encoder"] == points + cfg.J

@@ -262,6 +262,21 @@ def test_prior_validation():
         GaussianMixturePrior(np.zeros((2, 2)), 1.0, [1.5, -0.5], "real")
 
 
+def test_prior_rejects_shapes_off_its_event_shape():
+    with pytest.raises(ValueError, match="mean has shape"):
+        GaussianPrior(np.zeros((2, 4)), 1.0, "real", shape=(3,))
+    with pytest.raises(ValueError, match="mean has shape"):
+        GaussianPrior(np.zeros((2, 2, 3)), 1.0, "real", shape=(3,))  # two leading axes
+    anchored = GaussianPrior(np.zeros((2, 3)), 1.0, "real", shape=(3,))
+    assert anchored.shape == (3,) and anchored.dim == 3
+    mix = GaussianMixturePrior(np.zeros((2, 3)), 1.0, [0.5, 0.5], "real")
+    for prior in (GaussianPrior(np.zeros(3), 1.0, "real"), anchored, mix):
+        for x in (np.zeros(4), np.zeros((2, 4)), np.zeros((2, 2, 3)), np.zeros(())):
+            with pytest.raises(ValueError, match="x has shape"):
+                prior.at(x, 0.5)
+        assert prior.at(np.zeros((2, 3)), 0.5).score.shape == (2, 3)
+
+
 def test_sampling_statistics():
     rng = np.random.default_rng(46)
     g = GaussianPrior(np.full(4, 2.0), 0.25, "real")

@@ -16,6 +16,7 @@ from pvdmimo.pvd import (
     PvdConfig,
     PvdDivergenceError,
     ReverseStep,
+    _PerUser,
     aggregated_noise_variance,
     error_variances,
     likelihood_scores,
@@ -167,8 +168,8 @@ def test_sampling_deterministic_at_infinite_precision():
 
 
 def test_sampling_variance():
-    H_mean = [np.zeros((1, 100, 100), dtype=complex)]
-    D_mean = [np.zeros(10_000)]
+    H_mean = np.zeros((1, 1, 100, 100), dtype=complex)
+    D_mean = np.zeros((1, 10_000))
     rng = np.random.default_rng(1)
     H_all, D_all = [], []
     for _ in range(10):
@@ -183,7 +184,7 @@ def test_sampling_variance():
 
 
 def test_sampling_reproducible():
-    means = ([np.zeros((1, 2, 1), dtype=complex)], [np.zeros(3)])
+    means = (np.zeros((1, 1, 2, 1), dtype=complex), np.zeros((1, 3)))
     a = sample_variational(*means, _step(), np.random.default_rng(5))
     b = sample_variational(*means, _step(), np.random.default_rng(5))
     assert np.array_equal(a[0][0], b[0][0]) and np.array_equal(a[1][0], b[1][0])
@@ -229,6 +230,19 @@ def test_error_variances_zero_noise():
     pD = GaussianPrior(np.zeros(2), 1.0, "real")
     assert error_variances(pH, pD, np.zeros((1, 1, 1), complex), np.zeros(2), 0.0, 0.0) \
         == (0.0, 0.0)
+
+
+def test_error_variances_divide_by_one_users_entries():
+    # three stacked users: each gets the one-user variance, not one diluted
+    # by the entry count of all three
+    rng = np.random.default_rng(4)
+    pH = GaussianPrior(np.zeros((1, 2, 2), complex), 1.0, "complex")
+    mix = GaussianMixturePrior(rng.normal(size=(3, 4)), 0.2, [0.4, 0.3, 0.3], "real")
+    H, D = np.zeros((3, 1, 2, 2), complex), rng.normal(size=(3, 4)) * 2
+    vH, vD = error_variances(pH, mix, H, D, 1.0, 0.7)
+    assert vH == pytest.approx(0.5, abs=1e-12)
+    for i in range(3):
+        assert vD[i] == error_variances(pH, mix, H[i], D[i], 1.0, 0.7)[1]
 
 
 def test_error_variances_clamped():
@@ -327,15 +341,16 @@ def test_aggregated_noise_hutchinson_close_to_exact():
 def _at_sigma_zero(H, D):
     """Prior evaluations and noise levels at sigma = 0, where the Tweedie maps
     are the identity: the likelihood gradients come out unchained."""
-    return ([GaussianPrior(np.zeros_like(H), 1.0, "complex").at(H, 0.0)],
-            [GaussianPrior(np.zeros_like(D), 1.0, "real").at(D, 0.0)], 0.0, 0.0)
+    return (GaussianPrior(np.zeros_like(H), 1.0, "complex").at(H[None], 0.0),
+            GaussianPrior(np.zeros_like(D), 1.0, "real").at(D[None], 0.0), 0.0, 0.0)
 
 
 def test_likelihood_scores_zero_residual():
     rng = np.random.default_rng(7)
     dims, enc, H, D = _small_scene(rng)
     Y = np.einsum("krc,kct->krt", H, enc.encode(D).reshape(1, 1, 5)).reshape(2, 5)
-    gH, gD = likelihood_scores(Y, [enc.linearize(D)], [H], 0.0, 1.0, *_at_sigma_zero(H, D))
+    gH, gD = likelihood_scores(Y, enc.linearize(D[None]), H[None], 0.0, 1.0,
+                               *_at_sigma_zero(H, D))
     assert np.allclose(gH[0], 0.0, atol=1e-12)
     assert np.allclose(gD[0], 0.0, atol=1e-12)
 
@@ -346,7 +361,8 @@ def test_likelihood_scores_scalar_hand():
     Y = np.array([[2.0 + 0j]])
     H = np.ones((1, 1, 1), dtype=complex)
     D = np.array([1.0])
-    gH, gD = likelihood_scores(Y, [enc.linearize(D)], [H], 0.0, 1.0, *_at_sigma_zero(H, D))
+    gH, gD = likelihood_scores(Y, enc.linearize(D[None]), H[None], 0.0, 1.0,
+                               *_at_sigma_zero(H, D))
     assert np.allclose(gH[0], 1.0)
     # grad_D = vjp(H^H R / s2) = 2 Re(conj(1) * 1) = 2
     assert np.allclose(gD[0], 2.0)
@@ -378,8 +394,8 @@ def test_likelihood_scores_match_fd(s_H, s_D):
         return -np.linalg.norm(R) ** 2 / s2
 
     H0, D0 = tweedie(pH, pD, H_j, D_j, s_H, s_D)
-    gH, gD = likelihood_scores(Y, [enc.linearize(D0)], [H0], var_dn, sn2,
-                               [pH.at(H_j, s_H)], [pD.at(D_j, s_D)], s_H, s_D)
+    gH, gD = likelihood_scores(Y, enc.linearize(D0[None]), H0[None], var_dn, sn2,
+                               pH.at(H_j[None], s_H), pD.at(D_j[None], s_D), s_H, s_D)
 
     h = 1e-5
     fdH = np.zeros_like(H_j)
@@ -432,12 +448,11 @@ def test_likelihood_scores_match_fd_over_shapes(n_u, shape, kind, sigma_zero, se
                                   enc.encode(D0).reshape(K, N_t, T)).reshape(N_r * K, T)
         return -np.linalg.norm(Y - fit) ** 2 / (var_dn + sn2)
 
-    pts_H = [pH.at(Hj, s_H) for pH, Hj in zip(pHs, H_j)]
-    pts_D = [pD.at(Dj, s_D) for pD, Dj in zip(pDs, D_j)]
-    H0 = [Hj if s_H == 0 else Hj + s_H**2 * pt.score for Hj, pt in zip(H_j, pts_H)]
-    lins = [enc.linearize(Dj if s_D == 0 else Dj + s_D**2 * pt.score)
-            for enc, Dj, pt in zip(encs, D_j, pts_D)]
-    gH, gD = likelihood_scores(Y, lins, H0, var_dn, sn2, pts_H, pts_D, s_H, s_D)
+    pt_H, pt_D = _PerUser(pHs).at(np.stack(H_j), s_H), _PerUser(pDs).at(np.stack(D_j), s_D)
+    H0 = np.stack(H_j) if s_H == 0 else np.stack(H_j) + s_H**2 * pt_H.score
+    D0 = np.stack(D_j) if s_D == 0 else np.stack(D_j) + s_D**2 * pt_D.score
+    lin = _PerUser(encs).linearize(D0)
+    gH, gD = likelihood_scores(Y, lin, H0, var_dn, sn2, pt_H, pt_D, s_H, s_D)
 
     def shifted(latents, i, e):
         return [x + e if u == i else x for u, x in enumerate(latents)]
