@@ -38,14 +38,17 @@ class MimoDims:
     sigma_n2: float = 0.0
 
     def __post_init__(self):
-        for name in ("N_r", "N_t", "K", "T", "N_u", "n"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        # every bad field, in one ValueError of '; '-joined faults
+        v = vars(self)
+        faults = [f"{k} must be a positive integer, got {v[k]!r}"
+                  for k in ("N_r", "N_t", "K", "T", "N_u", "n")
+                  if not isinstance(v[k], numbers.Integral) or v[k] < 1]
         if self.P <= 0:
-            raise ValueError(f"P must be > 0, got {self.P!r}")
+            faults.append(f"P must be > 0, got {self.P!r}")
         if self.sigma_n2 < 0:
-            raise ValueError(f"sigma_n2 must be >= 0, got {self.sigma_n2!r}")
+            faults.append(f"sigma_n2 must be >= 0, got {self.sigma_n2!r}")
+        if faults:
+            raise ValueError("; ".join(faults))
 
     @property
     def signal_shape(self) -> tuple[int, int]:
@@ -145,6 +148,12 @@ def block_adjoint(blocks: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.einsum("...krc,krt->...kct", blocks.conj(), Yb).reshape(*lead, K * N_t, -1)
 
 
+def superpose(H: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_i H0_i X_i over the users' (N_u, K, N_r, N_t) channels and
+    (N_u, N_t*K, T) signals, added in user order."""
+    return np.add.accumulate(block_product(H, X))[-1]
+
+
 def apply_channel(H: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Noiseless H0 @ X computed block-wise from one user's (K, N_r, N_t)
     blocks; X is (N_t*K, T)."""
@@ -173,9 +182,7 @@ def transmit(
                          "(N_u, K, N_r, N_t) and (N_u, N_t*K, T)")
     if sigma_n2 < 0:
         raise ValueError("sigma_n2 must be >= 0")
-    Y = apply_channel(H[0], X[0])
-    for H_i, X_i in zip(H[1:], X[1:]):
-        Y = Y + apply_channel(H_i, X_i)
+    Y = superpose(H, X)
     if sigma_n2 > 0:
         Y = Y + complex_normal(rng, Y.shape, sigma_n2)
     return Y

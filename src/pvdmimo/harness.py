@@ -208,9 +208,10 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
         except TypeError:
             problems.append(f"{path}: must be a number")
         except (ValueError, IndexError) as exc:
-            head, _, rest = str(exc).partition(" ")
-            problems.append(f"{path.split('.')[0]}.{head}: {rest}" if head in fields
-                            else f"{path}: {exc}")
+            for fault in str(exc).split("; "):  # MimoDims reports all its faults at once
+                head, _, rest = fault.partition(" ")
+                problems.append(f"{path.split('.')[0]}.{head}: {rest}" if head in fields
+                                else f"{path}: {fault}")
         return None
 
     parts: dict = {"kron": None, "pilots": None}
@@ -336,11 +337,11 @@ def load_config(path) -> dict:
 _CALIBRATION_DRAWS = 256
 
 
-def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], stream: int,
-                  cal_stream: int, exact: bool, users: int = 1) -> Encoder:
+def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], cal_stream: int,
+                  exact: bool, users: int = 1) -> Encoder:
     """One encoder over `users` users, each held to the power budget P: user
-    i's matrix, drawn from seed stream `stream` + i, on axis 0 of A (an
-    encoder file's A is shared by all).
+    i's matrix, drawn from seed stream i, on axis 0 of A (an encoder file's
+    A is shared by all).
 
     exact: per-realization normalization, part of the map the receiver
     differentiates. Otherwise a linear encoder gets, per user, the fixed
@@ -357,7 +358,7 @@ def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], stream: int
                 f"encoder file shape {base.output_shape}/{base.input_dim} does not match "
                 f"{out_shape}/{n}")
     else:  # the parse checks m == n for 'identity'
-        rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0xE2C0DE, stream + i]))
+        rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0xE2C0DE, i]))
                 for i in range(users)]
         As = [np.eye(m, dtype=np.complex128) if spec["init"] == "identity"
               else complex_normal(rng, (m, n), 1.0) / np.sqrt(n) for rng in rngs]
@@ -392,11 +393,11 @@ class _Link:
 def _build_link(cfg: ExperimentConfig) -> _Link:
     raw, dims = cfg.raw, cfg.dims
     exact = raw["power_mode"] == "exact"
-    link = _Link(_link_encoder(cfg, dims.signal_shape, 0, 1, exact, dims.N_u))
+    link = _Link(_link_encoder(cfg, dims.signal_shape, 1, exact, dims.N_u))
     if cfg.pilots is not None:
         # Calibrated in either power mode, so a linear map decodes in closed form.
         link.pilot_encoder = _link_encoder(
-            cfg, (dims.N_t * dims.K, dims.T - cfg.pilots.shape[1]), 0, 0, exact=False)
+            cfg, (dims.N_t * dims.K, dims.T - cfg.pilots.shape[1]), 0, exact=False)
         prior = raw["prior_source"]
         if isinstance(link.pilot_encoder, LinearEncoder) and prior["type"] == "gaussian" \
                 and not isinstance(prior.get("mean"), str):

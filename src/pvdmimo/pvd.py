@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import MimoDims, block_adjoint, block_product, complex_normal
+from .channel import MimoDims, block_adjoint, complex_normal, superpose
 from .encoder import Linearization, NonFiniteInputError
 from .priors import PriorPoint, ScorePrior
 
@@ -257,12 +257,6 @@ def aggregated_noise_variance(lin: Linearization, H0j: np.ndarray, var_H, var_D,
     return total / (N_r * K * T)
 
 
-def _residual(Y: np.ndarray, H: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """R = Y - sum_i H0_i F_i over the users' (N_u, K, N_r, N_t) block channels
-    and (N_u, N_t*K, T) signals, added in user order."""
-    return Y - np.add.accumulate(block_product(H, F))[-1]
-
-
 def likelihood_scores(Y: np.ndarray, lin: Linearization, H0j: np.ndarray, var_dn: float,
                       sigma_n2: float, point_H: PriorPoint, point_D: PriorPoint,
                       sigma_H: float, sigma_D: float):
@@ -283,7 +277,7 @@ def likelihood_scores(Y: np.ndarray, lin: Linearization, H0j: np.ndarray, var_dn
         raise ValueError("var_dn + sigma_n2 must be > 0")
     n_u, K, N_r, N_t = H0j.shape
     F = lin.value
-    R = _residual(Y, H0j, F)
+    R = Y - superpose(H0j, F)
     gH = np.einsum("krt,ukct->ukrc", R.reshape(K, N_r, -1),
                    F.reshape(n_u, K, N_t, -1).conj()) / s2
     gD = lin(block_adjoint(H0j, R) / s2)
@@ -306,53 +300,27 @@ def update_means(mean: np.ndarray, score_avg: np.ndarray, eps: float) -> np.ndar
     return mean + eps * score_avg
 
 
-class _PerUser:
-    """Per-user priors or encoders behind the stacked interface: member i is
-    evaluated at row i of axis 0 and the results are joined back along it."""
-
-    def __init__(self, members):
-        self.members = list(members)
-
-    def at(self, x, sigma: float) -> PriorPoint:
-        pts = [p.at(x_i, sigma) for p, x_i in zip(self.members, x[:, None])]
-        return PriorPoint(
-            np.concatenate([pt.score for pt in pts]),
-            lambda: np.hstack([pt.trace() for pt in pts]),
-            lambda c: np.concatenate([pt.chain_vjp(c_i) for pt, c_i in zip(pts, c[:, None])]))
-
-    def linearize(self, d) -> Linearization:
-        lins = [enc.linearize(d_i) for enc, d_i in zip(self.members, d[:, None])]
-        return Linearization(
-            np.concatenate([lin.value for lin in lins]),
-            lambda c: np.concatenate([lin._pull(c_i) for lin, c_i in zip(lins, c[:, None])]),
-            lambda: np.concatenate([lin.jacobian() for lin in lins]),
-            lambda Q: [np.concatenate(v) for v in
-                       zip(*(lin._norms(Q_i) for lin, Q_i in zip(lins, Q[:, None])))])
-
-    def encode(self, d) -> np.ndarray:
-        return self.linearize(d).value
-
-
-def _joined(objs, n_users: int):
-    """One object over all users: a single object as it is, a per-user
-    sequence joined by _PerUser (a sequence of one: its entry)."""
+def _one(objs, what: str):
+    """The one object over all users that `objs` is (a sequence of one: its entry)."""
     if not isinstance(objs, (list, tuple)):
         return objs
-    if len(objs) != n_users:
-        raise ValueError(f"expected {n_users} per-user entries, got {len(objs)}")
-    return objs[0] if n_users == 1 else _PerUser(objs)
+    if len(objs) != 1:
+        raise ValueError(f"pass one {what} for all users, stacked on axis 0, not a "
+                         f"sequence of {len(objs)}")
+    return objs[0]
 
 
-def run(Y: np.ndarray, encoders, priors_H, priors_D, dims: MimoDims, config: PvdConfig,
+def run(Y: np.ndarray, encoder, prior_H, prior_D, dims: MimoDims, config: PvdConfig,
         rng: np.random.Generator) -> RecoveryResult:
     """Full reverse process: recover all users' channels and sources from Y.
 
-    encoders / priors_H / priors_D may each be one object over all users (an
-    encoder with one A per user stacked on axis 0, a prior with stacked
-    anchors, or one shared by all users) or a per-user sequence, which is
-    evaluated member by member. The N_u = 1 case runs the identical code
-    path as the multi-user case. The per-step trace is returned in
-    `diagnostics`; writing it out is left to the caller.
+    encoder / prior_H / prior_D are each one object over all users: an
+    encoder with one A per user stacked on axis 0 (or one shared A), a prior
+    with one anchor per user stacked on axis 0 or one shared by all users. A
+    sequence of one stands for its entry; a longer one is refused. The
+    N_u = 1 case runs the identical code path as the multi-user case. The
+    per-step trace is returned in `diagnostics`; writing it out is left to
+    the caller.
     """
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.shape != dims.output_shape:
@@ -363,18 +331,17 @@ def run(Y: np.ndarray, encoders, priors_H, priors_D, dims: MimoDims, config: Pvd
         raise ValueError(f"dims.sigma_n2 must be > 0 (it alone weights the j=0 "
                          f"likelihood), got {dims.sigma_n2!r}")
     n_u = dims.N_u
-    encoder, prior_H, prior_D = (_joined(objs, n_u) for objs in (encoders, priors_H, priors_D))
-    for enc in getattr(encoder, "members", [encoder]):
-        if enc.output_shape != dims.signal_shape:
-            raise ValueError(f"encoder output {enc.output_shape} != signal shape "
-                             f"{dims.signal_shape}")
+    encoder = _one(encoder, "encoder")
+    prior_H, prior_D = _one(prior_H, "channel prior"), _one(prior_D, "source prior")
+    if encoder.output_shape != dims.signal_shape:
+        raise ValueError(f"encoder output {encoder.output_shape} != signal shape "
+                         f"{dims.signal_shape}")
     dim_H = dims.K * dims.N_r * dims.N_t
     for what, prior, domain, dim in (
             ("channel", prior_H, "complex", dim_H), ("source", prior_D, "real", dims.n)):
-        for p in getattr(prior, "members", [prior]):
-            if p.domain != domain or p.dim != dim:
-                raise ValueError(f"{what} prior must be {domain} with {dim} entries, "
-                                 f"got {p.domain} with {p.dim}")
+        if prior.domain != domain or prior.dim != dim:
+            raise ValueError(f"{what} prior must be {domain} with {dim} entries, "
+                             f"got {prior.domain} with {prior.dim}")
 
     sched_H, sched_D, J = config.schedule_H, config.schedule_D, config.J
     h_shape = (dims.K, dims.N_r, dims.N_t)
@@ -427,7 +394,7 @@ def run(Y: np.ndarray, encoders, priors_H, priors_D, dims: MimoDims, config: Pvd
         H_latent, D_latent = H_mean, D_mean
         diag.append(PvdStepDiag(
             j=j, sigma_H=sH, sigma_D=sD,
-            residual=float(np.linalg.norm(_residual(Y, H_mean, encoder.encode(D_mean)))),
+            residual=float(np.linalg.norm(Y - superpose(H_mean, encoder.encode(D_mean)))),
             grad_norm_H=float(np.linalg.norm(g_H)),
             grad_norm_D=float(np.linalg.norm(g_D)),
         ))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pvdmimo.channel import (
     MimoDims,
+    apply_channel,
     block_adjoint,
     block_product,
     complex_normal,
@@ -25,6 +26,9 @@ def test_dims_validation():
         MimoDims(N_r=1, N_t=1, K=1, T=1, P=0.0)
     with pytest.raises(ValueError):
         MimoDims(N_r=1, N_t=1, K=1, T=1, sigma_n2=-1.0)
+    with pytest.raises(ValueError, match="^N_r must be a positive integer, got 0; "
+                                         "n must be a positive integer, got 0; P must be > 0"):
+        MimoDims(N_r=0, N_t=1, K=1, T=1, n=0, P=0.0)  # every fault, not the first
     d = MimoDims(N_r=2, N_t=3, K=4, T=5, N_u=2, n=7)
     assert d.signal_shape == (12, 5)
     assert d.output_shape == (8, 5)
@@ -219,6 +223,19 @@ def test_transmit_is_the_sum_of_compound_products(dims, seed):
     ref = sum(compound(H[u]) @ X[u] for u in range(dims.N_u))
     assert Y.shape == dims.output_shape
     assert np.allclose(Y, ref, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=_links(), seed=seeds)
+def test_transmit_adds_the_users_in_order_bit_for_bit(dims, seed):
+    # the per-user loop of one apply_channel per user, summed left to right
+    rng = np.random.default_rng(seed)
+    H = draw_rayleigh(dims, rng)
+    X = complex_normal(rng, (dims.N_u,) + dims.signal_shape)
+    ref = apply_channel(H[0], X[0])
+    for H_i, X_i in zip(H[1:], X[1:]):
+        ref = ref + apply_channel(H_i, X_i)
+    assert np.array_equal(transmit(H, X, 0.0, rng), ref)
 
 
 @settings(max_examples=60, deadline=None)

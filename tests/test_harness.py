@@ -300,7 +300,7 @@ def test_average_power_calibration_matches_per_draw_loop():
     raw["dims"] = dict(raw["dims"], K=2, P=2.5)
     cfg = ExperimentConfig.from_dict(raw)
     rows, cols = cfg.dims.signal_shape
-    enc = harness._link_encoder(cfg, (rows, cols), 0, 1, exact=False)
+    enc = harness._link_encoder(cfg, (rows, cols), 1, exact=False)
     rng = np.random.default_rng(np.random.SeedSequence([2024, 0xCA11B, 1]))
     power = np.mean([np.linalg.norm(enc.encode(cfg.source.sample(rng))) ** 2
                      for _ in range(256)])
@@ -384,6 +384,14 @@ def test_validate_rejects_what_the_run_would_fail_on(override, problem):
 def test_validate_reports_prior_variance_at_its_key(key, spec):
     # was "<key>: var0 must be > 0", named after the constructor's argument
     assert validate_dict(tiny_config(**{key: spec})) == [f"{key}.var: must be > 0"]
+
+
+def test_validate_reports_every_bad_dims_field():
+    # MimoDims used to stop at its first fault: only dims.N_r was reported
+    cfg = tiny_config(dims=dict(tiny_config()["dims"], N_r=0, n=0, P=-1.0))
+    assert validate_dict(cfg) == ["dims.N_r: must be a positive integer, got 0",
+                                  "dims.n: must be a positive integer, got 0",
+                                  "dims.P: must be > 0, got -1.0"]
 
 
 def test_run_rejects_bad_link_instead_of_flagging_rows():

@@ -247,20 +247,24 @@ def reference_run(Y, encoders, priors_H, priors_D, dims, config, rng):
     return H_mean, D_mean, diag
 
 
-# norms: the exact closed forms of Linearization.frobenius2, the only path
-@pytest.mark.parametrize("norms", ["exact"])
+def _encoder(kind, A, shape, P):
+    base = (SaturatingEncoder(A, 0.8, shape) if kind.endswith("saturating")
+            else LinearEncoder(A, shape))
+    return PowerNormalizedEncoder(base, P) if kind.startswith("pn-") else base
+
+
+@pytest.mark.parametrize("kind", ["linear", "saturating", "pn-linear", "pn-saturating"])
 @pytest.mark.parametrize("source", ["gaussian", "mixture"])
 @pytest.mark.parametrize("L", [1, 2])
 @pytest.mark.parametrize("n_u", [1, 3])
-def test_run_matches_reference_loop(n_u, L, source, norms):
+def test_run_matches_reference_loop(n_u, L, source, kind):
+    # run gets one encoder with the users' matrices stacked on axis 0; the
+    # reference loop gets one encoder per user, built from the same rows
     rng = np.random.default_rng(100 + 10 * n_u + L)
     dims = MimoDims(N_r=3, N_t=2, K=2, T=3, N_u=n_u, n=4, P=1.0, sigma_n2=0.05)
     shape = dims.signal_shape
-    encoders = []
-    for i in range(n_u):
-        A = complex_normal(rng, (shape[0] * shape[1], dims.n)) / 2.0
-        base = SaturatingEncoder(A, 0.8, shape) if i % 2 else LinearEncoder(A, shape)
-        encoders.append(base if i == 1 else PowerNormalizedEncoder(base, dims.P))
+    A = complex_normal(rng, (n_u, shape[0] * shape[1], dims.n)) / 2.0
+    encoder = _encoder(kind, A, shape, dims.P)
     prior_H = GaussianPrior(np.zeros((dims.K, dims.N_r, dims.N_t), complex), 1.0, "complex")
     prior_D = (GaussianPrior(np.zeros(dims.n), 1.0, "real") if source == "gaussian"
                else GaussianMixturePrior(np.stack([np.ones(dims.n), -np.ones(dims.n)]),
@@ -271,8 +275,9 @@ def test_run_matches_reference_loop(n_u, L, source, norms):
     cfg = PvdConfig(schedule_H=NoiseSchedule(0.01, 2.0, 4),
                     schedule_D=NoiseSchedule(0.02, 1.5, 4), J_in=3, L=L,
                     zeta_H=0.06, zeta_D=0.05)
-    res = run(Y, encoders, prior_H, prior_D, dims, cfg, np.random.default_rng(7))
-    H, D, diag = reference_run(Y, encoders, [prior_H] * n_u, [prior_D] * n_u, dims, cfg,
+    res = run(Y, encoder, prior_H, prior_D, dims, cfg, np.random.default_rng(7))
+    H, D, diag = reference_run(Y, [_encoder(kind, A_i, shape, dims.P) for A_i in A],
+                               [prior_H] * n_u, [prior_D] * n_u, dims, cfg,
                                np.random.default_rng(7))
     assert res.channels.shape == (n_u, dims.K, dims.N_r, dims.N_t)
     assert res.sources.shape == (n_u, dims.n)

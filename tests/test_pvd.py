@@ -16,7 +16,6 @@ from pvdmimo.pvd import (
     PvdConfig,
     PvdDivergenceError,
     ReverseStep,
-    _PerUser,
     aggregated_noise_variance,
     error_variances,
     likelihood_scores,
@@ -426,15 +425,18 @@ def test_likelihood_scores_match_fd_over_shapes(n_u, shape, kind, sigma_zero, se
     K, N_r, N_t, T, n = shape
     rng = np.random.default_rng(seed)
     s_H, s_D = (0.0 if zero else float(rng.uniform(0.2, 1.5)) for zero in sigma_zero)
-    encs, pHs, pDs = [], [], []
-    for _ in range(n_u):
-        A = complex_normal(rng, (N_t * K * T, n)) / math.sqrt(n)
+
+    def encoder(A):
         base = (SaturatingEncoder(A, 0.7, (N_t * K, T)) if kind.endswith("saturating")
                 else LinearEncoder(A, (N_t * K, T)))
-        encs.append(PowerNormalizedEncoder(base, 1.0) if kind.startswith("pn-") else base)
-        pHs.append(GaussianMixturePrior(complex_normal(rng, (2, K, N_r, N_t)), 0.8,
-                                        [0.5, 0.5], "complex"))
-        pDs.append(GaussianMixturePrior(rng.normal(size=(2, n)), 0.7, [0.4, 0.6], "real"))
+        return PowerNormalizedEncoder(base, 1.0) if kind.startswith("pn-") else base
+
+    # one encoder with the users' matrices on axis 0 and one prior per domain
+    # for all users; the objective evaluates them user by user
+    A = complex_normal(rng, (n_u, N_t * K * T, n)) / math.sqrt(n)
+    enc, encs = encoder(A), [encoder(A_i) for A_i in A]
+    pH = GaussianMixturePrior(complex_normal(rng, (2, K, N_r, N_t)), 0.8, [0.5, 0.5], "complex")
+    pD = GaussianMixturePrior(rng.normal(size=(2, n)), 0.7, [0.4, 0.6], "real")
     H_j = [complex_normal(rng, (K, N_r, N_t)) for _ in range(n_u)]
     D_j = [rng.standard_normal(n) for _ in range(n_u)]
     Y = complex_normal(rng, (N_r * K, T))
@@ -442,16 +444,16 @@ def test_likelihood_scores_match_fd_over_shapes(n_u, shape, kind, sigma_zero, se
 
     def objective(Hs, Ds):
         fit = 0
-        for enc, pH, pD, Hj, Dj in zip(encs, pHs, pDs, Hs, Ds):
+        for enc_i, Hj, Dj in zip(encs, Hs, Ds):
             H0, D0 = tweedie(pH, pD, Hj, Dj, s_H, s_D)
             fit = fit + np.einsum("krc,kct->krt", H0,
-                                  enc.encode(D0).reshape(K, N_t, T)).reshape(N_r * K, T)
+                                  enc_i.encode(D0).reshape(K, N_t, T)).reshape(N_r * K, T)
         return -np.linalg.norm(Y - fit) ** 2 / (var_dn + sn2)
 
-    pt_H, pt_D = _PerUser(pHs).at(np.stack(H_j), s_H), _PerUser(pDs).at(np.stack(D_j), s_D)
+    pt_H, pt_D = pH.at(np.stack(H_j), s_H), pD.at(np.stack(D_j), s_D)
     H0 = np.stack(H_j) if s_H == 0 else np.stack(H_j) + s_H**2 * pt_H.score
     D0 = np.stack(D_j) if s_D == 0 else np.stack(D_j) + s_D**2 * pt_D.score
-    lin = _PerUser(encs).linearize(D0)
+    lin = enc.linearize(D0)
     gH, gD = likelihood_scores(Y, lin, H0, var_dn, sn2, pt_H, pt_D, s_H, s_D)
 
     def shifted(latents, i, e):
@@ -617,6 +619,26 @@ def test_run_single_user_bitwise_equals_n_u_1_lists():
     assert np.array_equal(res_scalar.sources[0], res_list.sources[0])
 
 
+def test_run_refuses_per_user_sequences_before_any_draw():
+    # one object stacked on axis 0 is the only multi-user form (a channel
+    # prior list: test_run_checks_its_inputs_at_entry[second-user])
+    rng = np.random.default_rng(8)
+    dims = MimoDims(N_r=2, N_t=1, K=1, T=4, N_u=2, n=3, P=1.0, sigma_n2=0.1)
+    A = complex_normal(rng, (2, 4, 3))
+    enc = LinearEncoder(A, dims.signal_shape)
+    enc_a, enc_b = (LinearEncoder(A_i, dims.signal_shape) for A_i in A)
+    pH = GaussianPrior(np.zeros((1, 2, 1), complex), 1.0, "complex")
+    pD = GaussianPrior(np.zeros(3), 1.0, "real")
+    Y = complex_normal(rng, dims.output_shape)
+    state = rng.bit_generator.state
+    for args, what in ((([enc_a, enc_b], pH, pD), "encoder"),
+                       ((enc, pH, (pD, pD)), "source prior")):
+        with pytest.raises(ValueError, match=f"pass one {what} for all users, stacked on "
+                                             "axis 0, not a sequence of 2"):
+            run(Y, *args, dims, PvdConfig(), rng)
+    assert rng.bit_generator.state == state
+
+
 def test_run_residual_decrease_known_channel():
     # median final residual over 30 seeded trials <= 0.5x initialization residual
     ratios = []
@@ -736,8 +758,9 @@ _GOOD_D = GaussianPrior(np.zeros(3), 1.0, "real")
      "source prior must be real with 3 entries, got complex with 3"),
     (0.1, _GOOD_H, GaussianMixturePrior(np.array([[1.0], [-1.0]]), 0.25, [0.5, 0.5]),
      "source prior must be real with 3 entries, got real with 1"),
+    # per-user lists are refused whole, however their second entries look
     (0.1, [_GOOD_H, _GOOD_H], [_GOOD_D, GaussianPrior(np.zeros(2), 1.0, "real")],
-     "source prior must be real with 3 entries, got real with 2"),
+     "pass one channel prior for all users, stacked on axis 0, not a sequence of 2"),
 ], ids=["noiseless", "broadcast-channel-mean", "real-channel", "complex-source",
         "short-source-mixture", "second-user"])
 def test_run_checks_its_inputs_at_entry(noise, pH, pD, message):

@@ -1,6 +1,6 @@
 """Users on axis 0: the stacked prior evaluation and encoder linearization
 against one call per user (bit for bit, over random shapes and user counts),
-the harness's one stacked link against pvd.run on per-user lists, and the
+the harness's one stacked link against the per-user reference loop, and the
 user a divergence is found in."""
 
 import copy
@@ -17,6 +17,8 @@ from pvdmimo import pvd as pv
 from pvdmimo.channel import MimoDims, complex_normal
 from pvdmimo.encoder import LinearEncoder, PowerNormalizedEncoder, SaturatingEncoder
 from pvdmimo.priors import GaussianMixturePrior, GaussianPrior
+
+from test_point_evaluation import reference_run
 
 KINDS = ("linear", "saturating", "pn-linear", "pn-saturating")
 shapes = st.tuples(*(st.integers(1, 4) for _ in range(5)))  # K, N_r, N_t, T, n
@@ -119,7 +121,7 @@ def test_stacked_link_decodes_as_per_user_lists():
     sc = harness._scene(cfg, link, 10.0, np.random.default_rng(5))
     rng = copy.deepcopy(sc.rng)
     fields = harness._pvd(cfg, link, sc)
-    # the same link and priors, one object per user
+    # the same link and priors, one object per user, through the per-user loop
     base = link.encoder.base
     encoders = [PowerNormalizedEncoder(SaturatingEncoder(A, base.gain, base.output_shape),
                                        cfg.dims.P) for A in base.A]
@@ -127,12 +129,13 @@ def test_stacked_link_decodes_as_per_user_lists():
                 for H in sc.channels]
     priors_D = [harness._build_prior(cfg.raw["prior_source"], "real", d[None])
                 for d in sc.sources]
-    res = pv.run(sc.Y, encoders, priors_H, priors_D, sc.dims, cfg.pvd, rng)
-    assert res.diagnostics == sc.steps
-    assert fields["nmse_db"] == mt.nmse_db(sc.channels, res.channels)
-    assert fields["residual"] == res.residual
+    H, D, diag = reference_run(sc.Y, encoders, priors_H, priors_D, sc.dims, cfg.pvd, rng)
+    H, D = np.stack(H), np.stack(D)
+    assert [(s.j, s.residual, s.grad_norm_H, s.grad_norm_D) for s in sc.steps] == diag
+    assert fields["nmse_db"] == mt.nmse_db(sc.channels, H)
+    assert fields["residual"] == diag[-1][1]
     assert fields["source_mse"] == float(np.mean([mt.source_mse(dt, de) for dt, de
-                                                  in zip(sc.sources, res.sources)]))
+                                                  in zip(sc.sources, D)]))
 
 
 def _two_user_scene():
@@ -161,34 +164,35 @@ def test_divergence_names_step_inner_quantity_and_user():
 
 
 class _PoisonedPrior(GaussianPrior):
-    """A Gaussian prior whose score is NaN at one smoothing level."""
+    """A Gaussian prior over stacked users whose score is NaN in user 1's row
+    at one smoothing level (None: at none)."""
 
-    def __init__(self, mean, var0, domain, sigma):
-        super().__init__(mean, var0, domain)
+    def __init__(self, mean, var0, domain, shape, sigma):
+        super().__init__(mean, var0, domain, shape)
         self.bad_sigma = sigma
 
     def at(self, x, sigma):
         pt = super().at(x, sigma)
-        return pt._replace(score=np.full_like(pt.score, np.nan)) if sigma == self.bad_sigma \
-            else pt
+        if sigma != self.bad_sigma:
+            return pt
+        score = pt.score.copy()
+        score[1] = np.nan
+        return pt._replace(score=score)
 
 
 @pytest.mark.parametrize("side, what", [("H", "prior score"),
                                         ("D", "Tweedie source estimate")])
 def test_divergence_names_the_first_user_it_shows_in(side, what):
-    # only user 1's prior goes non-finite; user 0's stays finite
+    # only user 1's row of the prior score goes non-finite; user 0's stays finite
     rng, dims, enc, H, Y = _two_user_scene()
     sched = pv.NoiseSchedule(0.01, 10.0, 6)
     cfg = pv.PvdConfig(schedule_H=sched, schedule_D=sched, J_in=3, L=1)
     j = 0 if side == "H" else 3
-    good_H = [GaussianPrior(h, 1e-6, "complex") for h in H]
-    good_D = [GaussianPrior(np.zeros(8), 1.0, "real") for _ in H]
-    if side == "H":
-        good_H[1] = _PoisonedPrior(H[1], 1e-6, "complex", sched.value(j))
-    else:
-        good_D[1] = _PoisonedPrior(np.zeros(8), 1.0, "real", sched.value(j))
+    bad = sched.value(j)
+    prior_H = _PoisonedPrior(H, 1e-6, "complex", H.shape[1:], bad if side == "H" else None)
+    prior_D = _PoisonedPrior(np.zeros(8), 1.0, "real", (8,), bad if side == "D" else None)
     with pytest.raises(pv.PvdDivergenceError,
                        match=f"non-finite {what} at reverse step j={j}, inner iteration 0, "
                              "user 1$") as exc_info:
-        pv.run(Y, enc, good_H, good_D, dims, cfg, rng)
+        pv.run(Y, enc, prior_H, prior_D, dims, cfg, rng)
     assert (exc_info.value.step, exc_info.value.inner, exc_info.value.user) == (j, 0, 1)
