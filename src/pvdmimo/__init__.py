@@ -27,12 +27,7 @@ from .encoder import (
 )
 from .priors import GaussianMixturePrior, GaussianPrior, ScorePrior
 from .pvd import NoiseSchedule, PvdConfig, PvdDivergenceError, RecoveryResult, run
-from .baselines import (
-    lmmse_channel,
-    make_pilots,
-    oracle_lmmse,
-    two_stage_decode,
-)
+from .baselines import lmmse_channel, make_pilots, oracle_lmmse, two_stage_decode
 from .metrics import MetricsRecord, cbr, nmse_db, snr_db, source_mse
 from .harness import ExperimentConfig, run_experiment, sweep, validate_dict
 

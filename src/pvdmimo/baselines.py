@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import block_product
 from .encoder import Encoder, LinearEncoder
 from .priors import GaussianPrior
 
@@ -115,37 +114,48 @@ def two_stage_decode(
     prior: GaussianPrior,
     sigma_n2: float,
 ) -> np.ndarray:
-    """Closed-form MMSE source decode given a channel estimate, its
-    (K, N_r, N_t) blocks or one (N_r, N_t) block.
+    """Closed-form MMSE source decode of the (K, N_r, T_d) data blocks Y_d that
+    treats the channel estimate, (K, N_r, N_t) blocks or one block, as exact.
+    The encoder must be linear with one matrix A, so the Gaussian posterior
+    mean is exact.
 
-    Only linear encoders are supported: with X = reshape(A d) the
-    observation is linear in d and the Gaussian posterior mean is exact.
-    The channel estimate is treated as the true channel (two-stage
-    pipeline; estimation errors are not propagated).
+    It solves (G0 + lam I)(d - mu) = Re(A^H vec(H0^H Y_d)) - G0 mu with
+    lam = sigma_n2 / (2 var0) and G0 = sum_kt Re(A_kt^H Q_k A_kt) over the
+    block Grams Q_k = H_k^H H_k, A_kt the rows of A block k sends in slot t.
+    From the QR factors H_k = U_k R_k (R_k^H R_k = Q_k), G0 = Re(W^H W) with
+    W = R_k A_kt: K min(N_r, N_t) T_d n^2 multiply-adds, where the stacked
+    composite map H0 A takes K N_r T_d n^2. sigma_n2 = 0 gives the
+    minimum-norm least-squares solution.
     """
     if not isinstance(enc, LinearEncoder):
         raise TypeError("two_stage_decode supports LinearEncoder only")
     if prior.domain != "real":
         raise ValueError("source prior must be over the real domain")
     blocks = np.asarray(H_est)
-    if blocks.ndim == 2:
-        blocks = blocks[None, ...]
-    K, N_r, N_t = blocks.shape
+    blocks = blocks[None] if blocks.ndim == 2 else blocks
     Y_d = np.asarray(Y_d, dtype=np.complex128)
-    T_d = Y_d.shape[-1]
-    n = enc.input_dim
+    if blocks.ndim != 3 or Y_d.ndim != 3 or Y_d.shape[:2] != blocks.shape[:2]:
+        raise ValueError(f"Y_d of shape {Y_d.shape} must be (K, N_r, T_d) over the "
+                         f"(K, N_r, N_t) channel blocks of shape {blocks.shape}")
+    K, _, N_t = blocks.shape
+    T_d, n = Y_d.shape[-1], enc.input_dim
+    if enc.output_shape != (N_t * K, T_d):
+        raise ValueError(f"encoder output {enc.output_shape} != (N_t*K, T_d) = "
+                         f"{(N_t * K, T_d)} of the channel and data blocks")
+    if enc.A.ndim == 3 and len(enc.A) != 1:
+        raise ValueError(f"encoder A of shape {enc.A.shape} holds {len(enc.A)} matrices, "
+                         "expected one, (m, n) or (1, m, n)")
 
-    # Composite map d -> vec(H0 reshape(A d)): apply the block channel to
-    # each reshaped column of A.
-    B = block_product(blocks, enc.A.reshape(K * N_t, T_d, n)).reshape(K * N_r * T_d, n)
-    y = Y_d.reshape(K * N_r * T_d)
-
-    Br = np.vstack([B.real, B.imag])
+    # ||H_k A_kt d - y_kt||^2 = ||R_k A_kt d - U_k^H y_kt||^2 + a constant
+    U, R = np.linalg.qr(blocks)
+    W = (R @ enc.A.reshape(K, N_t, T_d * n)).reshape(-1, n)
+    z = (U.conj().swapaxes(-1, -2) @ Y_d).reshape(-1)
+    Wr = np.concatenate([W.real, W.imag])
     mu = np.broadcast_to(np.asarray(prior.mean, dtype=np.float64), (n,)).copy()
-    yr = np.concatenate([y.real, y.imag]) - Br @ mu
+    zr = np.concatenate([z.real, z.imag]) - Wr @ mu
     if sigma_n2 == 0:
-        delta, *_ = np.linalg.lstsq(Br, yr, rcond=None)
+        delta, *_ = np.linalg.lstsq(Wr, zr, rcond=None)
         return mu + delta
     lam = (sigma_n2 / 2.0) / prior.var0
-    G = Br.T @ Br + lam * np.eye(n)
-    return mu + np.linalg.solve(G, Br.T @ yr)
+    G = Wr.T @ Wr + lam * np.eye(n)
+    return mu + np.linalg.solve(G, Wr.T @ zr)

@@ -43,10 +43,11 @@ class MimoDims:
         faults = [f"{k} must be a positive integer, got {v[k]!r}"
                   for k in ("N_r", "N_t", "K", "T", "N_u", "n")
                   if not isinstance(v[k], numbers.Integral) or v[k] < 1]
-        if self.P <= 0:
-            faults.append(f"P must be > 0, got {self.P!r}")
-        if self.sigma_n2 < 0:
-            faults.append(f"sigma_n2 must be >= 0, got {self.sigma_n2!r}")
+        if not 0 < self.P < np.inf:  # NaN fails too
+            faults.append(f"P must be {'> 0' if np.isfinite(self.P) else 'finite'}, got {self.P!r}")
+        if not 0 <= self.sigma_n2 < np.inf:
+            faults.append(f"sigma_n2 must be {'>= 0' if np.isfinite(self.sigma_n2) else 'finite'}, "
+                          f"got {self.sigma_n2!r}")
         if faults:
             raise ValueError("; ".join(faults))
 
@@ -180,8 +181,8 @@ def transmit(
     if H.ndim != 4 or X.ndim != 3 or X.shape[:2] != (H.shape[0], H.shape[1] * H.shape[3]):
         raise ValueError(f"channels {H.shape} and signals {X.shape} must be "
                          "(N_u, K, N_r, N_t) and (N_u, N_t*K, T)")
-    if sigma_n2 < 0:
-        raise ValueError("sigma_n2 must be >= 0")
+    if not 0 <= sigma_n2 < np.inf:
+        raise ValueError(f"sigma_n2 must be finite and >= 0, got {sigma_n2!r}")
     Y = superpose(H, X)
     if sigma_n2 > 0:
         Y = Y + complex_normal(rng, Y.shape, sigma_n2)

@@ -221,9 +221,11 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
         scheds = [build(f"pvd.sigma1_{s}", lambda s=s: pv.NoiseSchedule(
             p[f"sigma1_{s}"], p[f"sigmaJ_{s}"], p["J"]), p) for s in "HD"]
         check(p["J"] != 1, "pvd.J", "must be >= 2: one step starts the means at sigma_0 = 0")
-        if None not in scheds:
-            parts["pvd"] = build("pvd", lambda: pv.PvdConfig(*scheds, **{
-                f.name: p[f.name] for f in dataclasses.fields(pv.PvdConfig) if f.name in p}), p)
+        # After a schedule fault, stand-in schedules that pass every step check
+        # let the other fields be checked; the config is then refused anyway.
+        scheds = scheds if None not in scheds else [pv.NoiseSchedule(1, 2, 1)] * 2
+        parts["pvd"] = build("pvd", lambda: pv.PvdConfig(*scheds, **{
+            f.name: p[f.name] for f in dataclasses.fields(pv.PvdConfig) if f.name in p}), p)
 
     check(enc["type"] in ("linear", "saturating"), "encoder.type",
           "must be 'linear' or 'saturating'")
@@ -541,13 +543,9 @@ DIAG_COLUMNS = ["snr_db", "trial"] + [f.name for f in dataclasses.fields(pv.PvdS
 
 
 def _fmt(v) -> str:
-    if v is None:
+    if v is None or isinstance(v, float) and math.isnan(v):
         return ""
-    if isinstance(v, float):
-        if math.isnan(v):
-            return ""
-        return repr(float(v))
-    return str(v)
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def _record_row(rec: mt.MetricsRecord) -> list[str]:
@@ -620,8 +618,6 @@ def _eval_link(expr: str, x):
     """Evaluate a tiny arithmetic expression of the swept value x."""
 
     def ev(node):
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             return node.value
         if isinstance(node, ast.Name) and node.id == "x":
@@ -632,7 +628,7 @@ def _eval_link(expr: str, x):
             return -ev(node.operand)
         raise ConfigError(f"unsupported link expression element: {ast.dump(node)}")
 
-    val = ev(ast.parse(expr, mode="eval"))
+    val = ev(ast.parse(expr, mode="eval").body)
     return int(val) if float(val).is_integer() else val
 
 

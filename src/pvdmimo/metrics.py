@@ -53,9 +53,7 @@ def nmse_db(H_true: np.ndarray, H_est: np.ndarray) -> float:
         if denom == 0:
             raise ValueError("true channel has zero norm")
         total += float(np.sum(np.abs(t - e) ** 2)) / (n_u * denom)
-    if total == 0.0:
-        return float("-inf")
-    return float(10.0 * np.log10(total))
+    return float("-inf") if total == 0.0 else float(10.0 * np.log10(total))
 
 
 def snr_db(signal_part: np.ndarray, noise_part: np.ndarray) -> float:

@@ -119,15 +119,15 @@ class PvdConfig:
     zeta_D: float = 0.06
 
     def __post_init__(self):
+        # every bad field, in one ValueError of '; '-joined faults
+        v = vars(self)
+        faults = [f"{k} must be a positive integer, got {v[k]!r}" for k in ("J_in", "L")
+                  if not isinstance(v[k], numbers.Integral) or v[k] < 1]
+        faults += [f"{k} must be > 0, got {v[k]!r}" for k in ("zeta_H", "zeta_D") if not v[k] > 0]
         if self.schedule_H.J != self.schedule_D.J:
-            raise ValueError("channel and source schedules must share J")
-        if not isinstance(self.J_in, numbers.Integral) or self.J_in < 1:
-            raise ValueError("J_in must be a positive integer")
-        if not isinstance(self.L, numbers.Integral) or self.L < 1:
-            raise ValueError("L must be a positive integer")
-        for name in ("zeta_H", "zeta_D"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            faults.append("channel and source schedules must share J")
+        if faults:
+            raise ValueError("; ".join(faults))
         self.steps()  # a schedule that rounds to 0 fails here, not mid-run
 
     @property

@@ -247,29 +247,96 @@ def test_two_stage_zero_channel_returns_prior_mean():
     assert np.allclose(d_hat, 0.7)
 
 
+def _normal_equations_oracle(Y, H, enc, prior, sn2):
+    """Independent oracle: build the composite map column by column through
+    encode, then solve the regularized normal equations directly (least
+    squares at sn2 = 0). Also returns the stacked real map Br and data yr."""
+    K, _, N_t = H.shape
+    n = enc.input_dim
+    cols = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        Xi = enc.encode(e).reshape(K, N_t, -1)
+        cols.append(np.einsum("krc,kct->krt", H, Xi).ravel())
+    B = np.stack(cols, axis=1)
+    Br = np.vstack([B.real, B.imag])
+    yr = np.concatenate([Y.ravel().real, Y.ravel().imag])
+    mu = np.broadcast_to(prior.mean, (n,))
+    if sn2 == 0:
+        return mu + np.linalg.lstsq(Br, yr - Br @ mu, rcond=None)[0], Br, yr
+    lhs = Br.T @ Br + (sn2 / 2.0) / prior.var0 * np.eye(n)
+    return mu + np.linalg.solve(lhs, Br.T @ (yr - Br @ mu)), Br, yr
+
+
 def test_two_stage_matches_normal_equations_oracle():
-    # independent oracle: build the composite map column by column through
-    # encode, then solve the regularized normal equations directly
     rng = np.random.default_rng(9)
     dims, enc, H, d, Y = _linear_scene(rng, N_r=2, K=1, T=4, n=2)
     sn2 = 0.3
     Yn = Y + complex_normal(rng, Y.shape, sn2)
     prior = GaussianPrior(np.array([0.2, -0.4]), 1.5, "real")
     got = two_stage_decode(Yn, H, enc, prior, sn2)
-
-    cols = []
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = 1.0
-        Xi = enc.encode(e).reshape(1, 1, 4)
-        cols.append(np.einsum("krc,kct->krt", H, Xi).ravel())
-    B = np.stack(cols, axis=1)
-    Br = np.vstack([B.real, B.imag])
-    yr = np.concatenate([Yn.ravel().real, Yn.ravel().imag])
-    mu = prior.mean
-    lhs = Br.T @ Br + (sn2 / 2.0) / prior.var0 * np.eye(2)
-    want = mu + np.linalg.solve(lhs, Br.T @ (yr - Br @ mu))
+    want, _, _ = _normal_equations_oracle(Yn, H, enc, prior, sn2)
     assert np.max(np.abs(got - want)) < 1e-8
+
+
+@settings(max_examples=80, deadline=None)
+@given(K=st.integers(1, 3), N_r=st.integers(1, 4), N_t=st.integers(1, 4),
+       T_d=st.integers(1, 4), n=st.integers(1, 8), sn2=st.floats(0.05, 2.0),
+       var0=st.floats(0.25, 4.0), stacked=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_two_stage_matches_the_oracle_over_shapes(K, N_r, N_t, T_d, n, sn2, var0, stacked,
+                                                  seed):
+    # N_t > N_r included: each channel block's QR factor then has N_r rows
+    rng = np.random.default_rng(seed)
+    A = complex_normal(rng, (K * N_t * T_d, n)) / math.sqrt(n)
+    enc = LinearEncoder(A[None] if stacked else A, (N_t * K, T_d))
+    H = complex_normal(rng, (K, N_r, N_t))
+    Y = complex_normal(rng, (K, N_r, T_d))
+    prior = GaussianPrior(rng.standard_normal(n), var0, "real")
+    got = two_stage_decode(Y, H, enc, prior, sn2)
+    want, _, _ = _normal_equations_oracle(Y, H, enc, prior, sn2)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_two_stage_noiseless_underdetermined_is_minimum_norm_least_squares():
+    # n = 12 unknowns against 2 K N_r T_d = 8 real equations, N_t > N_r
+    rng = np.random.default_rng(12)
+    K, N_r, N_t, T_d, n = 1, 2, 3, 2, 12
+    enc = LinearEncoder(complex_normal(rng, (K * N_t * T_d, n)), (N_t * K, T_d))
+    H = complex_normal(rng, (K, N_r, N_t))
+    Y = complex_normal(rng, (K, N_r, T_d))
+    prior = GaussianPrior(np.full(n, 0.3), 1.0, "real")
+    got = two_stage_decode(Y, H, enc, prior, 0.0)
+    want, Br, yr = _normal_equations_oracle(Y, H, enc, prior, 0.0)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+    assert np.allclose(Br @ got, yr, atol=1e-9)  # consistent: the residual is zero
+
+
+def test_two_stage_rejects_data_blocks_that_do_not_match_the_channel():
+    rng = np.random.default_rng(13)
+    dims, enc, H, d, Y = _linear_scene(rng)  # Y (2, 3, 5), H (2, 3, 1)
+    prior = GaussianPrior(np.zeros(4), 1.0, "real")
+    for bad in (Y.reshape(6, 5), Y[:1], Y[:, :2]):
+        with pytest.raises(ValueError, match=rf"Y_d of shape \({bad.shape[0]}, .* must be "
+                                             r"\(K, N_r, T_d\) .* \(2, 3, 1\)"):
+            two_stage_decode(bad, H, enc, prior, 0.1)
+
+
+def test_two_stage_rejects_an_encoder_of_another_output_shape():
+    rng = np.random.default_rng(14)
+    dims, enc, H, d, Y = _linear_scene(rng)  # encoder output (2, 5)
+    prior = GaussianPrior(np.zeros(4), 1.0, "real")
+    with pytest.raises(ValueError, match=r"encoder output \(2, 5\) != \(N_t\*K, T_d\) = \(2, 4\)"):
+        two_stage_decode(Y[:, :, :4], H, enc, prior, 0.1)
+
+
+def test_two_stage_rejects_an_encoder_with_one_matrix_per_user():
+    rng = np.random.default_rng(15)
+    dims, enc, H, d, Y = _linear_scene(rng)
+    two = LinearEncoder(np.stack([enc.A, enc.A]), enc.output_shape)
+    prior = GaussianPrior(np.zeros(4), 1.0, "real")
+    with pytest.raises(ValueError, match=r"encoder A of shape \(2, 10, 4\) holds 2 matrices"):
+        two_stage_decode(Y, H, two, prior, 0.1)
 
 
 def test_two_stage_rejects_nonlinear_encoder():

@@ -9,7 +9,8 @@ import pathlib
 
 import pytest
 
-from pvdmimo.harness import ExperimentConfig, validate_dict
+from pvdmimo.encoder import LinearEncoder
+from pvdmimo.harness import ExperimentConfig, _build_link, validate_dict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -40,3 +41,18 @@ def test_medium_probes_key_has_no_effect():
     del without["pvd"]["probes"]
     assert validate_dict(without) == []
     assert ExperimentConfig.from_dict(without).pvd == ExperimentConfig.from_dict(cfg).pvd
+
+
+@pytest.mark.parametrize("name", ["desk", "medium", "pilot"])
+def test_pilot_workloads_run_the_closed_form_decode(name):
+    # the benchmark times baselines.two_stage_decode only while these hold
+    cfg = ExperimentConfig.from_dict(WORKLOADS.config(name, 1, str(ROOT)))
+    assert cfg.raw["baselines"]["lmmse"]
+    link = _build_link(cfg)
+    assert isinstance(link.pilot_encoder, LinearEncoder)
+    assert link.pilot_prior is not None
+
+
+def test_multiuser_workload_runs_no_baseline():
+    cfg = ExperimentConfig.from_dict(WORKLOADS.config("multiuser", 1, str(ROOT)))
+    assert cfg.methods == ["pvd"]

@@ -34,6 +34,25 @@ def test_dims_validation():
     assert d.output_shape == (8, 5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_dims_rejects_non_finite_power_and_noise(bad):
+    # NaN used to pass both checks (P <= 0 and sigma_n2 < 0 are false for NaN)
+    with pytest.raises(ValueError, match=rf"^N_r must be a positive integer, got 0; "
+                                         rf"P must be finite, got {bad!r}; "
+                                         rf"sigma_n2 must be finite, got {bad!r}$"):
+        MimoDims(N_r=0, N_t=1, K=1, T=1, P=bad, sigma_n2=bad)  # every fault, not the first
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_transmit_rejects_a_bad_noise_power(bad):
+    # transmit(H, X, nan, rng) used to return the noiseless signal
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="sigma_n2 must be finite and >= 0"):
+        transmit(np.ones((1, 1, 1, 1), complex), np.ones((1, 1, 2), complex), bad, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_rayleigh_shapes():
     dims = MimoDims(N_r=2, N_t=1, K=2, T=4)
     chans = draw_rayleigh(dims, np.random.default_rng(0))

@@ -394,6 +394,21 @@ def test_validate_reports_every_bad_dims_field():
                                   "dims.P: must be > 0, got -1.0"]
 
 
+def test_validate_reports_every_bad_pvd_field_past_a_schedule_fault():
+    # a bad schedule used to hide every other pvd field: only pvd.sigma1_H was reported
+    pvd = dict(tiny_config()["pvd"], sigma1_H=5.0, sigmaJ_H=1.0, J_in=0, L=0, zeta_H=0.0,
+               zeta_D=-1.0)
+    assert validate_dict(tiny_config(pvd=pvd)) == [
+        "pvd.sigma1_H: need 0 < sigma_1 < sigma_J, got 5.0, 1.0",
+        "pvd.J_in: must be a positive integer, got 0",
+        "pvd.L: must be a positive integer, got 0",
+        "pvd.zeta_H: must be > 0, got 0.0",
+        "pvd.zeta_D: must be > 0, got -1.0"]
+    assert validate_dict({"pvd": {"sigma1_H": 5, "sigmaJ_H": 1, "zeta_D": -1}}) == [
+        "pvd.sigma1_H: need 0 < sigma_1 < sigma_J, got 5, 1",
+        "pvd.zeta_D: must be > 0, got -1"]
+
+
 def test_run_rejects_bad_link_instead_of_flagging_rows():
     # a 2x2 R_rx for N_r = 4 used to pass and flag every row
     cfg = _kronecker([[1.0, 0.5], [0.5, 1.0]], [[1.0]])

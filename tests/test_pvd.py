@@ -791,6 +791,14 @@ def test_counts_must_be_integers():
     assert len(cfg.steps()) == 3
 
 
+def test_pvd_config_reports_every_bad_field():
+    with pytest.raises(ValueError, match=r"^J_in must be a positive integer, got 0; "
+                                         r"L must be a positive integer, got 2\.0; "
+                                         r"zeta_H must be > 0, got 0\.0; "
+                                         r"zeta_D must be > 0, got nan$"):
+        PvdConfig(J_in=0, L=2.0, zeta_H=0.0, zeta_D=float("nan"))
+
+
 def test_run_returns_diagnostics():
     rng, dims, H, A, enc, d_true, Y, sn2 = _known_channel_scene(2)
     res = run(Y, enc, GaussianPrior(H, 1e-6, "complex"),
