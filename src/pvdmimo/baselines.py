@@ -131,6 +131,8 @@ def two_stage_decode(
         raise TypeError("two_stage_decode supports LinearEncoder only")
     if prior.domain != "real":
         raise ValueError("source prior must be over the real domain")
+    if not 0 <= sigma_n2 < np.inf:  # NaN fails too
+        raise ValueError(f"sigma_n2 must be finite and >= 0, got {sigma_n2!r}")
     blocks = np.asarray(H_est)
     blocks = blocks[None] if blocks.ndim == 2 else blocks
     Y_d = np.asarray(Y_d, dtype=np.complex128)

@@ -120,7 +120,9 @@ def _is_number(v) -> bool:
 
 def _section_problems(path: str, section: dict, schema: dict) -> list[str]:
     """Unknown keys of `section`, and values not of the type of the schema's
-    value there (checked where that is a bool, an int or a float)."""
+    value there (checked where that is a bool, an int or a float). Such a
+    value is reset to the schema's, so the section is still built and
+    checked."""
     out = []
     for key, val in section.items():
         want = schema.get(key, KeyError)
@@ -132,6 +134,9 @@ def _section_problems(path: str, section: dict, schema: dict) -> list[str]:
             out.append(f"{path}{key}: must be an integer")
         elif type(want) is float and not _is_number(val):
             out.append(f"{path}{key}: must be a finite number")
+        else:
+            continue
+        section[key] = schema.get(key, val)  # an unknown key keeps its value
     return out
 
 
@@ -159,22 +164,22 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
     (merged tree, parts, problems). A constructor's error is the problem, at
     the section key its message starts with, else where the part is built.
     By hand this checks only what no constructor can: unknown keys, field
-    types, enums, cross-field rules and the experiment controls."""
-    if not isinstance(user, dict):
-        return {}, {}, ["config: must be a JSON object"]
+    types, enums, cross-field rules and the experiment controls. A value of
+    the wrong type (the config itself, a section, a field) is reported, then
+    checked as its default, so every part is still built and every other
+    fault reported."""
+    problems = [] if isinstance(user, dict) else ["config: must be a JSON object"]
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    for key, val in copy.deepcopy(user).items():
+    for key, val in (copy.deepcopy(user) if not problems else {}).items():
         if key in _MERGED and isinstance(val, dict):
             cfg[key].update(val)
         else:
             cfg[key] = val
-    problems = _section_problems("", cfg, DEFAULT_CONFIG)
-    shapeless = [key for key in _MERGED + ("channel", "prior_channel", "prior_source")
-                 if not isinstance(cfg[key], dict)]
-    if not isinstance(cfg["source_draw"], (dict, type(None))):
-        shapeless.append("source_draw")
-    if shapeless:
-        return cfg, {}, problems + [f"{key}: must be an object" for key in shapeless]
+    problems += _section_problems("", cfg, DEFAULT_CONFIG)
+    for key in _MERGED + ("channel",) + tuple(_DOMAINS):
+        if not isinstance(cfg[key], (dict, type(DEFAULT_CONFIG[key]))):  # or null, as source_draw
+            problems.append(f"{key}: must be an object")
+            cfg[key] = copy.deepcopy(DEFAULT_CONFIG[key])
 
     d, enc, p, b = (cfg[key] for key in _MERGED)
     ch = cfg["channel"]
@@ -185,15 +190,12 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
     else:
         problems.append("channel.model: must be 'rayleigh' or 'kronecker'")
     priors = {key: cfg[key] for key in _DOMAINS if cfg[key] is not None}
-    for key, spec in priors.items():
+    for key, spec in list(priors.items()):
         if isinstance(spec.get("type"), str) and spec["type"] in _PRIOR_KEYS:
             problems += _section_problems(f"{key}.", spec, _PRIOR_KEYS[spec["type"]])
         else:
             problems.append(f"{key}.type: must be 'gaussian' or 'mixture'")
-    # Sections with a mistyped field are not built: their constructors
-    # would only restate the fault.
-    mistyped = {m.split(":")[0].split(".")[0] for m in problems
-                if not m.endswith(": unknown key")}
+            del priors[key]  # a prior of unknown type is not built
 
     def check(ok, path: str, msg: str) -> None:
         if not ok:
@@ -215,20 +217,19 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
         return None
 
     parts: dict = {"kron": None, "pilots": None}
-    dims = parts["dims"] = None if "dims" in mistyped else build(
+    dims = parts["dims"] = build(
         "dims", lambda: MimoDims(**{k: d[k] for k in DEFAULT_CONFIG["dims"]}), d)
-    if "pvd" not in mistyped:
-        scheds = [build(f"pvd.sigma1_{s}", lambda s=s: pv.NoiseSchedule(
-            p[f"sigma1_{s}"], p[f"sigmaJ_{s}"], p["J"]), p) for s in "HD"]
-        check(p["J"] != 1, "pvd.J", "must be >= 2: one step starts the means at sigma_0 = 0")
-        # After a schedule fault, stand-in schedules that pass every step check
-        # let the other fields be checked; the config is then refused anyway.
-        scheds = scheds if None not in scheds else [pv.NoiseSchedule(1, 2, 1)] * 2
-        parts["pvd"] = build("pvd", lambda: pv.PvdConfig(*scheds, **{
-            f.name: p[f.name] for f in dataclasses.fields(pv.PvdConfig) if f.name in p}), p)
+    scheds = [build(f"pvd.sigma1_{s}", lambda s=s: pv.NoiseSchedule(
+        p[f"sigma1_{s}"], p[f"sigmaJ_{s}"], p["J"]), p) for s in "HD"]
+    check(p["J"] != 1, "pvd.J", "must be >= 2: one step starts the means at sigma_0 = 0")
+    # after a schedule fault, PvdConfig checks the other fields with its default schedules
+    scheds = scheds if None not in scheds else []
+    parts["pvd"] = build("pvd", lambda: pv.PvdConfig(*scheds, **{
+        f.name: p[f.name] for f in dataclasses.fields(pv.PvdConfig) if f.name in p}), p)
 
     check(enc["type"] in ("linear", "saturating"), "encoder.type",
           "must be 'linear' or 'saturating'")
+    check(enc["gain"] > 0, "encoder.gain", "must be > 0")
     check(enc["file"] is None or isinstance(enc["file"], str), "encoder.file", "must be a path")
     init = None if enc["file"] else enc["init"]
     check(init in (None, "gaussian", "identity"), "encoder.init",
@@ -236,10 +237,6 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
     if dims and init == "identity":
         m = dims.N_t * dims.K * dims.T
         check(dims.n == m, "encoder.init", f"'identity' needs n == N_t*K*T = {m}")
-    if dims and enc["type"] == "saturating" and "encoder" not in mistyped:
-        # The link draws the matrix; an empty one lets the constructor check the gain.
-        build("encoder", lambda: SaturatingEncoder(
-            np.zeros((dims.N_t * dims.K * dims.T, 0)), enc["gain"], dims.signal_shape), enc)
 
     if dims and ch.get("model") == "kronecker":
         (R_rx, S_rx), (R_tx, S_tx) = (
@@ -258,7 +255,7 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
         shapes = {"complex": (dims.K, dims.N_r, dims.N_t), "real": (dims.n,)}
         built = {key: build(key, lambda: _build_prior(
             spec, _DOMAINS[key], np.zeros((1,) + shapes[_DOMAINS[key]])), spec)
-            for key, spec in priors.items() if key not in mistyped}
+            for key, spec in priors.items()}
         parts["prior_source"] = built.get("prior_source")
         parts["source"] = built.get("source_draw", parts["prior_source"])
 
@@ -270,7 +267,7 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
               "an identity encoder cannot fit the T - N_p data slots of the pilot chain")
         check(not enc["file"], "baselines.lmmse",
               "an encoder file cannot fit the T - N_p data slots of the pilot chain")
-        if dims and "baselines" not in mistyped:
+        if dims:
             parts["pilots"] = build("baselines.N_p",
                                     lambda: bl.make_pilots(dims.N_t, b["N_p"], dims.P))
             check(b["N_p"] < dims.T, "baselines.N_p",
@@ -284,7 +281,7 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
     check(isinstance(snr, list) and len(snr) > 0 and all(map(_is_number, snr)), "snr_db",
           "must be a nonempty list of finite dB values")
     for key in ("trials", "workers"):
-        check(not isinstance(cfg[key], int) or cfg[key] >= 1, key, "must be an integer >= 1")
+        check(cfg[key] >= 1, key, "must be an integer >= 1")
     check(p["enabled"] or b["lmmse"] or b["oracle_lmmse"], "pvd.enabled", "no method enabled")
     return cfg, parts, list(dict.fromkeys(problems))
 

@@ -348,6 +348,16 @@ def test_two_stage_rejects_nonlinear_encoder():
                          enc, prior, 0.1)
 
 
+@pytest.mark.parametrize("sigma_n2", [math.nan, math.inf, -1.0])
+def test_two_stage_rejects_a_noise_power_that_is_not_finite_and_nonnegative(sigma_n2):
+    # nan and inf used to return NaN sources, -1.0 to solve with lam < 0
+    rng = np.random.default_rng(16)
+    dims, enc, H, d, Y = _linear_scene(rng)
+    prior = GaussianPrior(np.zeros(4), 1.0, "real")
+    with pytest.raises(ValueError, match=rf"sigma_n2 must be finite and >= 0, got {sigma_n2!r}"):
+        two_stage_decode(Y, H, enc, prior, sigma_n2)
+
+
 # --- estimator comparison invariant ----------------------------------------------
 
 def test_lmmse_beats_ls_and_zero_under_matched_prior():

@@ -409,6 +409,62 @@ def test_validate_reports_every_bad_pvd_field_past_a_schedule_fault():
         "pvd.zeta_D: must be > 0, got -1"]
 
 
+@pytest.mark.parametrize("override, problems", [
+    ({"dims": {"P": "x", "N_r": 0}},
+     ["dims.P: must be a finite number", "dims.N_r: must be a positive integer, got 0"]),
+    ({"pvd": {"J_in": "x", "zeta_H": -1}},
+     ["pvd.J_in: must be an integer", "pvd.zeta_H: must be > 0, got -1"]),
+    ({"prior_source": {"type": "mixture", "means": [1.0, -1.0], "var": "x",
+                       "weights": [0.5, 0.6]}},
+     ["prior_source.var: must be a finite number", "prior_source.weights: must sum to 1"]),
+    ({"dims": 5, "pvd": {"J": 0}},
+     ["dims: must be an object", "pvd.J: must be a positive integer, got 0"]),
+], ids=["dims-field", "pvd-field", "prior-field", "section"])
+def test_validate_checks_a_mistyped_value_as_its_default(override, problems):
+    # a mistyped field or section used to hide every other fault of its section
+    assert validate_dict(override) == problems
+
+
+@pytest.mark.parametrize("gain", [0.0, -0.5])
+def test_validate_rejects_a_linear_encoder_gain_that_is_not_positive(gain):
+    # gain 0 used to pass validate and flag every pvd row "base encoder output is zero"
+    cfg = tiny_config(trials=1, encoder={"type": "linear", "gain": gain},
+                      baselines={"lmmse": False, "oracle_lmmse": False})
+    assert validate_dict(cfg) == ["encoder.gain: must be > 0"]
+    with pytest.raises(ConfigError, match=r"encoder\.gain: must be > 0"):
+        run_experiment(cfg)
+
+
+def _encoder_file(tmp_path, out_shape, n):
+    from pvdmimo.channel import complex_normal
+    from pvdmimo.encoder import LinearEncoder, save_encoder
+    rng = np.random.default_rng(17)
+    enc = LinearEncoder(complex_normal(rng, (out_shape[0] * out_shape[1], n)), out_shape)
+    path = tmp_path / "enc.txt"
+    save_encoder(enc, path)
+    return enc, str(path)
+
+
+def test_run_with_an_encoder_file(tmp_path):
+    from pvdmimo import harness
+    enc, path = _encoder_file(tmp_path, (1, 8), 3)  # tiny_config: (N_t*K, T) = (1, 8), n = 3
+    cfg = tiny_config(trials=1, encoder={"type": "linear", "file": path},
+                      baselines={"lmmse": False, "oracle_lmmse": False})
+    assert np.array_equal(harness._build_link(ExperimentConfig.from_dict(cfg)).encoder.base.A,
+                          enc.A)
+    records = run_experiment(cfg)
+    assert [r.method for r in records] == ["pvd"]
+    assert records[0].error == "" and np.isfinite(records[0].nmse_db)
+
+
+def test_run_rejects_an_encoder_file_of_another_shape(tmp_path):
+    _, path = _encoder_file(tmp_path, (1, 6), 3)
+    cfg = tiny_config(trials=1, encoder={"type": "linear", "file": path},
+                      baselines={"lmmse": False, "oracle_lmmse": False})
+    with pytest.raises(ConfigError, match=r"\(1, 6\)/3 does not match \(1, 8\)/3"):
+        run_experiment(cfg)
+
+
 def test_run_rejects_bad_link_instead_of_flagging_rows():
     # a 2x2 R_rx for N_r = 4 used to pass and flag every row
     cfg = _kronecker([[1.0, 0.5], [0.5, 1.0]], [[1.0]])
@@ -451,6 +507,14 @@ def test_sweep_linked_parameter():
     summary = sweep(cfg, "dims.N_t", [1, 2], links={"dims.N_r": "8*x"})
     assert len(summary) == 2
     assert all(row["errors"] == 0 for row in summary)
+
+
+def test_eval_link():
+    from pvdmimo.harness import _eval_link
+    assert _eval_link("-x + 1", 3) == -2
+    assert _eval_link("x / 2", 3) == 1.5
+    with pytest.raises(ConfigError, match="unsupported link expression element"):
+        _eval_link("abs(x)", 1)
 
 
 def test_sweep_empty_values_error():
@@ -549,6 +613,30 @@ def test_cli_sweep(tmp_path):
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 3
+
+
+def test_cli_sweep_linked_field(tmp_path, monkeypatch):
+    from pvdmimo import harness
+    seen, original = [], harness.run_experiment
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda point: seen.append(point["dims"]["N_r"]) or original(point))
+    out = tmp_path / "sweep.csv"
+    path = _write_cfg(tmp_path, tiny_config(trials=1, baselines={"lmmse": False,
+                                                                 "oracle_lmmse": False}))
+    assert cli_main(["sweep", str(path), "--param", "dims.N_t", "--values", "1,2",
+                     "--link", "dims.N_r=2*x", "--out", str(out)]) == 0
+    assert seen == [2, 4]
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["value"], row["errors"]) for row in rows] == [("1", "0"), ("2", "0")]
+
+
+def test_cli_sweep_link_without_expression_exit_1(tmp_path, capsys):
+    path = _write_cfg(tmp_path, tiny_config(trials=1))
+    assert cli_main(["sweep", str(path), "--param", "dims.N_t", "--values", "1",
+                     "--link", "dims.N_r"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "--link expects PATH=EXPR, got 'dims.N_r'"]
 
 
 def test_cli_env_seed_not_an_integer_exit_1(tmp_path, capsys, monkeypatch):
