@@ -447,15 +447,13 @@ def _scene(cfg: ExperimentConfig, link: _Link, snr_db: float,
 
 def _pvd(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
     result = pv.run(sc.Y, link.encoder, sc.prior_H, sc.prior_D, sc.dims, cfg.pvd, sc.rng)
-    fields = {
+    sc.steps = result.diagnostics
+    return {
         "nmse_db": mt.nmse_db(sc.channels, result.channels),
-        "source_mse": float(np.mean([mt.source_mse(dt, de) for dt, de
-                                     in zip(sc.sources, result.sources)])),
+        "source_mse": mt.source_mse(sc.sources, result.sources),
         "residual": result.residual,
         "cbr": mt.cbr(cfg.dims, cfg.dims.T),
     }
-    sc.steps = result.diagnostics
-    return fields
 
 
 def _lmmse(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
@@ -612,7 +610,7 @@ _LINK_OPS = {
 
 
 def _eval_link(expr: str, x):
-    """Evaluate a tiny arithmetic expression of the swept value x."""
+    """Evaluate a tiny arithmetic expression of the swept value x (ConfigError if it fails)."""
 
     def ev(node):
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
@@ -625,8 +623,11 @@ def _eval_link(expr: str, x):
             return -ev(node.operand)
         raise ConfigError(f"unsupported link expression element: {ast.dump(node)}")
 
-    val = ev(ast.parse(expr, mode="eval").body)
-    return int(val) if float(val).is_integer() else val
+    try:  # float() fails on an overflowing int or a complex power
+        val = ev(ast.parse(expr, mode="eval").body)
+        return int(val) if float(val).is_integer() else val
+    except (SyntaxError, ArithmeticError, TypeError) as exc:
+        raise ConfigError(f"link expression {expr!r}: {type(exc).__name__}: {exc}") from None
 
 
 def _set_path(tree: dict, path: str, value) -> None:

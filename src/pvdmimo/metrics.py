@@ -46,13 +46,11 @@ def nmse_db(H_true: np.ndarray, H_est: np.ndarray) -> float:
     if H_true.ndim != 4 or H_true.shape != H_est.shape:
         raise ValueError("need two (N_u, K, N_r, N_t) arrays of equal shape, got "
                          f"{H_true.shape} and {H_est.shape}")
-    n_u = len(H_true)
-    total = 0.0
-    for t, e in zip(H_true, H_est):
-        denom = float(np.sum(np.abs(t) ** 2))
-        if denom == 0:
-            raise ValueError("true channel has zero norm")
-        total += float(np.sum(np.abs(t - e) ** 2)) / (n_u * denom)
+    denom = np.sum(np.abs(H_true) ** 2, axis=(1, 2, 3))
+    if np.any(denom == 0):
+        raise ValueError("true channel has zero norm")
+    per_user = np.sum(np.abs(H_true - H_est) ** 2, axis=(1, 2, 3)) / (len(H_true) * denom)
+    total = float(np.add.accumulate(per_user)[-1])  # summed in user order
     return float("-inf") if total == 0.0 else float(10.0 * np.log10(total))
 
 
@@ -80,9 +78,10 @@ def cbr(dims: MimoDims, data_slots: int) -> float:
 
 
 def source_mse(D_true: np.ndarray, D_est: np.ndarray) -> float:
-    """Mean squared error per source entry."""
-    t = np.asarray(D_true, dtype=np.float64).ravel()
-    e = np.asarray(D_est, dtype=np.float64).ravel()
-    if t.size != e.size:
-        raise ValueError(f"length mismatch: {t.size} vs {e.size}")
-    return float(np.mean((t - e) ** 2))
+    """Mean squared error per source entry of each user, averaged over the
+    users. Users sit on axis 0 of the (N_u, n) sources; a 1-D source is one
+    user's."""
+    t, e = (np.asarray(D, dtype=np.float64) for D in (D_true, D_est))
+    if t.shape != e.shape:
+        raise ValueError(f"shape mismatch: {t.shape} vs {e.shape}")
+    return float(np.mean(np.mean(np.atleast_2d((t - e) ** 2), axis=-1)))

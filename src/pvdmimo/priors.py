@@ -10,7 +10,7 @@ any smoothing level sigma >= 0:
                                used as the differentiation oracle in tests
 
 The first three are views of one evaluation, at(x, sigma) -> PriorPoint,
-which computes the score and, on demand, the trace and the chain vjp from
+which computes the score and the trace, and on demand the chain vjp, from
 the same responsibilities and differences.
 
 A prior is over one user's arrays of event `shape`; `at` takes one such x
@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .channel import complex_normal
 
 _DTYPES = {"real": np.float64, "complex": np.complex128}
 
@@ -51,7 +52,7 @@ class PriorPoint(NamedTuple):
     """A prior evaluated at x (one point or one per user) and smoothing level sigma."""
 
     score: np.ndarray  # first_order(x, sigma)
-    trace: Callable[[], float | np.ndarray]  # () -> second_order_trace(x, sigma)
+    trace: float | np.ndarray  # second_order_trace(x, sigma)
     chain_vjp: Callable[[np.ndarray], np.ndarray]  # c -> tweedie_chain_vjp(x, sigma, c)
 
 
@@ -78,7 +79,7 @@ class ScorePrior:
         return self.at(x, sigma).score
 
     def second_order_trace(self, x, sigma: float) -> float:
-        return self.at(x, sigma).trace()
+        return self.at(x, sigma).trace
 
     def tweedie_chain_vjp(self, x, sigma: float, cotangent) -> np.ndarray:
         """Apply the transpose Jacobian of the Tweedie map x -> x + sigma^2 S(x).
@@ -103,8 +104,7 @@ class ScorePrior:
     def _draw(self, mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One draw of N(mean, var0) (CN in the complex domain) per entry."""
         if self.domain == "complex":
-            z = rng.standard_normal(mean.shape) + 1j * rng.standard_normal(mean.shape)
-            return mean + z * np.sqrt(self.var0 / 2.0)
+            return mean + complex_normal(rng, mean.shape, self.var0)
         return mean + rng.standard_normal(mean.shape) * np.sqrt(self.var0)
 
     def _check(self, x, sigma: float) -> np.ndarray:
@@ -142,7 +142,7 @@ class GaussianPrior(ScorePrior):
         # dG/dy = -I/v in real coordinates; the chain factor collapses to
         # the scalar var0 / (var0 + sigma^2) in both domains, and the trace is
         # the same float for every user.
-        return PriorPoint((self.mean - x) / s2, lambda: -self.dim / s2,
+        return PriorPoint((self.mean - x) / s2, -self.dim / s2,
                           lambda cotangent: np.asarray(cotangent) * (self.var0 / s2))
 
     first_order, second_order_trace, tweedie_chain_vjp = _VIEWS
@@ -201,15 +201,12 @@ class GaussianMixturePrior(ScorePrior):
         log_r, diffs, _ = self._log_resp(x, sigma)
         r = np.exp(log_r)[:, None, :]  # each row's weights as a (1, C) row vector
         s2 = self._s2(sigma)
-
-        def trace():
-            # trace = sum_c r_c (|u_c|^2 - dim/s2) - |g|^2 with u_c = (M_c - x)/s2,
-            # identical in form for both domains under the stated conventions.
-            u = diffs / s2
-            g = (r @ u)[:, 0]
-            u_norms = _abs2(u).sum(axis=-1)[:, :, None]
-            t = (r @ u_norms)[:, 0, 0] - self.dim / s2 - _abs2(g).sum(axis=-1)
-            return t.reshape(users) if users else float(t[0])
+        # trace = sum_c r_c (|u_c|^2 - dim/s2) - |g|^2 with u_c = (M_c - x)/s2,
+        # identical in form for both domains under the stated conventions.
+        u = diffs / s2
+        g = (r @ u)[:, 0]
+        u_norms = _abs2(u).sum(axis=-1)[:, :, None]
+        t = (r @ u_norms)[:, 0, 0] - self.dim / s2 - _abs2(g).sum(axis=-1)
 
         def chain_vjp(cotangent) -> np.ndarray:
             v = s2 / 2.0 if self.domain == "complex" else s2
@@ -226,7 +223,8 @@ class GaussianMixturePrior(ScorePrior):
                 out = out[..., :self.dim] + 1j * out[..., self.dim:]
             return out.reshape(c.shape)
 
-        return PriorPoint((r @ diffs).reshape(x.shape) / s2, trace, chain_vjp)
+        return PriorPoint((r @ diffs).reshape(x.shape) / s2,
+                          t.reshape(users) if users else float(t[0]), chain_vjp)
 
     first_order, second_order_trace, tweedie_chain_vjp = _VIEWS
 

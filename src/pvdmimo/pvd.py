@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import MimoDims, block_adjoint, complex_normal, superpose
+from .channel import MimoDims, block_adjoint, superpose
 from .encoder import Linearization, NonFiniteInputError
 from .priors import PriorPoint, ScorePrior
 
@@ -203,9 +203,8 @@ def _denoised(x: np.ndarray, point: PriorPoint, sigma: float) -> np.ndarray:
 
 
 def _error_variance(point: PriorPoint, s: float, dim: int):
-    v = s * s + s**4 * point.trace() / dim if s else 0.0
-    return (min(max(v, 0.0), s * s) if isinstance(v, float)
-            else np.minimum(np.maximum(v, 0.0), s * s))
+    # ufuncs, not np.clip: its Python wrapper costs more than the arithmetic here
+    return np.minimum(np.maximum(s * s + s**4 * point.trace / dim, 0.0), s * s)
 
 
 def tweedie(prior_H: ScorePrior, prior_D: ScorePrior, H_j: np.ndarray, D_j: np.ndarray,
@@ -251,9 +250,8 @@ def aggregated_noise_variance(lin: Linearization, H0j: np.ndarray, var_H, var_D,
     N_r, K, T = dims.N_r, dims.K, dims.T
     F = lin.value
     total = var_H * N_r * (F * F.conj()).real.reshape(F.shape[:-2] + (-1,)).sum(axis=-1)
-    if isinstance(var_D, np.ndarray) or var_D > 0:  # no norms at sigma_D = 0
-        j_frob2, hj_frob2 = lin.frobenius2(H0j)
-        total = total + (var_D * hj_frob2 + var_H * var_D * N_r * j_frob2)
+    j_frob2, hj_frob2 = lin.frobenius2(H0j)
+    total = total + (var_D * hj_frob2 + var_H * var_D * N_r * j_frob2)
     return total / (N_r * K * T)
 
 
@@ -343,13 +341,12 @@ def run(Y: np.ndarray, encoder, prior_H, prior_D, dims: MimoDims, config: PvdCon
             raise ValueError(f"{what} prior must be {domain} with {dim} entries, "
                              f"got {prior.domain} with {prior.dim}")
 
-    sched_H, sched_D, J = config.schedule_H, config.schedule_D, config.J
-    h_shape = (dims.K, dims.N_r, dims.N_t)
-    H_latent, D_latent, H_mean, D_mean = (np.stack(a) for a in zip(*(
-        (complex_normal(rng, h_shape, sched_H.variance(J)),
-         rng.standard_normal(dims.n) * sched_D.value(J),
-         complex_normal(rng, h_shape, sched_H.variance(J - 1)),
-         rng.standard_normal(dims.n) * sched_D.value(J - 1)) for _ in range(n_u))))
+    # One draw: per user the latent channel (re, im) and source, then the same for the means.
+    z = rng.standard_normal((n_u, 2, 2 * dim_H + dims.n))
+    H_latent, H_mean = (
+        (z[:, i, :dim_H] + 1j * z[:, i, dim_H:2 * dim_H]).reshape(n_u, dims.K, dims.N_r, dims.N_t)
+        * np.sqrt(config.schedule_H.variance(config.J - i) / 2.0) for i in (0, 1))
+    D_latent, D_mean = (z[:, i, 2 * dim_H:] * config.schedule_D.value(config.J - i) for i in (0, 1))
 
     diag: list[PvdStepDiag] = []
     for step in config.steps():

@@ -7,6 +7,7 @@ error) are implemented inside this module so they cannot drift with the
 library code they check.
 """
 
+import functools
 import math
 import time
 
@@ -267,6 +268,9 @@ def test_criterion_5_blind_scalar_identifiability():
 # 6. Oracle-gap: blind channel NMSE vs oracle LMMSE at SNR 10 dB
 # -----------------------------------------------------------------------------
 
+# A trial depends on its arguments alone (default_rng(seed)), so criterion 9's
+# SNR-10 set reuses criterion 6's decodes when both run in one session.
+@functools.cache
 def _blind_channel_trial(seed, snr_db):
     rng = np.random.default_rng(seed)
     H = complex_normal(rng, (1, 4, 1), 1.0)

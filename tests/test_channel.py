@@ -275,13 +275,31 @@ def test_block_k_of_y_sees_only_block_k_of_every_user(dims, seed, data):
     assert np.all(Y_k == 0)
 
 
+def _psd_root(rng, size):
+    G = complex_normal(rng, (size, size))
+    return G @ G.conj().T / size  # Hermitian PSD, as hermitian_sqrt returns roots
+
+
 @settings(max_examples=40, deadline=None)
-@given(dims=_links(min_users=2), seed=seeds)
-def test_draw_rayleigh_stacks_the_per_user_draws(dims, seed):
-    # reference: one draw per user, in user order
+@given(dims=_links(min_users=2), seed=seeds,
+       model=st.sampled_from(["rayleigh", "kronecker", "kronecker-rx", "kronecker-tx"]))
+def test_draw_rayleigh_stacks_the_per_user_draws(dims, seed, model):
+    # reference: one draw per user, in user order, each correlated by its own einsums
+    root_rng = np.random.default_rng([seed, 1])
+    S_rx = _psd_root(root_rng, dims.N_r) if model in ("kronecker", "kronecker-rx") else None
+    S_tx = _psd_root(root_rng, dims.N_t) if model in ("kronecker", "kronecker-tx") else None
     ref_rng = np.random.default_rng(seed)
-    per_user = [complex_normal(ref_rng, (dims.K, dims.N_r, dims.N_t)) for _ in range(dims.N_u)]
-    H = draw_rayleigh(dims, np.random.default_rng(seed))
+    per_user = []
+    for _ in range(dims.N_u):
+        H_u = complex_normal(ref_rng, (dims.K, dims.N_r, dims.N_t))
+        if S_rx is not None:
+            H_u = np.einsum("ab,kbt->kat", S_rx, H_u)
+        if S_tx is not None:
+            H_u = np.einsum("kab,bt->kat", H_u, S_tx)
+        per_user.append(H_u)
+    rng = np.random.default_rng(seed)
+    H = (draw_rayleigh(dims, rng) if model == "rayleigh"
+         else draw_kronecker_correlated(dims, S_rx, S_tx, rng))
     assert H.shape == (dims.N_u, dims.K, dims.N_r, dims.N_t)
     for u in range(dims.N_u):
         assert np.array_equal(H[u], per_user[u])

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ import pytest
 import pvdmimo
 from pvdmimo.cli import main as cli_main
 from pvdmimo.harness import (
+    DIAG_COLUMNS,
     ConfigError,
     ExperimentConfig,
     run_experiment,
@@ -517,6 +519,18 @@ def test_eval_link():
         _eval_link("abs(x)", 1)
 
 
+@pytest.mark.parametrize("expr, error", [
+    ("2*", "SyntaxError"), ("", "SyntaxError"),
+    ("x/0", "ZeroDivisionError"), ("x//0", "ZeroDivisionError"),
+    ("10**400", "OverflowError"), ("2.0**5000", "OverflowError"),
+    ("(-8)**0.5", "TypeError"),  # a complex result
+])
+def test_eval_link_failure_is_a_config_error(expr, error):
+    from pvdmimo.harness import _eval_link
+    with pytest.raises(ConfigError, match=re.escape(f"link expression {expr!r}: {error}")):
+        _eval_link(expr, 2)
+
+
 def test_sweep_empty_values_error():
     with pytest.raises(ConfigError):
         sweep(tiny_config(), "snr_db", [])
@@ -555,6 +569,20 @@ def test_diagnostics_stream(tmp_path):
     assert len(rows) == 1 + cfg["pvd"]["J"]
 
 
+def test_prior_means_given_as_re_im_pairs():
+    # a [re, im] mean is complex for the channel prior and its real part for the source's
+    from pvdmimo import harness
+    cfg = ExperimentConfig.from_dict(tiny_config(
+        trials=1, prior_channel={"type": "gaussian", "mean": [0.5, -0.25], "var": 1.0},
+        prior_source={"type": "gaussian", "mean": [0.5, 9.0], "var": 1.0}))
+    records = run_experiment(cfg)
+    assert len(records) == 2 and [r.error for r in records] == ["", ""]
+    link = harness._build_link(cfg)
+    sc = harness._scene(cfg, link, 15.0, np.random.default_rng(0))
+    assert np.all(sc.prior_H.mean == 0.5 - 0.25j)
+    assert np.all(sc.prior_D.mean == 0.5)
+
+
 # --- CLI ---------------------------------------------------------------------------
 
 def _write_cfg(tmp_path, cfg):
@@ -567,6 +595,16 @@ def test_cli_validate_ok(tmp_path, capsys):
     path = _write_cfg(tmp_path, tiny_config())
     assert cli_main(["validate", str(path)]) == 0
     assert "config ok" in capsys.readouterr().out
+
+
+def test_cli_run_diagnostics_writes_the_trace(tmp_path):
+    out = tmp_path / "rows.csv"
+    path = _write_cfg(tmp_path, tiny_config(trials=1))
+    assert cli_main(["run", str(path), "--out", str(out), "--diagnostics"]) == 0
+    with open(str(out) + ".diag.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == DIAG_COLUMNS
+    assert len(rows) == 1 + tiny_config()["pvd"]["J"]
 
 
 def test_cli_validate_violations(tmp_path, capsys):
@@ -637,6 +675,15 @@ def test_cli_sweep_link_without_expression_exit_1(tmp_path, capsys):
                      "--link", "dims.N_r"]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "--link expects PATH=EXPR, got 'dims.N_r'"]
+
+
+def test_cli_sweep_failing_link_expression_exit_1(tmp_path, capsys):
+    # a ZeroDivisionError used to escape as a runtime failure (exit 2)
+    path = _write_cfg(tmp_path, tiny_config(trials=1))
+    assert cli_main(["sweep", str(path), "--param", "dims.N_t", "--values", "1",
+                     "--link", "dims.N_r=x/0"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "link expression 'x/0': ZeroDivisionError: division by zero"]
 
 
 def test_cli_env_seed_not_an_integer_exit_1(tmp_path, capsys, monkeypatch):

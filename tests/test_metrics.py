@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvdmimo.channel import MimoDims, complex_normal
 from pvdmimo.metrics import cbr, nmse_db, snr_db, source_mse
@@ -119,3 +121,26 @@ def test_source_mse_basics():
     assert source_mse(d, d + 0.3) == pytest.approx(0.09)
     with pytest.raises(ValueError):
         source_mse(np.zeros(2), np.zeros(3))
+
+
+def _loop_nmse_db(H_true, H_est):
+    # reference: the per-user loop, users added in order
+    total = 0.0
+    for t, e in zip(H_true, H_est):
+        total += float(np.sum(np.abs(t - e) ** 2)) / (len(H_true) * float(np.sum(np.abs(t) ** 2)))
+    return float("-inf") if total == 0.0 else float(10.0 * np.log10(total))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 10), st.integers(1, 4), st.integers(1, 5),
+                       st.integers(1, 3), st.integers(1, 40)),
+       seed=st.integers(0, 2**32 - 1))
+def test_array_scores_equal_the_per_user_loops(shape, seed):
+    n_u, K, N_r, N_t, n = shape
+    rng = np.random.default_rng(seed)
+    H = complex_normal(rng, (n_u, K, N_r, N_t))
+    E = H + complex_normal(rng, H.shape, 0.1)
+    assert nmse_db(H, E) == _loop_nmse_db(H, E)
+    D, D_hat = rng.standard_normal((2, n_u, n))
+    assert source_mse(D, D_hat) == float(np.mean([np.mean((d - e) ** 2)
+                                                  for d, e in zip(D, D_hat)]))

@@ -116,8 +116,8 @@ def test_prior_at_equals_views_and_reference(kind, domain, shape, components, si
     pt = prior.at(x, sigma)
     assert np.array_equal(pt.score, prior.first_order(x, sigma))
     assert np.array_equal(pt.score, reference_first_order(prior, x, sigma))
-    assert pt.trace() == prior.second_order_trace(x, sigma)
-    assert pt.trace() == reference_second_order_trace(prior, x, sigma)
+    assert pt.trace == prior.second_order_trace(x, sigma)
+    assert pt.trace == reference_second_order_trace(prior, x, sigma)
     assert np.array_equal(pt.chain_vjp(c), prior.tweedie_chain_vjp(x, sigma, c))
     assert np.array_equal(pt.chain_vjp(c), reference_tweedie_chain_vjp(prior, x, sigma, c))
 

@@ -678,7 +678,7 @@ class _PoisonedPrior(GaussianPrior):
         if self.part == "score":
             return pt._replace(score=np.full_like(pt.score, np.nan))
         if self.part == "trace":
-            return pt._replace(trace=lambda: math.nan)
+            return pt._replace(trace=math.nan)
         return pt._replace(chain_vjp=lambda c: np.full_like(c, np.nan))
 
 
@@ -772,6 +772,30 @@ def test_run_checks_its_inputs_at_entry(noise, pH, pD, message):
     with pytest.raises(ValueError, match=message):
         run(Y, enc, pH, pD, dims, _tuned_cfg(J=3, J_in=2), rng)
     assert rng.bit_generator.state == state  # nothing was drawn: no step ran
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("Y", "Y contains non-finite entries"),
+    ("encoder", r"encoder output \(4, 2\) != signal shape \(2, 4\)"),
+], ids=["non-finite-Y", "encoder-shape"])
+def test_run_refuses_a_bad_observation_or_encoder(bad, message):
+    dims, enc, Y = _entry_scene()
+    if bad == "Y":
+        Y = Y.copy()
+        Y[1, 2] = np.nan
+    else:  # as many outputs, in the transposed shape
+        enc = LinearEncoder(enc.A, (4, 2))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        run(Y, enc, _GOOD_H, _GOOD_D, dims, _tuned_cfg(J=3, J_in=2), rng)
+    assert rng.bit_generator.state == state
+
+
+def test_pvd_config_refuses_schedules_of_different_lengths():
+    with pytest.raises(ValueError, match="^channel and source schedules must share J$"):
+        PvdConfig(schedule_H=NoiseSchedule(0.01, 10.0, 5),
+                  schedule_D=NoiseSchedule(0.01, 10.0, 6))
 
 
 def test_counts_must_be_integers():

@@ -58,13 +58,13 @@ def test_stacked_prior_at_equals_per_user_calls(n_u, shape, kind, domain, compon
     c = _draw(rng, (n_u,) + event, domain)
     sigma = 0.0 if sigma_zero else float(rng.uniform(0.01, 5.0))
     pt = prior.at(x, sigma)
-    traces = np.broadcast_to(pt.trace(), (n_u,))  # a Gaussian's is one float for all
+    traces = np.broadcast_to(pt.trace, (n_u,))  # a Gaussian's is one float for all
     pulled = pt.chain_vjp(c)
     assert pt.score.shape == pulled.shape == x.shape
     for i, p in enumerate(per_user):
         one = p.at(x[i], sigma)
         assert np.array_equal(pt.score[i], one.score)
-        assert traces[i] == one.trace()
+        assert traces[i] == one.trace
         assert np.array_equal(pulled[i], one.chain_vjp(c[i]))
 
 
