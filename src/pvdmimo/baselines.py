@@ -35,7 +35,8 @@ def make_pilots(N_t: int, N_p: int, P: float) -> np.ndarray:
 
 
 def _lmmse_blocks(Y, X, sigma_h2: float, sigma_n2: float, Sigma) -> np.ndarray:
-    """LMMSE of every block H_k from Y_k = H_k X_k + N; a 2-D X is shared by all blocks.
+    """LMMSE of one block H_k (N_r, N_t) or K stacked blocks from Y_k = H_k X_k + N;
+    X is (N_t, L), shared by all blocks, or one per block, (K, N_t, L).
 
     With A_k = X_k^T kron I_{N_r} over the column-major vec(H_k), the estimate
     Sigma A^H (A Sigma A^H + sigma_n2 I)^-1 vec(Y_k) equals, by push-through,
@@ -45,14 +46,9 @@ def _lmmse_blocks(Y, X, sigma_h2: float, sigma_n2: float, Sigma) -> np.ndarray:
     """
     Y = np.asarray(Y, dtype=np.complex128)
     X = np.asarray(X, dtype=np.complex128)
-    single = Y.ndim == 2
-    Yb = Y[None, ...] if single else Y
-    if X.ndim == 2:
-        X = np.broadcast_to(X, (Yb.shape[0],) + X.shape)
-    if Yb.shape[0] != X.shape[0]:
+    if X.ndim == 3 and X.shape[:1] != Y.shape[:-2]:
         raise ValueError("Y and X must have the same number of blocks")
-    K, N_r, _ = Yb.shape
-    N_t = X.shape[1]
+    N_r, N_t = Y.shape[-2], X.shape[-2]
     m = N_r * N_t
     if Sigma is None:
         if sigma_h2 <= 0:
@@ -64,11 +60,11 @@ def _lmmse_blocks(Y, X, sigma_h2: float, sigma_n2: float, Sigma) -> np.ndarray:
             raise ValueError(f"Sigma must be {m}x{m} over vec(H_k), got {Sigma.shape}")
     XH = X.conj().swapaxes(-1, -2)
     # conj(G_k) kron I_{N_r}: entry (a N_r + r, b N_r + s) is conj(G_k)[a, b] delta_rs
-    GI = ((X @ XH).conj()[:, :, None, :, None] * np.eye(N_r)[:, None, :]).reshape(K, m, m)
-    b = (Yb @ XH).swapaxes(-1, -2).reshape(K, m, 1)
+    GI = ((X @ XH).conj()[..., None, :, None] * np.eye(N_r)[:, None, :]).reshape(
+        X.shape[:-2] + (m, m))
+    b = (Y @ XH).swapaxes(-1, -2).reshape(Y.shape[:-2] + (m, 1))
     h = np.linalg.solve(Sigma @ GI + sigma_n2 * np.eye(m), Sigma @ b)
-    est = h.reshape(K, N_t, N_r).swapaxes(-1, -2)
-    return est[0] if single else est
+    return h.reshape(Y.shape[:-2] + (N_t, N_r)).swapaxes(-1, -2)
 
 
 def lmmse_channel(

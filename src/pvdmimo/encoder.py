@@ -19,8 +19,9 @@ many are pushed through one point, and frobenius2(H) the Jacobian norms
 views of it.
 
 Users sit on axis 0: d is one source (n,) or one per user (N_u, n), and
-the results carry the same leading axis. A matrix encoder's A is (m, n),
-shared by all users, or (N_u, m, n).
+every kernel indexes trailing axes only, so one source is the same code with
+no user axis. A matrix encoder's A is (m, n), shared by all users, or one per
+user (N_u, m, n); N_u = 1 also serves one source.
 
 LinearEncoder applies a fixed complex matrix; SaturatingEncoder squashes
 real and imaginary parts elementwise through tanh (a smooth, bounded
@@ -39,7 +40,7 @@ class NonFiniteInputError(ValueError):
 
 
 class Linearization:
-    """An encoder at its points d, (N_u, n) or one source (n,): `value` =
+    """An encoder at its points d, one source (n,) or (N_u, n): `value` =
     encode(d), calling it pulls a cotangent shaped like `value` back
     (c -> 2 Re(J^H vec c) per user), `jacobian()` is the dense J."""
 
@@ -64,22 +65,16 @@ class Linearization:
         j2, hj2 = self._norms(Q)
         return j2, None if H is None else hj2
 
-    def _one(self) -> Linearization:
-        """The one-source view of a linearization at one stacked point."""
-        return Linearization(self.value[0], lambda c: self._pull(c[None])[0],
-                             lambda: self.jacobian()[0],
-                             lambda Q: [float(v[0]) for v in self._norms(Q[None])])
 
-
-def _block_norms(C: np.ndarray, Q: np.ndarray, trace_C=None):
+def _block_norms(Q: np.ndarray, C: np.ndarray, trace_C=None):
     """(sum_k tr C_k, sum_k tr(Q_k C_k)) per user, C_k = sum_t J_kt J_kt^H the
-    (N_u, K, N_t, N_t) Grams of the rows J_kt of J that channel block k carries
-    in slot t; trace_C is the first where it is known."""
+    ((N_u,) K, N_t, N_t) Grams of the rows J_kt of J that channel block k
+    carries in slot t; trace_C is the first where it is known."""
     # tr(Q_k C_k) row by row, then summed over (k, a) in order, as the one-user
     # einsum "kab,kba->" sums; a reduction over the whole user rounds differently.
-    QC = np.einsum("ukab,ukba->uka", Q, C).reshape(len(Q), -1)
-    return (np.einsum("ukaa->u", C).real if trace_C is None else trace_C,
-            np.add.accumulate(QC, axis=-1)[:, -1].real)
+    QC = np.einsum("...kab,...kba->...ka", Q, C)
+    return (np.einsum("...kaa->...", C).real if trace_C is None else trace_C,
+            np.add.accumulate(QC.reshape(QC.shape[:-2] + (-1,)), axis=-1)[..., -1].real)
 
 
 class Encoder:
@@ -90,11 +85,6 @@ class Encoder:
 
     def linearize(self, d) -> Linearization:
         """The encoder at d: one source (n,) or one per user (N_u, n)."""
-        d = np.asarray(d, dtype=np.float64)
-        return self._linearize(d[None])._one() if d.ndim == 1 else self._linearize(d)
-
-    def _linearize(self, d: np.ndarray) -> Linearization:
-        """linearize at the rows of d, (N_u, n)."""
         raise NotImplementedError
 
     # Views of linearize. Each concrete class binds them in its own body, so
@@ -128,54 +118,54 @@ class _MatrixEncoder(Encoder):
         self.input_dim = A.shape[-1]
         self._grams: dict = {}
 
-    def _check_input(self, d: np.ndarray) -> np.ndarray:
-        users = d.shape[0] if self.A.ndim == 2 else self.A.shape[0]
-        if d.shape != (users, self.input_dim):
-            raise ValueError(f"sources of shape {d.shape}, encoder expects "
-                             f"({users}, {self.input_dim})")
+    def _check_input(self, d) -> tuple[np.ndarray, np.ndarray]:
+        """The sources d, checked, and the matrices that serve them: A, or the
+        one matrix of an A of shape (1, m, n) for one source."""
+        d = np.asarray(d, dtype=np.float64)
+        A = self.A[0] if self.A.shape[:-2] == (1,) and d.ndim == 1 else self.A
+        if (d.ndim not in (1, 2) or d.shape[-1] != self.input_dim
+                or A.shape[:-2] not in ((), d.shape[:-1])):
+            raise ValueError(f"sources of shape {d.shape} do not fit A of shape {self.A.shape}")
         if not np.isfinite(d).all():
             raise NonFiniteInputError("source vector contains non-finite entries")
-        return d
+        return d, A
 
-    def _gram(self, Q: np.ndarray) -> np.ndarray:
-        """[[R R^T, -i R I^T], [i I R^T, I I^T]], (N_u or 1, K, T, 2, N_t, 2, N_t),
+    def _gram(self, A: np.ndarray, N_t: int) -> np.ndarray:
+        """[[R R^T, -i R I^T], [i I R^T, I I^T]], ((N_u,) K, T, 2, N_t, 2, N_t),
         with R and I the rows of Re A and Im A that block k carries in slot t;
-        taken once per block size N_t of Q."""
-        N_t = Q.shape[-1]
-        if N_t not in self._grams:
+        taken once per block size N_t and A (all users', or one source's)."""
+        key = N_t, A.ndim
+        if key not in self._grams:
             K, T, n = self.output_shape[0] // N_t, self.output_shape[1], self.input_dim
-            A4 = self.A.reshape(-1, K, N_t, T, n).transpose(0, 1, 3, 2, 4)
-            S = np.concatenate([A4.real, A4.imag], axis=3)  # (N_u, K, T, 2N_t, n)
-            G = (S @ S.swapaxes(-1, -2)).reshape(-1, K, T, 2, N_t, 2, N_t)
-            self._grams[N_t] = G * np.array([[1, -1j], [1j, 1]])[:, None, :, None]
-        return self._grams[N_t]
+            A4 = A.reshape(A.shape[:-2] + (K, N_t, T, n)).swapaxes(-3, -2)
+            S = np.concatenate([A4.real, A4.imag], axis=-2)  # ((N_u,) K, T, 2N_t, n)
+            G = (S @ S.swapaxes(-1, -2)).reshape(S.shape[:-2] + (2, N_t, 2, N_t))
+            self._grams[key] = G * np.array([[1, -1j], [1j, 1]])[:, None, :, None]
+        return self._grams[key]
 
 
 class LinearEncoder(_MatrixEncoder):
     """X = reshape(A d), with A complex of shape ((N_u,) N_t*K*T, n)."""
 
-    def _linearize(self, d: np.ndarray) -> Linearization:
-        d = self._check_input(d)
-        users = d.shape[0]
+    def linearize(self, d) -> Linearization:
+        d, A = self._check_input(d)
+        users = d.shape[:-1]
 
         def pullback(c):
             # Re(c^H A) = Re(A^H c) without a conjugate copy of A.
-            return 2.0 * (c.reshape(users, 1, -1).conj() @ self.A)[:, 0].real
+            return 2.0 * (c.reshape(users + (1, -1)).conj() @ A)[..., 0, :].real
 
         def norms(Q):
             # J = A, so C_k = sum_t A_kt A_kt^H (the Gram's blocks, summed) and its
-            # trace do not depend on d: both are kept per block size and user count.
-            key = Q.shape[-1], len(Q)
+            # trace per user do not depend on d: both are kept per user and block count.
+            key = "C", Q.shape[:-2]
             if key not in self._grams:
-                C = self._gram(Q).sum(axis=(2, 3, 5))
-                C = np.repeat(C, len(Q) // len(C), axis=0)
-                self._grams[key] = C, np.einsum("ukaa->u", C).real
-            C, trace_C = self._grams[key]
-            return _block_norms(C, Q, trace_C)
+                C = self._gram(A, Q.shape[-1]).sum(axis=(-5, -4, -2))
+                self._grams[key] = C, np.broadcast_to(np.einsum("...kaa->...", C).real, users)
+            return _block_norms(Q, *self._grams[key])
 
-        shape = (users,) + self.output_shape
-        return Linearization((self.A @ d[:, :, None]).reshape(shape), pullback,
-                             lambda: np.broadcast_to(self.A, shape[:1] + self.A.shape[-2:]), norms)
+        return Linearization((A @ d[..., None]).reshape(users + self.output_shape), pullback,
+                             lambda: np.broadcast_to(A, users + A.shape[-2:]), norms)
 
     encode, vjp, jacobian = _VIEWS
 
@@ -193,31 +183,31 @@ class SaturatingEncoder(_MatrixEncoder):
             raise ValueError("gain must be > 0")
         self.gain = float(gain)
 
-    def _linearize(self, d: np.ndarray) -> Linearization:
-        d = self._check_input(d)
-        users = d.shape[0]
-        z = self.gain * (self.A @ d[:, :, None])[:, :, 0]
+    def linearize(self, d) -> Linearization:
+        d, A = self._check_input(d)
+        users = d.shape[:-1]
+        z = self.gain * (A @ d[..., None])[..., 0]
         t_re, t_im = np.tanh(z.real), np.tanh(z.imag)
         dr = 1.0 - t_re ** 2  # tanh' on each part
         di = 1.0 - t_im ** 2
 
         def pullback(c):
-            c = c.reshape(users, -1, 1)
-            out = (self.A.real.swapaxes(-1, -2) @ (dr[:, :, None] * c.real)
-                   + self.A.imag.swapaxes(-1, -2) @ (di[:, :, None] * c.imag))
-            return 2.0 * self.gain * out[:, :, 0]
+            c = c.reshape(users + (-1, 1))
+            out = (A.real.swapaxes(-1, -2) @ (dr[..., None] * c.real)
+                   + A.imag.swapaxes(-1, -2) @ (di[..., None] * c.imag))
+            return 2.0 * self.gain * out[..., 0]
 
         def jacobian():
-            return self.gain * (dr[:, :, None] * self.A.real + 1j * di[:, :, None] * self.A.imag)
+            return self.gain * (dr[..., None] * A.real + 1j * di[..., None] * A.imag)
 
         def norms(Q):
             # J_kt = g (diag(dr) R + i diag(di) I), so C_k weighs the Gram by
             # w = g (dr, di) on both sides before summing its blocks.
-            G = self._gram(Q)  # (N_u or 1, K, T, 2, N_t, 2, N_t)
-            w = self.gain * np.stack([dr, di], 1).reshape(users, 2, G.shape[1], -1, G.shape[2])
-            return _block_norms(np.einsum("upkat,uktpaqb,uqkbt->ukab", w, G, w), Q)
+            G = self._gram(A, Q.shape[-1])  # ((N_u,) K, T, 2, N_t, 2, N_t)
+            w = self.gain * np.stack([dr, di], -2).reshape(users + (2,) + Q.shape[-3:-1] + (-1,))
+            return _block_norms(Q, np.einsum("...pkat,...ktpaqb,...qkbt->...kab", w, G, w))
 
-        return Linearization((t_re + 1j * t_im).reshape((users,) + self.output_shape),
+        return Linearization((t_re + 1j * t_im).reshape(users + self.output_shape),
                              pullback, jacobian, norms)
 
     encode, vjp, jacobian = _VIEWS
@@ -239,13 +229,12 @@ class PowerNormalizedEncoder(Encoder):
         self.input_dim = base.input_dim
         self._target = np.sqrt(P * self.output_shape[0] * self.output_shape[1])
 
-    def _linearize(self, d: np.ndarray) -> Linearization:
+    def linearize(self, d) -> Linearization:
         base = self.base.linearize(d)
         F = base.value
-        users = F.shape[0]
-        f = F.reshape(users, -1)
+        f = F.reshape(F.shape[:-2] + (-1,))
         nrm = np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))  # as np.linalg.norm
-        if 0.0 in nrm.tolist():
+        if not nrm.all():
             raise ValueError("base encoder output is zero; no feasible power scaling")
         scale = self._target / nrm
         # float_power is the libm pow of scalar ** 2; array ** 2 squares and can
@@ -255,30 +244,30 @@ class PowerNormalizedEncoder(Encoder):
 
         # d(c F)/dd = c J + F (grad c)^T with grad c = -c Re(J^H F)/||F||^2.
         def pullback(c):
-            w = (c.conj() * F).real.reshape(users, -1).sum(axis=-1)  # Re <c, F>
-            return scale[:, None] * base._pull(c) - (scale * w / nrm2)[:, None] * radial
+            w = (c.conj() * F).real.reshape(f.shape).sum(axis=-1)  # Re <c, F>
+            return scale[..., None] * base._pull(c) - (scale * w / nrm2)[..., None] * radial
 
         def jacobian():
             J = base.jacobian()
             JhF = (J.conj().swapaxes(-1, -2) @ f[..., None])[..., 0]
-            grad_c = -(scale / nrm2)[:, None] * JhF.real
-            return scale[:, None, None] * J + f[:, :, None] * grad_c[:, None, :]
+            grad_c = -(scale / nrm2)[..., None] * JhF.real
+            return scale[..., None, None] * J + f[..., :, None] * grad_c[..., None, :]
 
         def norms(Q):
             # J_PN = s J + F g^T with g = grad c = -(s / (2||F||^2)) radial, so
             # ||G J_PN||^2 = s^2 ||G J||^2 + s g.pull(G^H G F) + ||G F||^2 ||g||^2
             # for G = I and G = H0 (H0^H H0 F = Q_k F_k per block). Where J_PN = 0
             # (a linear base, n = 1) the terms cancel, to rounding below 0.
-            g = -(scale / (2.0 * nrm2))[:, None] * radial
+            g = -(scale / (2.0 * nrm2))[..., None] * radial
             gg = np.vecdot(g, g)
             j2, hj2 = base._norms(Q)
-            QF = (Q @ F.reshape(Q.shape[:3] + (-1,))).reshape(F.shape)
+            QF = (Q @ F.reshape(Q.shape[:-1] + (-1,))).reshape(F.shape)
             j2 = scale2 * j2 + scale * np.vecdot(g, radial) + nrm2 * gg
             hj2 = (scale2 * hj2 + scale * np.vecdot(g, base._pull(QF))
-                   + np.vecdot(f, QF.reshape(users, -1)).real * gg)
+                   + np.vecdot(f, QF.reshape(f.shape)).real * gg)
             return np.maximum(j2, 0.0), np.maximum(hj2, 0.0)
 
-        return Linearization(scale[:, None, None] * F, pullback, jacobian, norms)
+        return Linearization(scale[..., None, None] * F, pullback, jacobian, norms)
 
     encode, vjp, jacobian = _VIEWS
 

@@ -149,6 +149,8 @@ def _build_prior(spec: dict, domain: str, truth: np.ndarray) -> ScorePrior:
         if mean == "truth":
             return GaussianPrior(truth, spec["var"], domain, shape)
         if isinstance(mean, (list, tuple)):  # [re, im]; the real part for a real prior
+            if len(mean) != 2:
+                raise ValueError("mean must be a number or an [re, im] pair")
             mean = complex(*mean) if domain == "complex" else mean[0]
         return GaussianPrior(np.full(shape, complex(mean) if domain == "complex"
                                      else float(mean)), spec["var"], domain)
@@ -356,6 +358,10 @@ def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], cal_stream:
             raise ConfigError(
                 f"encoder file shape {base.output_shape}/{base.input_dim} does not match "
                 f"{out_shape}/{n}")
+        kind = "saturating" if isinstance(base, SaturatingEncoder) else "linear"
+        if kind != spec["type"]:
+            raise ConfigError(f"encoder file holds a {kind} encoder, encoder.type is "
+                              f"{spec['type']!r}")
     else:  # the parse checks m == n for 'identity'
         rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0xE2C0DE, i]))
                 for i in range(users)]

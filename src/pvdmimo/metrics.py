@@ -84,4 +84,4 @@ def source_mse(D_true: np.ndarray, D_est: np.ndarray) -> float:
     t, e = (np.asarray(D, dtype=np.float64) for D in (D_true, D_est))
     if t.shape != e.shape:
         raise ValueError(f"shape mismatch: {t.shape} vs {e.shape}")
-    return float(np.mean(np.mean(np.atleast_2d((t - e) ** 2), axis=-1)))
+    return float(np.mean(np.mean((t - e) ** 2, axis=-1)))

@@ -15,7 +15,8 @@ the same responsibilities and differences.
 
 A prior is over one user's arrays of event `shape`; `at` takes one such x
 or one per user, (N_u, *shape), and returns the score and chain vjp shaped
-like x and the trace per user (one float where all users share it).
+like x and the trace per user, with no user axis for one x (one float where
+all users share it).
 
 Conventions. A prior is declared over a "real" or "complex" domain. For
 complex variables all gradients are Wirtinger derivatives with respect to
@@ -63,11 +64,13 @@ class ScorePrior:
     shape: tuple[int, ...]  # one user's event shape
     dim: int  # free entries of one user (one per complex scalar)
 
-    def __init__(self, var: float, domain: str):
-        if var <= 0:
-            raise ValueError("var must be > 0")
-        if domain not in _DTYPES:
-            raise ValueError(f"unknown domain {domain!r}")
+    def __init__(self, var: float, domain: str, faults=()):
+        """Raise one ValueError with every fault, the subclass's `faults` last."""
+        faults = [msg for bad, msg in ((var <= 0, "var must be > 0"),
+                                       (domain not in _DTYPES, f"unknown domain {domain!r}"))
+                  if bad] + list(faults)
+        if faults:
+            raise ValueError("; ".join(faults))
         self.domain, self.var0 = domain, float(var)
 
     def at(self, x, sigma: float) -> PriorPoint:
@@ -167,17 +170,14 @@ class GaussianMixturePrior(ScorePrior):
     """
 
     def __init__(self, means, var: float, weights, domain: str = "real"):
-        super().__init__(var, domain)
+        w = np.asarray(weights, dtype=np.float64)
+        super().__init__(var, domain, [msg for bad, msg in (
+            (w.ndim != 1 or len(w) != len(means), "weights must be one per component"),
+            (np.any(w <= 0), "weights must be positive"),
+            (abs(float(np.sum(w)) - 1.0) > 1e-12, "weights must sum to 1")) if bad])
         self.means = np.asarray(means, dtype=_DTYPES[domain])
         if self.means.ndim < 2:
             self.means = self.means.reshape(self.means.shape[0], 1)
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or w.shape[0] != self.means.shape[0]:
-            raise ValueError("weights must be one per component")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        if abs(float(np.sum(w)) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
         self.weights = w
         self.n_components = w.shape[0]
         self.shape = self.means.shape[1:]
@@ -223,8 +223,7 @@ class GaussianMixturePrior(ScorePrior):
                 out = out[..., :self.dim] + 1j * out[..., self.dim:]
             return out.reshape(c.shape)
 
-        return PriorPoint((r @ diffs).reshape(x.shape) / s2,
-                          t.reshape(users) if users else float(t[0]), chain_vjp)
+        return PriorPoint((r @ diffs).reshape(x.shape) / s2, t.reshape(users), chain_vjp)
 
     first_order, second_order_trace, tweedie_chain_vjp = _VIEWS
 

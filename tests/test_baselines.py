@@ -202,8 +202,12 @@ def test_lmmse_matches_dense_formula_over_shapes(K, N_r, N_t, L, sigma_n2, sigma
     want = np.stack([_dense_lmmse(Yk, Xk, Sigma_dense, sigma_n2) for Yk, Xk in zip(Y, X)])
     if form == "one-block":
         got = lmmse_channel(Y[0], X[0], sigma_h2, sigma_n2, Sigma=Sigma)[None]
+        # one (N_r, L) block is the stacked (1, N_r, L) call with no block axis
+        assert np.array_equal(got, lmmse_channel(Y, X[0], sigma_h2, sigma_n2, Sigma=Sigma))
     elif form == "shared-X":
         got = lmmse_channel(Y, X[0], sigma_h2, sigma_n2, Sigma=Sigma)
+        # a shared (N_t, L) X is the per-block X with every block equal
+        assert np.array_equal(got, oracle_lmmse(Y, X, sigma_h2, sigma_n2, Sigma))
     else:
         got = oracle_lmmse(Y, X, sigma_h2, sigma_n2, Sigma)
     assert got.shape == (K, N_r, N_t)

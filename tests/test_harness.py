@@ -11,8 +11,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import pvdmimo
+from pvdmimo import harness
 from pvdmimo.cli import main as cli_main
 from pvdmimo.harness import (
     DIAG_COLUMNS,
@@ -467,6 +470,25 @@ def test_run_rejects_an_encoder_file_of_another_shape(tmp_path):
         run_experiment(cfg)
 
 
+def test_run_rejects_an_encoder_file_of_another_type(tmp_path, capsys):
+    # a saturating file used to run under encoder.type 'linear', and so under
+    # power_mode 'average', which calibrates linear encoders only
+    from pvdmimo.channel import complex_normal
+    from pvdmimo.encoder import SaturatingEncoder, save_encoder
+    path = tmp_path / "enc.txt"
+    save_encoder(SaturatingEncoder(complex_normal(np.random.default_rng(3), (8, 3)), 1.25,
+                                   (1, 8)), path)
+    cfg = tiny_config(trials=1, power_mode="average",
+                      encoder={"type": "linear", "gain": 3.0, "file": str(path)},
+                      baselines={"lmmse": False, "oracle_lmmse": False})
+    assert validate_dict(cfg) == []
+    problem = "encoder file holds a saturating encoder, encoder.type is 'linear'"
+    with pytest.raises(ConfigError, match=problem):
+        run_experiment(cfg)
+    assert cli_main(["run", str(_write_cfg(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err.splitlines() == [problem]
+
+
 def test_run_rejects_bad_link_instead_of_flagging_rows():
     # a 2x2 R_rx for N_r = 4 used to pass and flag every row
     cfg = _kronecker([[1.0, 0.5], [0.5, 1.0]], [[1.0]])
@@ -581,6 +603,82 @@ def test_prior_means_given_as_re_im_pairs():
     sc = harness._scene(cfg, link, 15.0, np.random.default_rng(0))
     assert np.all(sc.prior_H.mean == 0.5 - 0.25j)
     assert np.all(sc.prior_D.mean == 0.5)
+
+
+@pytest.mark.parametrize("key", ["prior_channel", "prior_source", "source_draw"])
+@pytest.mark.parametrize("mean", [[1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3], [0.5], []],
+                         ids=["8", "3", "1", "0"])
+def test_validate_rejects_a_list_mean_that_is_not_a_pair(key, mean):
+    # a real prior used to take mean[0] and a complex one to fail as "prior_channel: must
+    # be a number"; [1, 2, ..., 8] ran as a constant 1.0 source prior
+    cfg = tiny_config(**{key: {"type": "gaussian", "mean": mean, "var": 1.0}})
+    assert validate_dict(cfg) == [f"{key}.mean: must be a number or an [re, im] pair"]
+
+
+# The validate contract: a config that validate_dict passes runs, and a PVD divergence is the
+# only fault a row may carry. Every field of the schema is drawn, bad values among the good.
+_FIELDS = {
+    "dims": {"N_r": st.integers(1, 4), "N_t": st.integers(1, 2), "K": st.integers(1, 2),
+             "T": st.integers(1, 6), "N_u": st.sampled_from([1, 1, 2]), "n": st.integers(1, 5),
+             "P": st.sampled_from([0.5, 1.0, 2.0])},
+    "encoder": {"type": st.sampled_from(["linear", "saturating"]),
+                "init": st.sampled_from(["gaussian"] * 3 + ["identity"]),
+                "gain": st.sampled_from([0.5, 1.0, 2.0, 0.7, 0.0]), "file": st.none()},
+    "pvd": {"enabled": st.sampled_from([True, True, False]),
+            "J": st.sampled_from([2, 3, 2, 3, 1]), "J_in": st.integers(1, 2),
+            "L": st.integers(1, 2), "sigma1_H": st.just(0.01), "sigmaJ_H": st.just(10.0),
+            "sigma1_D": st.just(0.01), "sigmaJ_D": st.just(10.0),
+            "zeta_H": st.sampled_from([0.06, 0.5]), "zeta_D": st.sampled_from([0.06, 0.5]),
+            "probes": st.just(8)},
+    "baselines": {"lmmse": st.booleans(), "oracle_lmmse": st.booleans(),
+                  "N_p": st.integers(1, 3)},
+}
+_NUMBERS = st.sampled_from([0.0, 0.5, -1.0])
+_MEANS = st.one_of(_NUMBERS, st.lists(_NUMBERS, min_size=2, max_size=2),
+                   st.lists(_NUMBERS, max_size=4), st.just("truth"))
+
+
+def _draw_prior(draw, n, mixture):
+    if not mixture:
+        return {"type": "gaussian", "mean": draw(_MEANS), "var": draw(st.sampled_from([0.25, 2.0]))}
+    means = draw(st.lists(st.one_of(_NUMBERS, st.lists(_NUMBERS, min_size=n, max_size=n)),
+                          min_size=1, max_size=3))
+    w = np.full(len(means), 1.0 / len(means))
+    return {"type": "mixture", "means": means, "var": 0.25, "weights": w.tolist()}
+
+
+@st.composite
+def _configs(draw):
+    cfg = {sec: {key: draw(_FIELDS[sec][key]) for key in harness.DEFAULT_CONFIG[sec]}
+           for sec in _FIELDS}
+    d = cfg["dims"]
+    if draw(st.booleans()):  # an identity encoder needs n = N_t K T
+        d["n"] = d["N_t"] * d["K"] * d["T"]
+    model = draw(st.sampled_from(sorted(harness._CHANNEL_KEYS)))
+    cfg["channel"] = {"model": model}
+    if model == "kronecker":
+        for key, size in (("R_rx", d["N_r"]), ("R_tx", d["N_t"])):
+            rho = draw(st.sampled_from([0.0, 0.5, 0.9]))
+            cfg["channel"][key] = [[rho ** abs(i - j) for j in range(size)] for i in range(size)]
+    assert set(cfg["channel"]) == set(harness._CHANNEL_KEYS[model])
+    for key in ("prior_channel", "prior_source", "source_draw"):
+        if key == "source_draw" and draw(st.booleans()):
+            cfg[key] = None
+            continue
+        cfg[key] = _draw_prior(draw, d["n"], key != "prior_channel" and draw(st.booleans()))
+        assert set(cfg[key]) == set(harness._PRIOR_KEYS[cfg[key]["type"]])
+    cfg.update(power_mode=draw(st.sampled_from(["exact", "exact", "average"])),
+               snr_db=[draw(st.sampled_from([-10.0, 10.0, 40.0]))], trials=1,
+               seed=draw(st.integers(0, 2**16)))
+    return cfg
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(cfg=_configs())
+def test_a_config_that_validates_runs_with_divergence_the_only_error(cfg):
+    assume(validate_dict(cfg) == [])
+    errors = {r.error.split(":")[0] for r in run_experiment(cfg)} - {""}
+    assert errors <= {"PvdDivergenceError"}
 
 
 # --- CLI ---------------------------------------------------------------------------

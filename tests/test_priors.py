@@ -262,6 +262,28 @@ def test_prior_validation():
         GaussianMixturePrior(np.zeros((2, 2)), 1.0, [1.5, -0.5], "real")
 
 
+@pytest.mark.parametrize("make, faults", [
+    (lambda: GaussianMixturePrior(np.zeros((2, 3)), -1.0, [0.5, 0.6], "real"),
+     ["var must be > 0", "weights must sum to 1"]),
+    (lambda: GaussianMixturePrior(np.zeros((2, 3)), 1.0, [0.5, -0.6, 3], "real"),
+     ["weights must be one per component", "weights must be positive", "weights must sum to 1"]),
+    (lambda: GaussianPrior(np.zeros(3), 0.0, "bogus"),
+     ["var must be > 0", "unknown domain 'bogus'"]),
+], ids=["var-and-sum", "every-weight-rule", "var-and-domain"])
+def test_prior_constructors_report_every_fault(make, faults):
+    # each used to stop at its first fault: only the variance, or "one per component"
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value).split("; ") == faults
+
+
+def test_validate_reports_every_fault_of_a_mixture_prior():
+    from pvdmimo.harness import validate_dict
+    spec = {"type": "mixture", "means": [1.0, -1.0], "var": -1, "weights": [0.5, 0.6]}
+    assert validate_dict({"prior_source": spec}) == ["prior_source.var: must be > 0",
+                                                     "prior_source.weights: must sum to 1"]
+
+
 def test_prior_rejects_shapes_off_its_event_shape():
     with pytest.raises(ValueError, match="mean has shape"):
         GaussianPrior(np.zeros((2, 4)), 1.0, "real", shape=(3,))

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvdmimo import harness
@@ -77,6 +77,10 @@ def _encoder(kind, A, shape):
 @settings(max_examples=80, deadline=None)
 @given(n_u=st.integers(1, 4), shape=shapes, kind=st.sampled_from(KINDS),
        shared=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n_u=1, shape=(2, 3, 2, 3, 4), kind="linear", shared=False, seed=1)
+@example(n_u=1, shape=(2, 3, 2, 3, 4), kind="saturating", shared=False, seed=2)
+@example(n_u=1, shape=(2, 3, 2, 3, 4), kind="pn-linear", shared=False, seed=3)
+@example(n_u=1, shape=(1, 2, 1, 2, 1), kind="pn-saturating", shared=False, seed=4)
 def test_stacked_linearize_equals_per_user_calls(n_u, shape, kind, shared, seed):
     # one (m, n) matrix shared by all users, or one per user stacked on axis 0
     K, N_r, N_t, T, n = shape
@@ -99,6 +103,11 @@ def test_stacked_linearize_equals_per_user_calls(n_u, shape, kind, shared, seed)
         assert np.array_equal(J[i], one.jacobian())
         assert (j2[i], hj2[i]) == one.frobenius2(H[i])
         assert j2_alone[i] == one.frobenius2()[0]
+    if n_u == 1 and not shared:  # one (n,) source through the same A, of shape (1, m, n)
+        one = enc.linearize(d[0])
+        for got, row in ((one.value, lin.value), (one(c[0]), pulled), (one.jacobian(), J),
+                         *zip(one.frobenius2(H[0]), (j2, hj2)), (one.frobenius2()[0], j2_alone)):
+            assert np.shape(got) == np.shape(row[0]) and np.array_equal(got, row[0])
 
 
 def _multiuser_config():
