@@ -149,11 +149,13 @@ def two_stage_decode(
     W = (R @ enc.A.reshape(K, N_t, T_d * n)).reshape(-1, n)
     z = (U.conj().swapaxes(-1, -2) @ Y_d).reshape(-1)
     Wr = np.concatenate([W.real, W.imag])
+    del W  # at most two full-size arrays, W and Wr, are alive at once
     mu = np.broadcast_to(np.asarray(prior.mean, dtype=np.float64), (n,)).copy()
     zr = np.concatenate([z.real, z.imag]) - Wr @ mu
     if sigma_n2 == 0:
         delta, *_ = np.linalg.lstsq(Wr, zr, rcond=None)
         return mu + delta
     lam = (sigma_n2 / 2.0) / prior.var0
-    G = Wr.T @ Wr + lam * np.eye(n)
+    G = Wr.T @ Wr
+    G.flat[::n + 1] += lam  # + lam I, in place
     return mu + np.linalg.solve(G, Wr.T @ zr)

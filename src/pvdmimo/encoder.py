@@ -16,7 +16,8 @@ under power normalization). Its value is f(d), jacobian() the dense J,
 calling it pulls a cotangent back for one matrix-vector product, however
 many are pushed through one point, and frobenius2(H) the Jacobian norms
 ||J||_F^2 and ||H0 J||_F^2 in closed form. encode, vjp and jacobian are
-views of it.
+views of it; a power-normalized encode takes the value alone, without the
+radial term.
 
 Users sit on axis 0: d is one source (n,) or one per user (N_u, n), and
 every kernel indexes trailing axes only, so one source is the same code with
@@ -229,14 +230,23 @@ class PowerNormalizedEncoder(Encoder):
         self.input_dim = base.input_dim
         self._target = np.sqrt(P * self.output_shape[0] * self.output_shape[1])
 
-    def linearize(self, d) -> Linearization:
-        base = self.base.linearize(d)
-        F = base.value
+    def _scale(self, F: np.ndarray):
+        """(f, ||f||, c) per user for the base output F, f its flat view."""
         f = F.reshape(F.shape[:-2] + (-1,))
         nrm = np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))  # as np.linalg.norm
         if not nrm.all():
             raise ValueError("base encoder output is zero; no feasible power scaling")
-        scale = self._target / nrm
+        return f, nrm, self._target / nrm
+
+    def encode(self, d: np.ndarray) -> np.ndarray:
+        # The value alone: no radial pullback, which only the derivatives use.
+        F = self.base.encode(d)
+        return self._scale(F)[2][..., None, None] * F
+
+    def linearize(self, d) -> Linearization:
+        base = self.base.linearize(d)
+        F = base.value
+        f, nrm, scale = self._scale(F)
         # float_power is the libm pow of scalar ** 2; array ** 2 squares and can
         # round the last bit differently.
         nrm2, scale2 = np.float_power(nrm, 2), np.float_power(scale, 2)
@@ -269,7 +279,7 @@ class PowerNormalizedEncoder(Encoder):
 
         return Linearization(scale[..., None, None] * F, pullback, jacobian, norms)
 
-    encode, vjp, jacobian = _VIEWS
+    vjp, jacobian = _VIEWS[1:]
 
 
 def jacobian_frobenius2(enc: Encoder, d: np.ndarray) -> float:

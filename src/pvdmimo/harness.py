@@ -26,7 +26,6 @@ import json
 import math
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,6 +160,22 @@ def _build_prior(spec: dict, domain: str, truth: np.ndarray) -> ScorePrior:
                                 spec["var"], spec["weights"], domain)
 
 
+def _file_encoder(spec: dict, dims: MimoDims) -> Encoder | None:
+    """The encoder in spec["file"], checked against the config's type and
+    shape; None for a file that cannot be read here, which the run reports."""
+    try:
+        enc = load_encoder(spec["file"])
+    except OSError:
+        return None
+    if enc.output_shape != dims.signal_shape or enc.input_dim != dims.n:
+        raise ValueError(f"shape {enc.output_shape}/{enc.input_dim} does not match "
+                         f"{dims.signal_shape}/{dims.n}")
+    kind = "saturating" if isinstance(enc, SaturatingEncoder) else "linear"
+    if spec["type"] in ("linear", "saturating") and kind != spec["type"]:
+        raise ValueError(f"holds a {kind} encoder, encoder.type is {spec['type']!r}")
+    return enc
+
+
 def _parse(user) -> tuple[dict, dict, list[str]]:
     """Merge `user` over DEFAULT_CONFIG and build its typed parts once:
     (merged tree, parts, problems). A constructor's error is the problem, at
@@ -218,7 +233,7 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
                                 else f"{path}: {fault}")
         return None
 
-    parts: dict = {"kron": None, "pilots": None}
+    parts: dict = {"kron": None, "pilots": None, "file_encoder": None}
     dims = parts["dims"] = build(
         "dims", lambda: MimoDims(**{k: d[k] for k in DEFAULT_CONFIG["dims"]}), d)
     scheds = [build(f"pvd.sigma1_{s}", lambda s=s: pv.NoiseSchedule(
@@ -239,6 +254,8 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
     if dims and init == "identity":
         m = dims.N_t * dims.K * dims.T
         check(dims.n == m, "encoder.init", f"'identity' needs n == N_t*K*T = {m}")
+    if dims and enc["file"] and isinstance(enc["file"], str):
+        parts["file_encoder"] = build("encoder.file", lambda: _file_encoder(enc, dims))
 
     if dims and ch.get("model") == "kronecker":
         (R_rx, S_rx), (R_tx, S_tx) = (
@@ -301,6 +318,7 @@ class ExperimentConfig:
     # covariance of vec(H_k); None: Rayleigh
     kron: tuple | None
     pilots: np.ndarray | None  # (N_t, N_p) pilot rows, when baselines.lmmse is on
+    file_encoder: Encoder | None  # encoder.file, loaded and checked; None: none or unread
     raw: dict = field(repr=False)
 
     @classmethod
@@ -352,16 +370,10 @@ def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], cal_stream:
     """
     seed, spec, n = cfg.raw["seed"] & 0xFFFFFFFF, cfg.raw["encoder"], cfg.dims.n
     m = out_shape[0] * out_shape[1]
-    if spec["file"]:
-        base = load_encoder(spec["file"])
-        if base.output_shape != out_shape or base.input_dim != n:
-            raise ConfigError(
-                f"encoder file shape {base.output_shape}/{base.input_dim} does not match "
-                f"{out_shape}/{n}")
-        kind = "saturating" if isinstance(base, SaturatingEncoder) else "linear"
-        if kind != spec["type"]:
-            raise ConfigError(f"encoder file holds a {kind} encoder, encoder.type is "
-                              f"{spec['type']!r}")
+    if spec["file"]:  # the parse loaded and checked it against the signal shape
+        base = cfg.file_encoder
+        if base is None:
+            raise ConfigError(f"encoder.file: cannot read {spec['file']!r}")
     else:  # the parse checks m == n for 'identity'
         rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0xE2C0DE, i]))
                 for i in range(users)]
@@ -588,6 +600,8 @@ def run_experiment(cfg: ExperimentConfig | dict, out=None) -> list[mt.MetricsRec
     link = _build_link(cfg)
     cells = [(si, t) for si in range(len(raw["snr_db"])) for t in range(raw["trials"])]
     if raw["workers"] > 1:
+        # Imported here: a serial run never loads the process pool.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=raw["workers"], initializer=_init_worker,
                                  initargs=(raw,)) as pool:
             results = list(pool.map(_pool_task, cells, chunksize=4))  # in cell order

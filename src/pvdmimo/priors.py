@@ -130,14 +130,13 @@ class GaussianPrior(ScorePrior):
     mean's); a mean of shape (N_u, *shape) anchors each user at its own row."""
 
     def __init__(self, mean, var: float, domain: str = "real", shape=None):
-        super().__init__(var, domain)
-        self.mean = np.asarray(mean, dtype=_DTYPES[domain])
-        self.shape = self.mean.shape if shape is None else tuple(shape)
-        lead = self.mean.ndim - len(self.shape)
-        if lead not in (0, 1) or self.mean.shape[lead:] != self.shape:
-            raise ValueError(f"mean has shape {self.mean.shape}, expected {self.shape} "
-                             f"or (N_u, *{self.shape})")
-        self.dim = math.prod(self.shape)
+        mean = np.asarray(mean, dtype=_DTYPES.get(domain))  # an unknown domain is a fault below
+        shape = mean.shape if shape is None else tuple(shape)
+        lead = mean.ndim - len(shape)
+        fits = lead in (0, 1) and mean.shape[lead:] == shape
+        super().__init__(var, domain, [] if fits else [
+            f"mean has shape {mean.shape}, expected {shape} or (N_u, *{shape})"])
+        self.mean, self.shape, self.dim = mean, shape, math.prod(shape)
 
     def at(self, x, sigma: float) -> PriorPoint:
         x = self._check(x, sigma)

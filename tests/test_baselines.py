@@ -251,6 +251,25 @@ def test_two_stage_zero_channel_returns_prior_mean():
     assert np.allclose(d_hat, 0.7)
 
 
+def test_two_stage_holds_two_full_size_arrays_at_its_peak():
+    # At the medium workload's pilot shape. It used to peak at 2.81x the
+    # pilot matrix: the complex W beside its real stack, plus n x n identity
+    # temporaries; W and its real stack are 1x each.
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    K, N_r, N_t, T_d, n = 8, 16, 4, 20, 512
+    enc = LinearEncoder(complex_normal(rng, (N_t * K * T_d, n)), (N_t * K, T_d))
+    H, Y = complex_normal(rng, (K, N_r, N_t)), complex_normal(rng, (K, N_r, T_d))
+    prior = GaussianPrior(np.zeros(n), 1.0, "real")
+    tracemalloc.start()
+    try:
+        two_stage_decode(Y, H, enc, prior, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * enc.A.nbytes
+
+
 def _normal_equations_oracle(Y, H, enc, prior, sn2):
     """Independent oracle: build the composite map column by column through
     encode, then solve the regularized normal equations directly (least

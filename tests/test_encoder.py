@@ -193,6 +193,34 @@ def test_normalize_power_zero_error():
         enc.encode(np.ones(3))
 
 
+@pytest.mark.parametrize("saturating", [False, True])
+def test_power_normalized_encode_takes_no_pullback(saturating):
+    # encode used to linearize, which pulls the output back along itself (the
+    # radial term) eagerly; a pullback plus frobenius2 at one point take it once
+    rng = np.random.default_rng(4)
+    A = complex_normal(rng, (2, 8, 5))  # two users
+    base = SaturatingEncoder(A, 0.7, (2, 4)) if saturating else LinearEncoder(A, (2, 4))
+    pulled, linearize = [], base.linearize
+
+    def counted(d):
+        lin = linearize(d)
+        pull = lin._pull
+        lin._pull = lambda c: pulled.append(c) or pull(c)
+        return lin
+
+    base.linearize = counted
+    enc = PowerNormalizedEncoder(base, 2.0)
+    d = rng.standard_normal((2, 5))
+    X = enc.encode(d)
+    assert pulled == []
+    lin = enc.linearize(d)
+    assert np.array_equal(lin.value, X)
+    lin(complex_normal(rng, X.shape))
+    lin.frobenius2(complex_normal(rng, (2, 2, 3, 1)))  # K = 2 blocks of N_t = 1
+    F = base.encode(d)
+    assert len(pulled) == 3 and sum(np.array_equal(c, F) for c in pulled) == 1
+
+
 # --- jacobian_frobenius2 ----------------------------------------------------
 
 def test_frobenius2_identity():

@@ -466,7 +466,18 @@ def test_run_rejects_an_encoder_file_of_another_shape(tmp_path):
     _, path = _encoder_file(tmp_path, (1, 6), 3)
     cfg = tiny_config(trials=1, encoder={"type": "linear", "file": path},
                       baselines={"lmmse": False, "oracle_lmmse": False})
-    with pytest.raises(ConfigError, match=r"\(1, 6\)/3 does not match \(1, 8\)/3"):
+    problem = "encoder.file: shape (1, 6)/3 does not match (1, 8)/3"
+    assert validate_dict(cfg) == [problem]
+    with pytest.raises(ConfigError, match=re.escape(problem)):
+        run_experiment(cfg)
+
+
+def test_run_reports_an_encoder_file_it_cannot_read(tmp_path):
+    # validate leaves a file it cannot read to the run
+    cfg = tiny_config(trials=1, encoder={"type": "linear", "file": str(tmp_path / "no.txt")},
+                      baselines={"lmmse": False, "oracle_lmmse": False})
+    assert validate_dict(cfg) == []
+    with pytest.raises(ConfigError, match="encoder.file: cannot read"):
         run_experiment(cfg)
 
 
@@ -481,8 +492,8 @@ def test_run_rejects_an_encoder_file_of_another_type(tmp_path, capsys):
     cfg = tiny_config(trials=1, power_mode="average",
                       encoder={"type": "linear", "gain": 3.0, "file": str(path)},
                       baselines={"lmmse": False, "oracle_lmmse": False})
-    assert validate_dict(cfg) == []
-    problem = "encoder file holds a saturating encoder, encoder.type is 'linear'"
+    problem = "encoder.file: holds a saturating encoder, encoder.type is 'linear'"
+    assert validate_dict(cfg) == [problem]
     with pytest.raises(ConfigError, match=problem):
         run_experiment(cfg)
     assert cli_main(["run", str(_write_cfg(tmp_path, cfg))]) == 1
@@ -578,6 +589,19 @@ def test_workers_match_serial(tmp_path, cfg):
     run_experiment(dict(cfg, workers=1), out=p1)
     run_experiment(dict(cfg, workers=2), out=p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_a_serial_run_does_not_load_the_process_pool():
+    # the harness used to import concurrent.futures for every run
+    src = os.path.dirname(os.path.dirname(pvdmimo.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, pvdmimo\n"
+            f"pvdmimo.run_experiment({tiny_config(trials=1, workers=1)!r})\n"
+            "print('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.split() == ["False"]
 
 
 def test_diagnostics_stream(tmp_path):

@@ -269,7 +269,12 @@ def test_prior_validation():
      ["weights must be one per component", "weights must be positive", "weights must sum to 1"]),
     (lambda: GaussianPrior(np.zeros(3), 0.0, "bogus"),
      ["var must be > 0", "unknown domain 'bogus'"]),
-], ids=["var-and-sum", "every-weight-rule", "var-and-domain"])
+    (lambda: GaussianPrior(np.zeros((2, 4)), -1.0, "real", shape=(3,)),
+     ["var must be > 0", "mean has shape (2, 4), expected (3,) or (N_u, *(3,))"]),
+    (lambda: GaussianPrior(np.zeros((2, 4)), 1.0, "bogus", shape=(3,)),
+     ["unknown domain 'bogus'", "mean has shape (2, 4), expected (3,) or (N_u, *(3,))"]),
+], ids=["var-and-sum", "every-weight-rule", "var-and-domain", "var-and-mean-shape",
+        "domain-and-mean-shape"])
 def test_prior_constructors_report_every_fault(make, faults):
     # each used to stop at its first fault: only the variance, or "one per component"
     with pytest.raises(ValueError) as exc:
