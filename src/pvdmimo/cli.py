@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check a config and report violations")
     p_val.add_argument("config")
-    p_val.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     return parser
 
 

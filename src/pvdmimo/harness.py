@@ -3,17 +3,17 @@
 A JSON config (a plain key/value tree, schema documented in the README)
 describes the link dimensions, channel model, encoder, priors, reverse
 process, baselines, SNR grid, and trial count. The config is parsed once,
-by building its typed parts (among them the pilots and the Kronecker
-covariance roots). run_experiment then builds the link once (the fixed
-transmitter: one encoder over all users, their matrices stacked on axis 0,
-with its power calibration), executes every
-(snr, trial) cell with its own generator derived deterministically from
-(master seed, snr index, trial index), scores each enabled method on the
-cell's scene, and writes one CSV row per (trial, method). A fault in the
-config or the link fails the run, while per-trial failures are recorded
-as error-flagged rows and never abort the sweep. sweep repeats an
-experiment across values of one numeric config field (with optional
-linked fields) and aggregates summary statistics.
+by building its typed parts (among them the pilots, the Kronecker covariance
+roots and an encoder file), and every config fault ends there, in validate
+too. run_experiment then builds the link once (the fixed transmitter: one
+encoder over all users, their matrices stacked on axis 0, with its power
+calibration), executes every (snr, trial) cell with its own generator
+derived from (master seed, snr index, trial index), scores each enabled
+method on the cell's scene, and writes one CSV row per (trial, method). A
+fault in the link fails the run; a failed scene flags the row of every
+method, a failed method its own, and a metric a row does not report keeps
+MetricsRecord's NaN default, an empty cell. sweep repeats an experiment over
+values of one numeric config field (and linked fields) and aggregates them.
 """
 
 from __future__ import annotations
@@ -147,9 +147,10 @@ def _build_prior(spec: dict, domain: str, truth: np.ndarray) -> ScorePrior:
         mean = spec.get("mean", 0.0)
         if mean == "truth":
             return GaussianPrior(truth, spec["var"], domain, shape)
-        if isinstance(mean, (list, tuple)):  # [re, im]; the real part for a real prior
-            if len(mean) != 2:
-                raise ValueError("mean must be a number or an [re, im] pair")
+        pair = isinstance(mean, (list, tuple)) and len(mean) == 2
+        if not all(map(_is_number, mean if pair else [mean])):
+            raise ValueError("mean must be a number or an [re, im] pair")
+        if pair:  # [re, im]; the real part for a real prior
             mean = complex(*mean) if domain == "complex" else mean[0]
         return GaussianPrior(np.full(shape, complex(mean) if domain == "complex"
                                      else float(mean)), spec["var"], domain)
@@ -160,19 +161,21 @@ def _build_prior(spec: dict, domain: str, truth: np.ndarray) -> ScorePrior:
                                 spec["var"], spec["weights"], domain)
 
 
-def _file_encoder(spec: dict, dims: MimoDims) -> Encoder | None:
+def _file_encoder(spec: dict, dims: MimoDims) -> Encoder:
     """The encoder in spec["file"], checked against the config's type and
-    shape; None for a file that cannot be read here, which the run reports."""
+    shape, and refused if it cannot be read or its matrix is zero."""
     try:
         enc = load_encoder(spec["file"])
-    except OSError:
-        return None
+    except OSError as exc:
+        raise ValueError(f"cannot read {spec['file']!r}: {exc.strerror or exc}") from None
     if enc.output_shape != dims.signal_shape or enc.input_dim != dims.n:
         raise ValueError(f"shape {enc.output_shape}/{enc.input_dim} does not match "
                          f"{dims.signal_shape}/{dims.n}")
     kind = "saturating" if isinstance(enc, SaturatingEncoder) else "linear"
     if spec["type"] in ("linear", "saturating") and kind != spec["type"]:
         raise ValueError(f"holds a {kind} encoder, encoder.type is {spec['type']!r}")
+    if not np.any(enc.A):
+        raise ValueError("holds a zero matrix: the encoder output has no power")
     return enc
 
 
@@ -202,17 +205,14 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
     ch = cfg["channel"]
     for key in _MERGED:
         problems += _section_problems(f"{key}.", cfg[key], DEFAULT_CONFIG[key])
-    if isinstance(ch.get("model"), str) and ch["model"] in _CHANNEL_KEYS:
-        problems += _section_problems("channel.", ch, _CHANNEL_KEYS[ch["model"]])
-    else:
-        problems.append("channel.model: must be 'rayleigh' or 'kronecker'")
-    priors = {key: cfg[key] for key in _DOMAINS if cfg[key] is not None}
-    for key, spec in list(priors.items()):
-        if isinstance(spec.get("type"), str) and spec["type"] in _PRIOR_KEYS:
-            problems += _section_problems(f"{key}.", spec, _PRIOR_KEYS[spec["type"]])
+    typed = set()  # the sections whose schema depends on a tag, and whose tag is known
+    for key, tag, schemas in [("channel", "model", _CHANNEL_KEYS)] + [
+            (key, "type", _PRIOR_KEYS) for key in _DOMAINS if cfg[key] is not None]:
+        if isinstance(cfg[key].get(tag), str) and cfg[key][tag] in schemas:
+            problems += _section_problems(f"{key}.", cfg[key], schemas[cfg[key][tag]])
+            typed.add(key)
         else:
-            problems.append(f"{key}.type: must be 'gaussian' or 'mixture'")
-            del priors[key]  # a prior of unknown type is not built
+            problems.append(f"{key}.{tag}: must be {' or '.join(map(repr, schemas))}")
 
     def check(ok, path: str, msg: str) -> None:
         if not ok:
@@ -272,9 +272,9 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
           "must be numbers: the true source cannot be drawn from a 'truth'-anchored prior")
     if dims:  # a 'truth' anchor is built at a zero placeholder
         shapes = {"complex": (dims.K, dims.N_r, dims.N_t), "real": (dims.n,)}
-        built = {key: build(key, lambda: _build_prior(
-            spec, _DOMAINS[key], np.zeros((1,) + shapes[_DOMAINS[key]])), spec)
-            for key, spec in priors.items()}
+        built = {key: build(key, lambda: _build_prior(  # a prior of unknown type is not built
+            cfg[key], _DOMAINS[key], np.zeros((1,) + shapes[_DOMAINS[key]])), cfg[key])
+            for key in _DOMAINS if key in typed}
         parts["prior_source"] = built.get("prior_source")
         parts["source"] = built.get("source_draw", parts["prior_source"])
 
@@ -318,7 +318,7 @@ class ExperimentConfig:
     # covariance of vec(H_k); None: Rayleigh
     kron: tuple | None
     pilots: np.ndarray | None  # (N_t, N_p) pilot rows, when baselines.lmmse is on
-    file_encoder: Encoder | None  # encoder.file, loaded and checked; None: none or unread
+    file_encoder: Encoder | None  # encoder.file, loaded and checked; None: no file
     raw: dict = field(repr=False)
 
     @classmethod
@@ -370,11 +370,8 @@ def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], cal_stream:
     """
     seed, spec, n = cfg.raw["seed"] & 0xFFFFFFFF, cfg.raw["encoder"], cfg.dims.n
     m = out_shape[0] * out_shape[1]
-    if spec["file"]:  # the parse loaded and checked it against the signal shape
-        base = cfg.file_encoder
-        if base is None:
-            raise ConfigError(f"encoder.file: cannot read {spec['file']!r}")
-    else:  # the parse checks m == n for 'identity'
+    base = cfg.file_encoder  # None, or loaded and checked against the signal shape
+    if base is None:  # the parse checks m == n for 'identity'
         rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0xE2C0DE, i]))
                 for i in range(users)]
         As = [np.eye(m, dtype=np.complex128) if spec["init"] == "identity"
@@ -519,22 +516,19 @@ def _run_trial(cfg: ExperimentConfig, link: _Link, snr_idx: int, trial: int):
     snr_target = float(raw["snr_db"][snr_idx])
     ss = np.random.SeedSequence([raw["seed"] & 0xFFFFFFFF, snr_idx, trial])
     seed_int = int(ss.generate_state(1)[0])
-    nan = float("nan")
-    blank = {"snr_db": snr_target, "cbr": nan, "nmse_db": nan, "source_mse": nan,
-             "residual": nan}
     try:
         if [snr_idx, trial] in [list(t) for t in raw["force_error_trials"]]:
             raise RuntimeError("forced divergent trial")
         sc = _scene(cfg, link, snr_target, np.random.default_rng(ss))
     except Exception as exc:  # noqa: BLE001 - record-and-continue policy
-        return [mt.MetricsRecord(trial=trial, seed=seed_int, method=method, wall_ms=None,
-                                 error=f"{type(exc).__name__}: {exc}", **blank)
+        return [mt.MetricsRecord(trial=trial, seed=seed_int, snr_db=snr_target, method=method,
+                                 error=f"{type(exc).__name__}: {exc}")
                 for method in cfg.methods], []
 
     records = []
     for method in cfg.methods:
         t0 = time.perf_counter()
-        fields, err = dict(blank, snr_db=sc.snr_db), ""
+        fields, err = {"snr_db": sc.snr_db}, ""
         try:
             fields.update(_METHODS[method](cfg, link, sc))
         except Exception as exc:  # noqa: BLE001 - record-and-continue policy
@@ -638,7 +632,12 @@ def _eval_link(expr: str, x):
         if isinstance(node, ast.Name) and node.id == "x":
             return x
         if isinstance(node, ast.BinOp) and type(node.op) in _LINK_OPS:
-            return _LINK_OPS[type(node.op)](ev(node.left), ev(node.right))
+            a, b = ev(node.left), ev(node.right)
+            # an int power past the float range (2**1100: a margin) fails before its minutes of work
+            if type(node.op) is ast.Pow and type(a) is type(b) is int and abs(a) > 1 \
+                    and b > 1100 / math.log2(abs(a)):
+                raise OverflowError("integer power out of the float range")
+            return _LINK_OPS[type(node.op)](a, b)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return -ev(node.operand)
         raise ConfigError(f"unsupported link expression element: {ast.dump(node)}")
@@ -646,7 +645,7 @@ def _eval_link(expr: str, x):
     try:  # float() fails on an overflowing int or a complex power
         val = ev(ast.parse(expr, mode="eval").body)
         return int(val) if float(val).is_integer() else val
-    except (SyntaxError, ArithmeticError, TypeError) as exc:
+    except (SyntaxError, ArithmeticError, TypeError, RecursionError) as exc:  # deep nesting too
         raise ConfigError(f"link expression {expr!r}: {type(exc).__name__}: {exc}") from None
 
 
@@ -672,7 +671,7 @@ SWEEP_COLUMNS = ["param", "value", "rows", "errors"] + [
 
 
 def _agg(vals: list[float]):
-    finite = [v for v in vals if v is not None and math.isfinite(v)]
+    finite = [v for v in vals if math.isfinite(v)]
     if not finite:
         return None, None
     return float(np.mean(finite)), float(np.median(finite))

@@ -12,15 +12,15 @@ from .channel import MimoDims
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """One scored trial for one method."""
+    """One scored trial for one method; a metric it does not report stays NaN, an empty CSV cell."""
 
     trial: int
     seed: int
     snr_db: float
-    cbr: float
-    nmse_db: float
-    source_mse: float
-    residual: float
+    cbr: float = np.nan
+    nmse_db: float = np.nan
+    source_mse: float = np.nan
+    residual: float = np.nan
     method: str = ""
     wall_ms: float | None = None
     error: str = ""

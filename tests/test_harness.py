@@ -1,5 +1,6 @@
 """Experiment harness: reproducibility, counting, validation, sweeps, CLI."""
 
+import copy
 import csv
 import importlib.util
 import json
@@ -8,10 +9,11 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import pvdmimo
@@ -133,6 +135,23 @@ def test_method_failure_recorded_not_raised():
     assert all(r.error == "" for r in lmmse_rows)
 
 
+def test_a_failed_row_leaves_its_metric_cells_empty(tmp_path):
+    # the metrics a failed method or scene does not report keep MetricsRecord's NaN default
+    cfg = tiny_config(trials=2, force_error_trials=[[0, 1]])
+    cfg["pvd"] = dict(cfg["pvd"], zeta_H=1e9, zeta_D=1e9, sigma1_H=0.01)
+    with np.errstate(all="ignore"):
+        run_experiment(cfg, out=tmp_path / "rows.csv")
+    with open(tmp_path / "rows.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    metrics = ("cbr", "nmse_db", "source_mse", "residual")
+    assert [(r["method"], r["error"] != "") for r in rows] == [
+        ("pvd", True), ("lmmse", False), ("pvd", True), ("lmmse", True)]
+    assert all(r[m] == "" for r in (rows[0], rows[2], rows[3]) for m in metrics)
+    assert rows[1]["residual"] == "" and all(rows[1][m] for m in metrics[:3])
+    assert rows[0]["snr_db"] not in ("", "15.0")  # the scene's empirical SNR
+    assert rows[2]["snr_db"] == rows[3]["snr_db"] == "15.0"  # the cell's target
+
+
 def test_multi_user_rows():
     cfg = tiny_config(trials=2)
     cfg["dims"] = dict(cfg["dims"], N_u=2, N_r=4)
@@ -230,8 +249,9 @@ def test_validate_identity_init_rejects_pilot_chain():
     assert "identity" in out[0]
 
 
-def test_validate_encoder_file_rejects_pilot_chain():
-    cfg = tiny_config(encoder={"type": "linear", "file": "enc.txt"})
+def test_validate_encoder_file_rejects_pilot_chain(tmp_path):
+    _, path = _encoder_file(tmp_path, (1, 8), 3)  # the file must be there: validate loads it
+    cfg = tiny_config(encoder={"type": "linear", "file": path})
     out = validate_dict(cfg)
     assert len(out) == 1 and out[0].startswith("baselines.lmmse: ")
     assert "encoder file" in out[0]
@@ -473,12 +493,40 @@ def test_run_rejects_an_encoder_file_of_another_shape(tmp_path):
 
 
 def test_run_reports_an_encoder_file_it_cannot_read(tmp_path):
-    # validate leaves a file it cannot read to the run
-    cfg = tiny_config(trials=1, encoder={"type": "linear", "file": str(tmp_path / "no.txt")},
+    # validate used to pass a file it could not read and leave it to the run
+    path = str(tmp_path / "no.txt")
+    cfg = tiny_config(trials=1, encoder={"type": "linear", "file": path},
                       baselines={"lmmse": False, "oracle_lmmse": False})
-    assert validate_dict(cfg) == []
-    with pytest.raises(ConfigError, match="encoder.file: cannot read"):
+    problem = f"encoder.file: cannot read {path!r}: No such file or directory"
+    assert validate_dict(cfg) == [problem]
+    with pytest.raises(ConfigError, match=re.escape(problem)):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("power_mode", ["exact", "average"])
+@pytest.mark.parametrize("kind", ["match", "unreadable", "zero", "type", "shape"])
+def test_an_encoder_file_validate_passes_runs(tmp_path, kind, power_mode):
+    # An unreadable file and a zero matrix used to pass validate: the run then raised a
+    # ConfigError at the link build, or flagged every row "base encoder output is zero".
+    from pvdmimo.channel import complex_normal
+    from pvdmimo.encoder import LinearEncoder, SaturatingEncoder, save_encoder
+    A = complex_normal(np.random.default_rng(5), (8, 3))  # tiny_config: (N_t*K, T) = (1, 8), n = 3
+    path = tmp_path / "enc.txt"
+    if kind != "unreadable":
+        save_encoder({"match": LinearEncoder(A, (1, 8)), "zero": LinearEncoder(0 * A, (1, 8)),
+                      "type": SaturatingEncoder(A, 1.25, (1, 8)),
+                      "shape": LinearEncoder(A[:6], (1, 6))}[kind], path)
+    cfg = tiny_config(trials=1, power_mode=power_mode,
+                      encoder={"type": "linear", "file": str(path)},
+                      baselines={"lmmse": False, "oracle_lmmse": False})
+    problems = validate_dict(cfg)
+    if kind == "match":
+        assert problems == []
+        assert [r.error for r in run_experiment(cfg)] == [""]
+    else:
+        assert len(problems) == 1 and problems[0].startswith("encoder.file: "), problems
+        with pytest.raises(ConfigError, match=re.escape(problems[0])):
+            run_experiment(cfg)
 
 
 def test_run_rejects_an_encoder_file_of_another_type(tmp_path, capsys):
@@ -548,6 +596,8 @@ def test_eval_link():
     from pvdmimo.harness import _eval_link
     assert _eval_link("-x + 1", 3) == -2
     assert _eval_link("x / 2", 3) == 1.5
+    # an int power that fits a float keeps its exact value
+    assert _eval_link("3**40", 1) == 3 ** 40 and _eval_link("(-x)**1023", 2) == -(2 ** 1023)
     with pytest.raises(ConfigError, match="unsupported link expression element"):
         _eval_link("abs(x)", 1)
 
@@ -555,13 +605,28 @@ def test_eval_link():
 @pytest.mark.parametrize("expr, error", [
     ("2*", "SyntaxError"), ("", "SyntaxError"),
     ("x/0", "ZeroDivisionError"), ("x//0", "ZeroDivisionError"),
-    ("10**400", "OverflowError"), ("2.0**5000", "OverflowError"),
+    ("10**400", "OverflowError"), ("2.0**5000", "OverflowError"), ("2**1024", "OverflowError"),
     ("(-8)**0.5", "TypeError"),  # a complex result
 ])
 def test_eval_link_failure_is_a_config_error(expr, error):
     from pvdmimo.harness import _eval_link
     with pytest.raises(ConfigError, match=re.escape(f"link expression {expr!r}: {error}")):
         _eval_link(expr, 2)
+
+
+@settings(max_examples=300, deadline=1000)
+@example(expr="x" + "+x" * 2000, x=3)  # escaped as a RecursionError
+@example(expr="10**10**7", x=3)  # 11 s of int power before float() overflowed
+@example(expr="9**9**9", x=3)  # effectively hung
+@given(expr=st.text(alphabet="x0123456789.+-*/() ", max_size=24), x=st.sampled_from([3, 2.5, -1]))
+def test_eval_link_evaluates_or_raises_a_config_error(expr, x):
+    from pvdmimo.harness import _eval_link
+    t0 = time.perf_counter()
+    try:
+        assert isinstance(_eval_link(expr, x), (int, float))
+    except ConfigError:
+        pass
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_sweep_empty_values_error():
@@ -637,6 +702,26 @@ def test_validate_rejects_a_list_mean_that_is_not_a_pair(key, mean):
     # be a number"; [1, 2, ..., 8] ran as a constant 1.0 source prior
     cfg = tiny_config(**{key: {"type": "gaussian", "mean": mean, "var": 1.0}})
     assert validate_dict(cfg) == [f"{key}.mean: must be a number or an [re, im] pair"]
+
+
+def _typed_leaves():
+    """The dotted path of every bool, int or float leaf of DEFAULT_CONFIG's sections."""
+    for sec, val in harness.DEFAULT_CONFIG.items():
+        for key, leaf in (val.items() if isinstance(val, dict) else [(None, val)]):
+            if isinstance(leaf, (bool, int, float)):
+                yield sec if key is None else f"{sec}.{key}"
+
+
+@pytest.mark.parametrize("path", list(_typed_leaves()))
+def test_validate_reports_a_string_leaf_at_its_path(path):
+    # a string prior mean used to be reported at the section ("prior_channel: complex() arg
+    # is a malformed string"), not at prior_channel.mean
+    cfg = copy.deepcopy(harness.DEFAULT_CONFIG)
+    assert validate_dict(cfg) == []
+    *sec, key = path.split(".")
+    (cfg[sec[0]] if sec else cfg)[key] = "x"
+    problems = validate_dict(cfg)
+    assert len(problems) == 1 and problems[0].startswith(f"{path}: "), problems
 
 
 # The validate contract: a config that validate_dict passes runs, and a PVD divergence is the
@@ -727,6 +812,14 @@ def test_cli_run_diagnostics_writes_the_trace(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == DIAG_COLUMNS
     assert len(rows) == 1 + tiny_config()["pvd"]["J"]
+
+
+def test_cli_validate_takes_no_seed(tmp_path, capsys):
+    # validate used to accept a hidden --seed and ignore it
+    with pytest.raises(SystemExit) as exc_info:
+        cli_main(["validate", str(_write_cfg(tmp_path, tiny_config())), "--seed", "3"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_cli_validate_violations(tmp_path, capsys):
