@@ -1,12 +1,13 @@
 """Reproducible Monte Carlo experiments from a config tree.
 
 Runs a small seeded experiment comparing the blind engine against the
-pilot chain across an SNR grid, then demonstrates a linked parameter
-sweep. The same configs drive the CLI:
+pilot chain across an SNR grid, then a parameter sweep over the SNR. The
+same configs drive the CLI, where a sweep can also set linked fields to
+one value per swept value:
 
     pvdmimo run configs/default.json --trials 20 --out rows.csv
     pvdmimo sweep configs/default.json --param dims.N_t --values 1,2 \\
-        --link dims.N_r=8*x --out sweep.csv
+        --link dims.N_r=8,16 --out sweep.csv
     pvdmimo validate configs/default.json
 """
 

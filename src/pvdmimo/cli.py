@@ -20,7 +20,7 @@ from .harness import (
 )
 
 
-def _parse_values(text: str) -> list[float]:
+def _parse_values(text: str, flag: str = "--values") -> list[float]:
     vals = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -29,7 +29,7 @@ def _parse_values(text: str) -> list[float]:
         try:
             v = float(tok)
         except ValueError:
-            raise ConfigError(f"--values: {tok!r} is not a number") from None
+            raise ConfigError(f"{flag}: {tok!r} is not a number") from None
         vals.append(int(v) if v.is_integer() else v)
     return vals
 
@@ -37,10 +37,10 @@ def _parse_values(text: str) -> list[float]:
 def _parse_links(items: list[str]) -> dict:
     links = {}
     for item in items:
-        path, _, expr = item.partition("=")
-        if not expr:
-            raise ConfigError(f"--link expects PATH=EXPR, got {item!r}")
-        links[path.strip()] = expr.strip()
+        path, _, text = item.partition("=")
+        if not text:
+            raise ConfigError(f"--link expects PATH=V1,V2,..., got {item!r}")
+        links[path.strip()] = _parse_values(text, f"--link {path.strip()}")
     return links
 
 
@@ -85,9 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. 1,2,4")
     p_sweep.add_argument("--link", action="append", default=[],
-                         metavar="PATH=EXPR",
-                         help="recompute another field from the swept value x, "
-                              "e.g. dims.N_r=8*x")
+                         metavar="PATH=V1,V2,...",
+                         help="set another field to one value per swept value, "
+                              "e.g. dims.N_r=8,16,32")
 
     p_val = sub.add_parser("validate", help="check a config and report violations")
     p_val.add_argument("config")

@@ -311,7 +311,7 @@ def save_encoder(enc: Encoder, path) -> None:
 
 
 def load_encoder(path) -> Encoder:
-    """Inverse of save_encoder."""
+    """Inverse of save_encoder; a malformed file raises one ValueError naming its fault."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _MAGIC:
@@ -320,13 +320,27 @@ def load_encoder(path) -> Encoder:
         raise ValueError(f"{path}: missing 'entries' section")
     i = lines.index("entries")
     header = dict(ln.partition(" ")[::2] for ln in lines[1:i])
-    kind = header["type"]
-    rows, cols = int(header["out_rows"]), int(header["out_cols"])
-    n = int(header["input_dim"])
-    vals = [complex(*map(float, ln.split())) for ln in lines[i + 1:] if ln.strip()]
+
+    def value(key: str, cast=int):
+        if key not in header:
+            raise ValueError(f"{path}: missing header line {key!r}")
+        try:
+            return cast(header[key])
+        except ValueError:
+            raise ValueError(f"{path}: header {key} must be {cast.__name__}, "
+                             f"not {header[key]!r}") from None
+
+    kind, rows, cols, n = value("type", str), *map(value, ("out_rows", "out_cols", "input_dim"))
+    if kind not in ("linear", "saturating"):
+        raise ValueError(f"{path}: unknown encoder type {kind!r}")
+    try:
+        vals = [complex(float(a), float(b))
+                for a, b in (ln.split() for ln in lines[i + 1:] if ln.strip())]
+    except ValueError:
+        raise ValueError(f"{path}: an entry line is not two numbers 're im'") from None
+    if len(vals) != rows * cols * n:
+        raise ValueError(f"{path}: {len(vals)} entries, expected {rows}*{cols}*{n}")
     A = np.array(vals, dtype=np.complex128).reshape(rows * cols, n)
     if kind == "linear":
         return LinearEncoder(A, (rows, cols))
-    if kind == "saturating":
-        return SaturatingEncoder(A, float(header["gain"]), (rows, cols))
-    raise ValueError(f"{path}: unknown encoder type {kind!r}")
+    return SaturatingEncoder(A, value("gain", float), (rows, cols))

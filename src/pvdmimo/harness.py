@@ -13,19 +13,18 @@ method on the cell's scene, and writes one CSV row per (trial, method). A
 fault in the link fails the run; a failed scene flags the row of every
 method, a failed method its own, and a metric a row does not report keeps
 MetricsRecord's NaN default, an empty cell. sweep repeats an experiment over
-values of one numeric config field (and linked fields) and aggregates them.
+values of one config field and its linked fields, and aggregates the runs.
 """
 
 from __future__ import annotations
 
-import ast
 import copy
 import csv
 import dataclasses
 import json
 import math
-import operator
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,26 +138,33 @@ def _section_problems(path: str, section: dict, schema: dict) -> list[str]:
     return out
 
 
-def _build_prior(spec: dict, domain: str, truth: np.ndarray) -> ScorePrior:
-    """The prior over one user's arrays, shaped like a row of `truth` (users
-    on axis 0); a "truth" mean anchors each user at its own row."""
-    shape = truth.shape[1:]
+def _prior_builder(spec: dict, domain: str, shape: tuple) -> tuple:
+    """(builder, fixed prior): the builder maps a truth (users on axis 0) to the
+    prior over one user's arrays of `shape`. A fixed prior is built here, once; a
+    "truth" mean (fixed None) anchors each user at its row, its variance checked here."""
     if spec["type"] == "gaussian":
-        mean = spec.get("mean", 0.0)
+        mean, var = spec.get("mean", 0.0), spec["var"]
         if mean == "truth":
-            return GaussianPrior(truth, spec["var"], domain, shape)
+            ScorePrior(var, domain)
+            return (lambda truth: GaussianPrior(truth, var, domain, shape)), None
         pair = isinstance(mean, (list, tuple)) and len(mean) == 2
         if not all(map(_is_number, mean if pair else [mean])):
             raise ValueError("mean must be a number or an [re, im] pair")
         if pair:  # [re, im]; the real part for a real prior
             mean = complex(*mean) if domain == "complex" else mean[0]
-        return GaussianPrior(np.full(shape, complex(mean) if domain == "complex"
-                                     else float(mean)), spec["var"], domain)
-    means = [np.asarray(m, dtype=np.float64) for m in spec["means"]]
-    if any(m.shape not in ((), shape) for m in means):
-        raise ValueError(f"means must each be a scalar or a length-{shape[0]} vector")
-    return GaussianMixturePrior(np.stack([np.broadcast_to(m, shape) for m in means]),
-                                spec["var"], spec["weights"], domain)
+        prior = GaussianPrior(np.full(shape, complex(mean) if domain == "complex"
+                                      else float(mean)), var, domain)
+        return (lambda truth: prior), prior
+    means, w = spec["means"], spec["weights"]
+    if not (isinstance(means, (list, tuple)) and means and all(
+            _is_number(m) or isinstance(m, (list, tuple)) and len(m) == shape[0]
+            and all(map(_is_number, m)) for m in means)):
+        raise ValueError(f"means must be a nonempty list of numbers or length-{shape[0]} vectors")
+    if not (isinstance(w, (list, tuple)) and all(map(_is_number, w))):
+        raise ValueError("weights must be a list of numbers")
+    prior = GaussianMixturePrior(np.stack([np.broadcast_to(np.asarray(m, dtype=np.float64), shape)
+                                           for m in means]), spec["var"], w, domain)
+    return (lambda truth: prior), prior
 
 
 def _file_encoder(spec: dict, dims: MimoDims) -> Encoder:
@@ -233,7 +239,7 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
                                 else f"{path}: {fault}")
         return None
 
-    parts: dict = {"kron": None, "pilots": None, "file_encoder": None}
+    parts: dict = {"kron": None, "pilots": None, "file_encoder": None, "pilot_prior": None}
     dims = parts["dims"] = build(
         "dims", lambda: MimoDims(**{k: d[k] for k in DEFAULT_CONFIG["dims"]}), d)
     scheds = [build(f"pvd.sigma1_{s}", lambda s=s: pv.NoiseSchedule(
@@ -270,13 +276,15 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
           "source_draw", "required when prior_source.mean is 'truth'")
     check(not isinstance((cfg["source_draw"] or {}).get("mean"), str), "source_draw.mean",
           "must be numbers: the true source cannot be drawn from a 'truth'-anchored prior")
-    if dims:  # a 'truth' anchor is built at a zero placeholder
+    if dims:  # (builder, fixed prior) per domain key; a prior of unknown type is not built
         shapes = {"complex": (dims.K, dims.N_r, dims.N_t), "real": (dims.n,)}
-        built = {key: build(key, lambda: _build_prior(  # a prior of unknown type is not built
-            cfg[key], _DOMAINS[key], np.zeros((1,) + shapes[_DOMAINS[key]])), cfg[key])
-            for key in _DOMAINS if key in typed}
-        parts["prior_source"] = built.get("prior_source")
-        parts["source"] = built.get("source_draw", parts["prior_source"])
+        (parts["prior_channel"], _), (parts["prior_source"], fixed), (_, draw) = (
+            key in typed and build(key, lambda: _prior_builder(
+                cfg[key], _DOMAINS[key], shapes[_DOMAINS[key]]), cfg[key]) or (None, None)
+            for key in _DOMAINS)
+        parts["source"] = draw or fixed
+        if enc["type"] == "linear" and isinstance(fixed, GaussianPrior):
+            parts["pilot_prior"] = fixed  # a linear pilot encoder decodes it in closed form
 
     if b["lmmse"] or b["oracle_lmmse"]:
         check(d["N_u"] == 1, "baselines", "pilot baselines support N_u = 1 only")
@@ -301,7 +309,14 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
           "must be a nonempty list of finite dB values")
     for key in ("trials", "workers"):
         check(cfg[key] >= 1, key, "must be an integer >= 1")
-    check(p["enabled"] or b["lmmse"] or b["oracle_lmmse"], "pvd.enabled", "no method enabled")
+    check(cfg["out"] is None or isinstance(cfg["out"], str), "out", "must be null or a path")
+    pairs = cfg["force_error_trials"]
+    ok = isinstance(pairs, list) and all(isinstance(t, (list, tuple)) and len(t) == 2
+                                         and all(type(i) is int for i in t) for t in pairs)
+    check(ok, "force_error_trials", "must be a list of [snr index, trial] integer pairs")
+    parts["forced"] = frozenset(map(tuple, pairs)) if ok else frozenset()
+    parts["methods"] = [m for m in _METHODS if (p["enabled"] if m == "pvd" else b[m])]
+    check(parts["methods"], "pvd.enabled", "no method enabled")
     return cfg, parts, list(dict.fromkeys(problems))
 
 
@@ -312,13 +327,17 @@ class ExperimentConfig:
 
     dims: MimoDims
     pvd: pv.PvdConfig
-    prior_source: ScorePrior  # a 'truth' anchor has a zero mean here
+    prior_channel: Callable[[np.ndarray], ScorePrior]  # truth (users on axis 0) -> prior
+    prior_source: Callable[[np.ndarray], ScorePrior]
     source: ScorePrior  # draws the true sources
+    pilot_prior: GaussianPrior | None  # the pilot chain's closed-form source prior, if any
     # (S_rx, S_tx, cov_vec): the covariance roots (None: identity) and the
     # covariance of vec(H_k); None: Rayleigh
     kron: tuple | None
     pilots: np.ndarray | None  # (N_t, N_p) pilot rows, when baselines.lmmse is on
     file_encoder: Encoder | None  # encoder.file, loaded and checked; None: no file
+    methods: list[str]  # enabled methods, in method-table (row) order
+    forced: frozenset  # (snr index, trial) cells that fail on purpose
     raw: dict = field(repr=False)
 
     @classmethod
@@ -327,13 +346,6 @@ class ExperimentConfig:
         if problems:
             raise ConfigError(problems)
         return cls(raw=raw, **parts)
-
-    @property
-    def methods(self) -> list[str]:
-        """Enabled methods, in method-table (row) order."""
-        raw = self.raw
-        return [m for m in _METHODS
-                if (raw["pvd"]["enabled"] if m == "pvd" else raw["baselines"][m])]
 
 
 def validate_dict(user: dict) -> list[str]:
@@ -401,21 +413,16 @@ class _Link:
 
     encoder: Encoder  # all users over all T slots, their matrices on axis 0
     pilot_encoder: Encoder | None = None  # data encoder over the T - N_p data slots
-    pilot_prior: GaussianPrior | None = None  # None: no closed-form source decode
 
 
 def _build_link(cfg: ExperimentConfig) -> _Link:
-    raw, dims = cfg.raw, cfg.dims
-    exact = raw["power_mode"] == "exact"
+    dims = cfg.dims
+    exact = cfg.raw["power_mode"] == "exact"
     link = _Link(_link_encoder(cfg, dims.signal_shape, 1, exact, dims.N_u))
     if cfg.pilots is not None:
         # Calibrated in either power mode, so a linear map decodes in closed form.
         link.pilot_encoder = _link_encoder(
             cfg, (dims.N_t * dims.K, dims.T - cfg.pilots.shape[1]), 0, exact=False)
-        prior = raw["prior_source"]
-        if isinstance(link.pilot_encoder, LinearEncoder) and prior["type"] == "gaussian" \
-                and not isinstance(prior.get("mean"), str):
-            link.pilot_prior = cfg.prior_source
     return link
 
 
@@ -435,8 +442,6 @@ class _Scene:
     noise: np.ndarray
     Y: np.ndarray
     snr_db: float  # empirical
-    prior_H: ScorePrior  # one per domain over all users ('truth': one anchor each)
-    prior_D: ScorePrior
     steps: list = field(default_factory=list)  # PVD per-step trace
 
 
@@ -444,7 +449,7 @@ def _scene(cfg: ExperimentConfig, link: _Link, snr_db: float,
            rng: np.random.Generator) -> _Scene:
     """Draw channel, sources and noise from rng, in that order; all sources go
     through the link's encoder in one call."""
-    dims, raw = cfg.dims, cfg.raw
+    dims = cfg.dims
     channels = draw_rayleigh(dims, rng) if cfg.kron is None \
         else draw_kronecker_correlated(dims, *cfg.kron[:2], rng)
     sources = np.stack([cfg.source.sample(rng) for _ in range(dims.N_u)])
@@ -455,13 +460,12 @@ def _scene(cfg: ExperimentConfig, link: _Link, snr_db: float,
     noise = complex_normal(rng, dims.output_shape, 1.0) * math.sqrt(sigma_n2)
     return _Scene(
         dataclasses.replace(dims, sigma_n2=sigma_n2), rng, channels, sources, X,
-        noise, signal + noise, mt.snr_db(signal, noise),
-        _build_prior(raw["prior_channel"], "complex", channels),
-        _build_prior(raw["prior_source"], "real", sources))
+        noise, signal + noise, mt.snr_db(signal, noise))
 
 
 def _pvd(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
-    result = pv.run(sc.Y, link.encoder, sc.prior_H, sc.prior_D, sc.dims, cfg.pvd, sc.rng)
+    result = pv.run(sc.Y, link.encoder, cfg.prior_channel(sc.channels),
+                    cfg.prior_source(sc.sources), sc.dims, cfg.pvd, sc.rng)
     sc.steps = result.diagnostics
     return {
         "nmse_db": mt.nmse_db(sc.channels, result.channels),
@@ -484,9 +488,9 @@ def _lmmse(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
                              Sigma=None if cfg.kron is None else cfg.kron[2])
     fields = {"nmse_db": mt.nmse_db(sc.channels, H_hat[None]),
               "snr_db": mt.snr_db(signal, sc.noise), "cbr": mt.cbr(dims, T_d)}
-    if link.pilot_prior is not None:
+    if cfg.pilot_prior is not None:
         D_hat = bl.two_stage_decode(Yb[:, :, N_p:], H_hat, link.pilot_encoder,
-                                    link.pilot_prior, sigma_n2)
+                                    cfg.pilot_prior, sigma_n2)
         fields["source_mse"] = mt.source_mse(sc.sources[0], D_hat)
     return fields
 
@@ -517,7 +521,7 @@ def _run_trial(cfg: ExperimentConfig, link: _Link, snr_idx: int, trial: int):
     ss = np.random.SeedSequence([raw["seed"] & 0xFFFFFFFF, snr_idx, trial])
     seed_int = int(ss.generate_state(1)[0])
     try:
-        if [snr_idx, trial] in [list(t) for t in raw["force_error_trials"]]:
+        if (snr_idx, trial) in cfg.forced:
             raise RuntimeError("forced divergent trial")
         sc = _scene(cfg, link, snr_target, np.random.default_rng(ss))
     except Exception as exc:  # noqa: BLE001 - record-and-continue policy
@@ -555,15 +559,11 @@ def _fmt(v) -> str:
     return repr(float(v)) if isinstance(v, float) else str(v)
 
 
-def _record_row(rec: mt.MetricsRecord) -> list[str]:
-    return [_fmt(getattr(rec, c)) for c in mt.CSV_COLUMNS]
-
-
-def _write_csv(path, rows: list[list[str]], header: list[str]) -> None:
+def _write_csv(path, rows: list[list], header: list[str]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows([_fmt(v) for v in row] for row in rows)
 
 
 _worker: tuple[ExperimentConfig, _Link] | None = None  # set in pool processes only
@@ -606,48 +606,15 @@ def run_experiment(cfg: ExperimentConfig | dict, out=None) -> list[mt.MetricsRec
 
     out = out or raw["out"]
     if out:
-        _write_csv(out, [_record_row(r) for r in records], mt.CSV_COLUMNS)
+        _write_csv(out, [[getattr(r, c) for c in mt.CSV_COLUMNS] for r in records], mt.CSV_COLUMNS)
         if raw["diagnostics"]:
-            _write_csv(str(out) + ".diag.csv",
-                       [[_fmt(v) for v in row] for row in diag_rows], DIAG_COLUMNS)
+            _write_csv(str(out) + ".diag.csv", diag_rows, DIAG_COLUMNS)
     return records
 
 
 # ---------------------------------------------------------------------------
 # Parameter sweeps
 # ---------------------------------------------------------------------------
-
-_LINK_OPS = {
-    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-    ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Pow: operator.pow,
-}
-
-
-def _eval_link(expr: str, x):
-    """Evaluate a tiny arithmetic expression of the swept value x (ConfigError if it fails)."""
-
-    def ev(node):
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return node.value
-        if isinstance(node, ast.Name) and node.id == "x":
-            return x
-        if isinstance(node, ast.BinOp) and type(node.op) in _LINK_OPS:
-            a, b = ev(node.left), ev(node.right)
-            # an int power past the float range (2**1100: a margin) fails before its minutes of work
-            if type(node.op) is ast.Pow and type(a) is type(b) is int and abs(a) > 1 \
-                    and b > 1100 / math.log2(abs(a)):
-                raise OverflowError("integer power out of the float range")
-            return _LINK_OPS[type(node.op)](a, b)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return -ev(node.operand)
-        raise ConfigError(f"unsupported link expression element: {ast.dump(node)}")
-
-    try:  # float() fails on an overflowing int or a complex power
-        val = ev(ast.parse(expr, mode="eval").body)
-        return int(val) if float(val).is_integer() else val
-    except (SyntaxError, ArithmeticError, TypeError, RecursionError) as exc:  # deep nesting too
-        raise ConfigError(f"link expression {expr!r}: {type(exc).__name__}: {exc}") from None
-
 
 def _set_path(tree: dict, path: str, value) -> None:
     """Set the field at dotted `path` (a list field to [value]); the parse
@@ -660,7 +627,7 @@ def _set_path(tree: dict, path: str, value) -> None:
         raise ConfigError(f"unknown config path {path!r}")
     if isinstance(node[leaf], list):
         value = [value]
-    elif isinstance(node[leaf], int) and float(value).is_integer():
+    elif isinstance(node[leaf], int) and isinstance(value, float) and value.is_integer():
         value = int(value)
     node[leaf] = value
 
@@ -681,19 +648,23 @@ def sweep(cfg_raw: dict, param: str, values: list, links: dict | None = None,
           out=None) -> list[dict]:
     """Run one experiment per swept value; aggregate means and medians.
 
-    `links` maps config paths to expressions of the swept value x, e.g.
-    {"dims.N_r": "8*x"}; linked fields are recomputed at every point.
-    Each point runs with a seed derived from (master seed, point index).
+    `links` maps other config paths to one value per swept value, e.g.
+    {"dims.N_r": [8, 16]} for values [1, 2]. Each point runs with a seed
+    derived from (master seed, point index).
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
+    links = links or {}
+    for path, vals in links.items():
+        if not isinstance(vals, (list, tuple)) or len(vals) != len(values):
+            raise ConfigError(f"link {path}: must list one value per swept value ({len(values)})")
     base = ExperimentConfig.from_dict(cfg_raw).raw
     summary = []
     for idx, value in enumerate(values):
         point = copy.deepcopy(base)
         _set_path(point, param, value)
-        for path, expr in (links or {}).items():
-            _set_path(point, path, _eval_link(expr, value))
+        for path, vals in links.items():
+            _set_path(point, path, vals[idx])
         point["seed"] = int(np.random.SeedSequence(
             [base["seed"] & 0xFFFFFFFF, 0x5EE9, idx]).generate_state(1)[0])
         point["out"] = None
@@ -706,6 +677,5 @@ def sweep(cfg_raw: dict, param: str, values: list, links: dict | None = None,
                 [getattr(r, metric) for r in ok])
         summary.append(row)
     if out:
-        _write_csv(out, [[_fmt(row[c]) for c in SWEEP_COLUMNS] for row in summary],
-                   SWEEP_COLUMNS)
+        _write_csv(out, [[row[c] for c in SWEEP_COLUMNS] for row in summary], SWEEP_COLUMNS)
     return summary

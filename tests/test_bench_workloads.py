@@ -50,7 +50,7 @@ def test_pilot_workloads_run_the_closed_form_decode(name):
     assert cfg.raw["baselines"]["lmmse"]
     link = _build_link(cfg)
     assert isinstance(link.pilot_encoder, LinearEncoder)
-    assert link.pilot_prior is not None
+    assert cfg.pilot_prior is not None
 
 
 def test_multiuser_workload_runs_no_baseline():

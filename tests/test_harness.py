@@ -9,11 +9,10 @@ import pathlib
 import re
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import pvdmimo
@@ -150,6 +149,20 @@ def test_a_failed_row_leaves_its_metric_cells_empty(tmp_path):
     assert rows[1]["residual"] == "" and all(rows[1][m] for m in metrics[:3])
     assert rows[0]["snr_db"] not in ("", "15.0")  # the scene's empirical SNR
     assert rows[2]["snr_db"] == rows[3]["snr_db"] == "15.0"  # the cell's target
+
+
+@pytest.mark.parametrize("on", [True, False])
+def test_record_timing_fills_wall_ms(tmp_path, on):
+    cfg = tiny_config(trials=2, record_timing=on, force_error_trials=[[0, 1]])
+    run_experiment(cfg, out=tmp_path / "rows.csv")
+    with open(tmp_path / "rows.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["error"] != "" for r in rows] == [False, False, True, True]
+    if on:
+        walls = [float(r["wall_ms"]) for r in rows if not r["error"]]
+        assert all(np.isfinite(w) and w >= 0 for w in walls)
+    else:
+        assert [r["wall_ms"] for r in rows] == [""] * 4
 
 
 def test_multi_user_rows():
@@ -380,6 +393,9 @@ def test_validate_unknown_key_next_to_a_bad_covariance():
         "channel.R_rx: the kronecker model needs a 4x4 matrix of numbers or [re, im] pairs"]
 
 
+_PAIRS = "must be a list of [snr index, trial] integer pairs"
+
+
 @pytest.mark.parametrize("override, problem", [
     # each used to pass validate and then fail or spoil the run
     ({"prior_source": {"type": "mixture", "means": [1.0, -1.0], "var": 0.25,
@@ -391,8 +407,19 @@ def test_validate_unknown_key_next_to_a_bad_covariance():
     ({"snr_db": [float("nan")]}, "snr_db: must be a nonempty list of finite dB values"),
     ({"snr_db": [10.0, float("inf")]}, "snr_db: must be a nonempty list of finite dB values"),
     ({"dims": dict(tiny_config()["dims"], N_r=4.0)}, "dims.N_r: must be an integer"),
+    # passed validate, then flagged every row with a TypeError
+    ({"force_error_trials": [5]}, f"force_error_trials: {_PAIRS}"),
+    # passed validate and were ignored
+    ({"force_error_trials": "00"}, f"force_error_trials: {_PAIRS}"),
+    ({"force_error_trials": [[0, 0, 7]]}, f"force_error_trials: {_PAIRS}"),
+    ({"force_error_trials": [[0, 1.0]]}, f"force_error_trials: {_PAIRS}"),
+    # wrote the CSV to stdout, then closed it
+    ({"out": True}, "out: must be null or a path"),
+    # failed with exit 2, after every trial had run
+    ({"out": 99}, "out: must be null or a path"),
 ], ids=["weights", "draw-untyped", "draw-type", "draw-var", "var-type", "snr-nan", "snr-inf",
-        "float-dims"])
+        "float-dims", "forced-int", "forced-str", "forced-triple", "forced-float", "out-bool",
+        "out-int"])
 def test_validate_rejects_what_the_run_would_fail_on(override, problem):
     cfg = tiny_config(**override)
     assert validate_dict(cfg) == [problem]
@@ -529,6 +556,46 @@ def test_an_encoder_file_validate_passes_runs(tmp_path, kind, power_mode):
             run_experiment(cfg)
 
 
+def _cut_last_line(text):
+    return text[:text.rstrip("\n").rfind("\n") + 1]
+
+
+_MIXTURE = {"type": "mixture", "means": [1.0, -1.0], "var": 0.25, "weights": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("override, edit, problem", [
+    # were "prior_source: must be a number" and numpy's float() message at the section
+    ({"prior_source": dict(_MIXTURE, means=5)}, None,
+     "prior_source.means: must be a nonempty list of numbers or length-3 vectors"),
+    ({"prior_source": dict(_MIXTURE, weights="a")}, None,
+     "prior_source.weights: must be a list of numbers"),
+    ({"prior_source": dict(_MIXTURE, weights=None)}, None,
+     "prior_source.weights: must be a list of numbers"),
+    # were "encoder.file.out_rows: required", int()'s message, "encoder.file: must be a
+    # number" and numpy's reshape message
+    (None, lambda t: t.replace("out_rows 1\n", ""), "{path}: missing header line 'out_rows'"),
+    (None, lambda t: t.replace("input_dim 3", "input_dim 3.0"),
+     "{path}: header input_dim must be int, not '3.0'"),
+    (None, lambda t: t + "1.0 2.0 3.0\n", "{path}: an entry line is not two numbers 're im'"),
+    (None, _cut_last_line, "{path}: 23 entries, expected 1*8*3"),
+], ids=["means", "weights", "weights-null", "header-line", "header-value", "entry-line",
+        "entry-count"])
+def test_validate_reports_a_mixture_field_or_an_encoder_file_fault_at_its_path(
+        tmp_path, override, edit, problem):
+    _, path = _encoder_file(tmp_path, (1, 8), 3)  # tiny_config: (N_t*K, T) = (1, 8), n = 3
+    if edit is None:
+        cfg = tiny_config(**override)
+    else:
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(edit(text))
+        cfg = tiny_config(encoder={"type": "linear", "file": path},
+                          baselines={"lmmse": False, "oracle_lmmse": False})
+        problem = "encoder.file: " + problem.format(path=path)
+    assert validate_dict(cfg) == [problem]
+
+
 def test_run_rejects_an_encoder_file_of_another_type(tmp_path, capsys):
     # a saturating file used to run under encoder.type 'linear', and so under
     # power_mode 'average', which calibrates linear encoders only
@@ -587,46 +654,18 @@ def test_sweep_aggregates_match_rows():
 def test_sweep_linked_parameter():
     cfg = tiny_config(trials=1)
     cfg["baselines"] = {"lmmse": False, "oracle_lmmse": False, "N_p": 2}
-    summary = sweep(cfg, "dims.N_t", [1, 2], links={"dims.N_r": "8*x"})
+    summary = sweep(cfg, "dims.N_t", [1, 2], links={"dims.N_r": [8, 16]})
     assert len(summary) == 2
     assert all(row["errors"] == 0 for row in summary)
-
-
-def test_eval_link():
-    from pvdmimo.harness import _eval_link
-    assert _eval_link("-x + 1", 3) == -2
-    assert _eval_link("x / 2", 3) == 1.5
-    # an int power that fits a float keeps its exact value
-    assert _eval_link("3**40", 1) == 3 ** 40 and _eval_link("(-x)**1023", 2) == -(2 ** 1023)
-    with pytest.raises(ConfigError, match="unsupported link expression element"):
-        _eval_link("abs(x)", 1)
-
-
-@pytest.mark.parametrize("expr, error", [
-    ("2*", "SyntaxError"), ("", "SyntaxError"),
-    ("x/0", "ZeroDivisionError"), ("x//0", "ZeroDivisionError"),
-    ("10**400", "OverflowError"), ("2.0**5000", "OverflowError"), ("2**1024", "OverflowError"),
-    ("(-8)**0.5", "TypeError"),  # a complex result
-])
-def test_eval_link_failure_is_a_config_error(expr, error):
-    from pvdmimo.harness import _eval_link
-    with pytest.raises(ConfigError, match=re.escape(f"link expression {expr!r}: {error}")):
-        _eval_link(expr, 2)
-
-
-@settings(max_examples=300, deadline=1000)
-@example(expr="x" + "+x" * 2000, x=3)  # escaped as a RecursionError
-@example(expr="10**10**7", x=3)  # 11 s of int power before float() overflowed
-@example(expr="9**9**9", x=3)  # effectively hung
-@given(expr=st.text(alphabet="x0123456789.+-*/() ", max_size=24), x=st.sampled_from([3, 2.5, -1]))
-def test_eval_link_evaluates_or_raises_a_config_error(expr, x):
-    from pvdmimo.harness import _eval_link
-    t0 = time.perf_counter()
-    try:
-        assert isinstance(_eval_link(expr, x), (int, float))
-    except ConfigError:
-        pass
-    assert time.perf_counter() - t0 < 1.0
+    for links in ({"dims.N_r": [8]}, {"dims.N_r": [8, 16, 32]}, {"dims.N_r": "8*x"}):
+        with pytest.raises(ConfigError, match=re.escape(
+                "link dims.N_r: must list one value per swept value (2)")):
+            sweep(cfg, "dims.N_t", [1, 2], links=links)
+    # a value that is no number is the point's parse's to report (float() used to escape)
+    for param, values, links in [("dims.N_r", ["a"], None), ("dims.N_r", [None], None),
+                                 ("dims.N_t", [1], {"dims.N_r": [True]})]:
+        with pytest.raises(ConfigError, match=re.escape("dims.N_r: must be an integer")):
+            sweep(cfg, param, values, links=links)
 
 
 def test_sweep_empty_values_error():
@@ -690,8 +729,8 @@ def test_prior_means_given_as_re_im_pairs():
     assert len(records) == 2 and [r.error for r in records] == ["", ""]
     link = harness._build_link(cfg)
     sc = harness._scene(cfg, link, 15.0, np.random.default_rng(0))
-    assert np.all(sc.prior_H.mean == 0.5 - 0.25j)
-    assert np.all(sc.prior_D.mean == 0.5)
+    assert np.all(cfg.prior_channel(sc.channels).mean == 0.5 - 0.25j)
+    assert np.all(cfg.prior_source(sc.sources).mean == 0.5)
 
 
 @pytest.mark.parametrize("key", ["prior_channel", "prior_source", "source_draw"])
@@ -877,7 +916,7 @@ def test_cli_sweep_linked_field(tmp_path, monkeypatch):
     path = _write_cfg(tmp_path, tiny_config(trials=1, baselines={"lmmse": False,
                                                                  "oracle_lmmse": False}))
     assert cli_main(["sweep", str(path), "--param", "dims.N_t", "--values", "1,2",
-                     "--link", "dims.N_r=2*x", "--out", str(out)]) == 0
+                     "--link", "dims.N_r=2,4", "--out", str(out)]) == 0
     assert seen == [2, 4]
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
@@ -889,16 +928,18 @@ def test_cli_sweep_link_without_expression_exit_1(tmp_path, capsys):
     assert cli_main(["sweep", str(path), "--param", "dims.N_t", "--values", "1",
                      "--link", "dims.N_r"]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "--link expects PATH=EXPR, got 'dims.N_r'"]
+        "--link expects PATH=V1,V2,..., got 'dims.N_r'"]
 
 
-def test_cli_sweep_failing_link_expression_exit_1(tmp_path, capsys):
-    # a ZeroDivisionError used to escape as a runtime failure (exit 2)
+def test_cli_sweep_link_of_the_wrong_length_exit_1(tmp_path, capsys):
     path = _write_cfg(tmp_path, tiny_config(trials=1))
-    assert cli_main(["sweep", str(path), "--param", "dims.N_t", "--values", "1",
-                     "--link", "dims.N_r=x/0"]) == 1
+    assert cli_main(["sweep", str(path), "--param", "dims.N_t", "--values", "1,2",
+                     "--link", "dims.N_r=2,4,8"]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "link expression 'x/0': ZeroDivisionError: division by zero"]
+        "link dims.N_r: must list one value per swept value (2)"]
+    assert cli_main(["sweep", str(path), "--param", "dims.N_t", "--values", "1",
+                     "--link", "dims.N_r=2*x"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["--link dims.N_r: '2*x' is not a number"]
 
 
 def test_cli_env_seed_not_an_integer_exit_1(tmp_path, capsys, monkeypatch):

@@ -134,10 +134,8 @@ def test_stacked_link_decodes_as_per_user_lists():
     base = link.encoder.base
     encoders = [PowerNormalizedEncoder(SaturatingEncoder(A, base.gain, base.output_shape),
                                        cfg.dims.P) for A in base.A]
-    priors_H = [harness._build_prior(cfg.raw["prior_channel"], "complex", H[None])
-                for H in sc.channels]
-    priors_D = [harness._build_prior(cfg.raw["prior_source"], "real", d[None])
-                for d in sc.sources]
+    priors_H = [cfg.prior_channel(H[None]) for H in sc.channels]
+    priors_D = [cfg.prior_source(d[None]) for d in sc.sources]
     H, D, diag = reference_run(sc.Y, encoders, priors_H, priors_D, sc.dims, cfg.pvd, rng)
     H, D = np.stack(H), np.stack(D)
     assert [(s.j, s.residual, s.grad_norm_H, s.grad_norm_D) for s in sc.steps] == diag
