@@ -24,8 +24,9 @@ def make_pilots(N_t: int, N_p: int, P: float) -> np.ndarray:
     equal-power pilots. With N_p < N_t the rows stay at full power but
     orthogonality cannot hold.
     """
-    if N_p < 1 or N_t < 1:
-        raise ValueError("N_t and N_p must be >= 1")
+    for name, count in (("N_t", N_t), ("N_p", N_p)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count!r}")
     if P <= 0:
         raise ValueError("P must be > 0")
     N = max(N_t, N_p)

@@ -1,14 +1,13 @@
 """Command-line front end: run / sweep / validate experiment configs.
 
 Exit codes: 0 on success, 1 on configuration errors, 2 on runtime
-failures. The PVDMIMO_SEED environment variable overrides the master
-seed of any invocation.
+failures. --seed, --trials, --out, --workers and --diagnostics override the
+config's fields of the same name.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .harness import (
@@ -45,12 +44,6 @@ def _parse_links(items: list[str]) -> dict:
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
-    env_seed = os.environ.get("PVDMIMO_SEED")
-    if env_seed is not None:
-        try:
-            cfg["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"PVDMIMO_SEED: must be an integer, got {env_seed!r}") from None
     for key in ("seed", "trials", "out", "workers"):
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)

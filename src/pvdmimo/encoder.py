@@ -180,8 +180,8 @@ class SaturatingEncoder(_MatrixEncoder):
 
     def __init__(self, A: np.ndarray, gain: float, output_shape: tuple[int, int]):
         super().__init__(A, output_shape)
-        if gain <= 0:
-            raise ValueError("gain must be > 0")
+        if not 0 < gain < np.inf:  # NaN fails too
+            raise ValueError(f"gain must be finite and > 0, got {gain!r}")
         self.gain = float(gain)
 
     def linearize(self, d) -> Linearization:

@@ -169,7 +169,7 @@ def _prior_builder(spec: dict, domain: str, shape: tuple) -> tuple:
 
 def _file_encoder(spec: dict, dims: MimoDims) -> Encoder:
     """The encoder in spec["file"], checked against the config's type and
-    shape, and refused if it cannot be read or its matrix is zero."""
+    shape, and refused if it cannot be read or its matrix is not finite or zero."""
     try:
         enc = load_encoder(spec["file"])
     except OSError as exc:
@@ -180,6 +180,8 @@ def _file_encoder(spec: dict, dims: MimoDims) -> Encoder:
     kind = "saturating" if isinstance(enc, SaturatingEncoder) else "linear"
     if spec["type"] in ("linear", "saturating") and kind != spec["type"]:
         raise ValueError(f"holds a {kind} encoder, encoder.type is {spec['type']!r}")
+    if not np.isfinite(enc.A).all():
+        raise ValueError("holds a non-finite entry: the encoder output would be too")
     if not np.any(enc.A):
         raise ValueError("holds a zero matrix: the encoder output has no power")
     return enc
@@ -242,8 +244,9 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
     parts: dict = {"kron": None, "pilots": None, "file_encoder": None, "pilot_prior": None}
     dims = parts["dims"] = build(
         "dims", lambda: MimoDims(**{k: d[k] for k in DEFAULT_CONFIG["dims"]}), d)
-    scheds = [build(f"pvd.sigma1_{s}", lambda s=s: pv.NoiseSchedule(
-        p[f"sigma1_{s}"], p[f"sigmaJ_{s}"], p["J"]), p) for s in "HD"]
+    # an order fault is sigma1's, unless sigmaJ is not even positive
+    scheds = [build(f"pvd.sigma{1 if p['sigmaJ_' + s] > 0 else 'J'}_{s}", lambda s=s:
+                    pv.NoiseSchedule(p[f"sigma1_{s}"], p[f"sigmaJ_{s}"], p["J"]), p) for s in "HD"]
     check(p["J"] != 1, "pvd.J", "must be >= 2: one step starts the means at sigma_0 = 0")
     # after a schedule fault, PvdConfig checks the other fields with its default schedules
     scheds = scheds if None not in scheds else []
@@ -254,12 +257,7 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
           "must be 'linear' or 'saturating'")
     check(enc["gain"] > 0, "encoder.gain", "must be > 0")
     check(enc["file"] is None or isinstance(enc["file"], str), "encoder.file", "must be a path")
-    init = None if enc["file"] else enc["init"]
-    check(init in (None, "gaussian", "identity"), "encoder.init",
-          "must be 'gaussian' or 'identity'")
-    if dims and init == "identity":
-        m = dims.N_t * dims.K * dims.T
-        check(dims.n == m, "encoder.init", f"'identity' needs n == N_t*K*T = {m}")
+    check(enc["file"] or enc["init"] == "gaussian", "encoder.init", "must be 'gaussian'")
     if dims and enc["file"] and isinstance(enc["file"], str):
         parts["file_encoder"] = build("encoder.file", lambda: _file_encoder(enc, dims))
 
@@ -287,16 +285,15 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
             parts["pilot_prior"] = fixed  # a linear pilot encoder decodes it in closed form
 
     if b["lmmse"] or b["oracle_lmmse"]:
-        check(d["N_u"] == 1, "baselines", "pilot baselines support N_u = 1 only")
+        # an N_u below 1 is a dims.N_u fault only
+        check(d["N_u"] <= 1, "baselines", "pilot baselines support N_u = 1 only")
     if b["lmmse"]:
-        # Its data encoder spans T - N_p slots; identity and file encoders fit T only.
-        check(init != "identity", "baselines.lmmse",
-              "an identity encoder cannot fit the T - N_p data slots of the pilot chain")
+        # Its data encoder spans T - N_p slots; a file encoder fits T only.
         check(not enc["file"], "baselines.lmmse",
               "an encoder file cannot fit the T - N_p data slots of the pilot chain")
         if dims:
             parts["pilots"] = build("baselines.N_p",
-                                    lambda: bl.make_pilots(dims.N_t, b["N_p"], dims.P))
+                                    lambda: bl.make_pilots(dims.N_t, b["N_p"], dims.P), b)
             check(b["N_p"] < dims.T, "baselines.N_p",
                   "must leave at least one data slot (N_p < T)")
 
@@ -314,6 +311,10 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
     ok = isinstance(pairs, list) and all(isinstance(t, (list, tuple)) and len(t) == 2
                                          and all(type(i) is int for i in t) for t in pairs)
     check(ok, "force_error_trials", "must be a list of [snr index, trial] integer pairs")
+    grid = len(snr) if isinstance(snr, list) else 0, cfg["trials"]
+    for i, t in pairs if ok else []:
+        check(0 <= i < grid[0] and 0 <= t < grid[1], "force_error_trials",
+              f"[{i}, {t}] is outside the {grid[0]} x {grid[1]} (snr index, trial) grid")
     parts["forced"] = frozenset(map(tuple, pairs)) if ok else frozenset()
     parts["methods"] = [m for m in _METHODS if (p["enabled"] if m == "pvd" else b[m])]
     check(parts["methods"], "pvd.enabled", "no method enabled")
@@ -379,19 +380,18 @@ def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], cal_stream:
     scale that gives average power P over _CALIBRATION_DRAWS source draws
     (seed stream `cal_stream` + i), so the map stays linear; a saturating
     one has no fixed calibration here and is normalized per realization.
+    Either way a linear map's scale is the power's, so encoder.gain is the
+    saturating encoder's input scale only.
     """
     seed, spec, n = cfg.raw["seed"] & 0xFFFFFFFF, cfg.raw["encoder"], cfg.dims.n
     m = out_shape[0] * out_shape[1]
     base = cfg.file_encoder  # None, or loaded and checked against the signal shape
-    if base is None:  # the parse checks m == n for 'identity'
-        rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0xE2C0DE, i]))
-                for i in range(users)]
-        As = [np.eye(m, dtype=np.complex128) if spec["init"] == "identity"
-              else complex_normal(rng, (m, n), 1.0) / np.sqrt(n) for rng in rngs]
+    if base is None:
+        As = [complex_normal(np.random.default_rng(np.random.SeedSequence([seed, 0xE2C0DE, i])),
+                             (m, n), 1.0) / np.sqrt(n) for i in range(users)]
         A = As[0][None] if users == 1 else np.stack(As)  # one user's A is not copied
-        gain = float(spec["gain"])
-        base = (LinearEncoder(gain * A, out_shape) if spec["type"] == "linear"
-                else SaturatingEncoder(A, gain, out_shape))
+        base = (LinearEncoder(A, out_shape) if spec["type"] == "linear"
+                else SaturatingEncoder(A, spec["gain"], out_shape))
         del As, A  # kept, the drawn matrices would raise the calibration's peak memory
     if exact or not isinstance(base, LinearEncoder):
         return PowerNormalizedEncoder(base, cfg.dims.P)
@@ -625,11 +625,7 @@ def _set_path(tree: dict, path: str, value) -> None:
         node = node.get(key) if isinstance(node, dict) else None
     if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"unknown config path {path!r}")
-    if isinstance(node[leaf], list):
-        value = [value]
-    elif isinstance(node[leaf], int) and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    node[leaf] = value
+    node[leaf] = [value] if isinstance(node[leaf], list) else value
 
 
 _SWEPT_METRICS = ("nmse_db", "source_mse", "snr_db", "residual")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 
@@ -69,12 +68,12 @@ def cbr(dims: MimoDims, data_slots: int) -> float:
     Blind schemes use all T slots for data (data_slots = T) and the ratio
     is N_t K T / n. Pilot schemes carry the same data payload in
     data_slots = T - N_p slots per block, so the block count is re-derived
-    as K' = K T / data_slots and the ratio becomes N_t K' T / n. Computed
-    in exact rational arithmetic before conversion to float.
+    as K' = K T / data_slots and the ratio becomes N_t K' T / n. One integer
+    true division, so the float is the exact ratio correctly rounded.
     """
     if data_slots < 1:
         raise ValueError("data_slots must be >= 1")
-    return float(Fraction(dims.N_t * dims.K * dims.T * dims.T, data_slots * dims.n))
+    return dims.N_t * dims.K * dims.T * dims.T / (data_slots * dims.n)
 
 
 def source_mse(D_true: np.ndarray, D_est: np.ndarray) -> float:

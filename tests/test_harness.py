@@ -245,21 +245,32 @@ def test_validate_multiuser_baselines_rejected():
 
 
 def test_validate_encoder_init():
+    # 'identity' is no longer a value, even where n == N_t*K*T made it square
     cfg = tiny_config(encoder={"type": "linear", "init": "identity"},
                       baselines={"lmmse": False, "oracle_lmmse": True})
-    assert validate_dict(cfg) == ["encoder.init: 'identity' needs n == N_t*K*T = 8"]
-    cfg["dims"] = dict(cfg["dims"], n=8)
-    assert validate_dict(cfg) == []
+    for n in (3, 8):
+        cfg["dims"] = dict(cfg["dims"], n=n)
+        assert validate_dict(cfg) == ["encoder.init: must be 'gaussian'"]
     cfg["encoder"] = {"type": "linear", "init": "orthogonal"}
-    assert validate_dict(cfg) == ["encoder.init: must be 'gaussian' or 'identity'"]
+    assert validate_dict(cfg) == ["encoder.init: must be 'gaussian'"]
+    cfg["encoder"] = {"type": "linear", "init": "gaussian"}
+    assert validate_dict(cfg) == []
 
 
-def test_validate_identity_init_rejects_pilot_chain():
-    cfg = tiny_config(encoder={"type": "linear", "init": "identity"})
-    cfg["dims"] = dict(cfg["dims"], n=8)
-    out = validate_dict(cfg)
-    assert len(out) == 1 and out[0].startswith("baselines.lmmse: ")
-    assert "identity" in out[0]
+@pytest.mark.parametrize("power_mode", ["exact", "average"])
+def test_build_link_linear_encoder_ignores_gain(power_mode):
+    # a linear map's scale is the power's: both power modes used to normalize gain * A
+    # back, after a full-size copy of A, to within rounding
+    links = [harness._build_link(ExperimentConfig.from_dict(tiny_config(
+        power_mode=power_mode, encoder={"type": "linear", "gain": gain})))
+        for gain in (1.0, 2.0, 0.3)]
+    d = np.random.default_rng(3).standard_normal((1, 3))
+    for link in links[1:]:
+        for one, other in ((links[0].encoder, link.encoder),
+                           (links[0].pilot_encoder, link.pilot_encoder)):
+            A1, A2 = (getattr(e, "base", e).A for e in (one, other))  # exact: a normalized base
+            assert A1.tobytes() == A2.tobytes()
+            assert one.encode(d).tobytes() == other.encode(d).tobytes()
 
 
 def test_validate_encoder_file_rejects_pilot_chain(tmp_path):
@@ -427,6 +438,17 @@ def test_validate_rejects_what_the_run_would_fail_on(override, problem):
         run_experiment(cfg)
 
 
+def test_validate_names_each_forced_cell_outside_the_grid():
+    # passed validate, and the run flagged no row
+    cfg = tiny_config(trials=2, force_error_trials=[[5, 0], [-1, 0], [0, 9], [0, 1]])
+    assert validate_dict(cfg) == [
+        f"force_error_trials: {pair} is outside the 1 x 2 (snr index, trial) grid"
+        for pair in ("[5, 0]", "[-1, 0]", "[0, 9]")]
+    with pytest.raises(ConfigError):
+        run_experiment(cfg)
+    assert validate_dict(dict(cfg, force_error_trials=[[0, 1]])) == []
+
+
 @pytest.mark.parametrize("key, spec", [
     ("prior_source", {"type": "gaussian", "var": 0}),
     ("prior_source", {"type": "mixture", "means": [1.0, -1.0], "var": -0.5,
@@ -531,16 +553,18 @@ def test_run_reports_an_encoder_file_it_cannot_read(tmp_path):
 
 
 @pytest.mark.parametrize("power_mode", ["exact", "average"])
-@pytest.mark.parametrize("kind", ["match", "unreadable", "zero", "type", "shape"])
-def test_an_encoder_file_validate_passes_runs(tmp_path, kind, power_mode):
-    # An unreadable file and a zero matrix used to pass validate: the run then raised a
-    # ConfigError at the link build, or flagged every row "base encoder output is zero".
+@pytest.mark.parametrize("kind", ["match", "unreadable", "zero", "nonfinite", "type", "shape"])
+def test_an_encoder_file_validate_passes_runs(tmp_path, capsys, kind, power_mode):
+    # An unreadable file, a zero matrix and a NaN entry used to pass validate: the run then
+    # raised a ConfigError at the link build, or flagged every row "base encoder output is
+    # zero" or "sigma_n2 must be finite, got nan".
     from pvdmimo.channel import complex_normal
     from pvdmimo.encoder import LinearEncoder, SaturatingEncoder, save_encoder
     A = complex_normal(np.random.default_rng(5), (8, 3))  # tiny_config: (N_t*K, T) = (1, 8), n = 3
     path = tmp_path / "enc.txt"
     if kind != "unreadable":
         save_encoder({"match": LinearEncoder(A, (1, 8)), "zero": LinearEncoder(0 * A, (1, 8)),
+                      "nonfinite": LinearEncoder(np.where(np.eye(8, 3), np.nan, A), (1, 8)),
                       "type": SaturatingEncoder(A, 1.25, (1, 8)),
                       "shape": LinearEncoder(A[:6], (1, 6))}[kind], path)
     cfg = tiny_config(trials=1, power_mode=power_mode,
@@ -554,6 +578,8 @@ def test_an_encoder_file_validate_passes_runs(tmp_path, kind, power_mode):
         assert len(problems) == 1 and problems[0].startswith("encoder.file: "), problems
         with pytest.raises(ConfigError, match=re.escape(problems[0])):
             run_experiment(cfg)
+        assert cli_main(["run", str(_write_cfg(tmp_path, cfg))]) == 1
+        assert capsys.readouterr().err.splitlines() == problems
 
 
 def _cut_last_line(text):
@@ -578,8 +604,11 @@ _MIXTURE = {"type": "mixture", "means": [1.0, -1.0], "var": 0.25, "weights": [0.
      "{path}: header input_dim must be int, not '3.0'"),
     (None, lambda t: t + "1.0 2.0 3.0\n", "{path}: an entry line is not two numbers 're im'"),
     (None, _cut_last_line, "{path}: 23 entries, expected 1*8*3"),
+    # passed as a saturating encoder whose every output is NaN
+    (None, lambda t: t.replace("type linear", "type saturating\ngain nan"),
+     "gain must be finite and > 0, got nan"),
 ], ids=["means", "weights", "weights-null", "header-line", "header-value", "entry-line",
-        "entry-count"])
+        "entry-count", "gain-nan"])
 def test_validate_reports_a_mixture_field_or_an_encoder_file_fault_at_its_path(
         tmp_path, override, edit, problem):
     _, path = _encoder_file(tmp_path, (1, 8), 3)  # tiny_config: (N_t*K, T) = (1, 8), n = 3
@@ -661,9 +690,11 @@ def test_sweep_linked_parameter():
         with pytest.raises(ConfigError, match=re.escape(
                 "link dims.N_r: must list one value per swept value (2)")):
             sweep(cfg, "dims.N_t", [1, 2], links=links)
-    # a value that is no number is the point's parse's to report (float() used to escape)
+    # a value that is no number is the point's parse's to report (float() used to escape);
+    # so is an integral float, which used to become an int here but not in run_experiment
     for param, values, links in [("dims.N_r", ["a"], None), ("dims.N_r", [None], None),
-                                 ("dims.N_t", [1], {"dims.N_r": [True]})]:
+                                 ("dims.N_t", [1], {"dims.N_r": [True]}),
+                                 ("dims.N_r", [8.0], None)]:
         with pytest.raises(ConfigError, match=re.escape("dims.N_r: must be an integer")):
             sweep(cfg, param, values, links=links)
 
@@ -763,6 +794,40 @@ def test_validate_reports_a_string_leaf_at_its_path(path):
     assert len(problems) == 1 and problems[0].startswith(f"{path}: "), problems
 
 
+# A value each numeric leaf of DEFAULT_CONFIG refuses, or for a count 0, -1 and a fraction.
+# Nothing refuses a seed (any integer) or the inert pvd.probes.
+_REFUSED = {"dims.P": 0.0, "encoder.gain": 0.0, "pvd.sigma1_H": 0.0, "pvd.sigmaJ_H": 0.0,
+            "pvd.sigma1_D": 0.0, "pvd.sigmaJ_D": -1.0, "pvd.zeta_H": 0.0, "pvd.zeta_D": -1.0,
+            "prior_channel.mean": float("inf"), "prior_channel.var": 0.0,
+            "prior_source.mean": float("nan"), "prior_source.var": -1.0}
+_UNREFUSED = ("seed", "pvd.probes")
+
+
+def _out_of_range_values():
+    for path in _typed_leaves():
+        *sec, key = path.split(".")
+        default = (harness.DEFAULT_CONFIG[sec[0]] if sec else harness.DEFAULT_CONFIG)[key]
+        if path in _REFUSED:
+            yield path, _REFUSED[path]
+        elif type(default) is int and path not in _UNREFUSED:
+            yield from ((path, 0), (path, -1), (path, 2.5))
+        else:  # a new float leaf needs its refused value in _REFUSED
+            assert type(default) is bool or path in _UNREFUSED, path
+
+
+@pytest.mark.parametrize("path, value", list(_out_of_range_values()))
+def test_validate_reports_an_out_of_range_leaf_at_its_path(path, value):
+    # pvd.sigmaJ_H 0.0 was reported at pvd.sigma1_H, baselines.N_p 0 as "N_t and N_p must be
+    # >= 1", and dims.N_u 0 also as a pilot baseline fault
+    cfg = copy.deepcopy(harness.DEFAULT_CONFIG)
+    *sec, key = path.split(".")
+    (cfg[sec[0]] if sec else cfg)[key] = value
+    problems = validate_dict(cfg)
+    assert len(problems) == 1 and problems[0].startswith(f"{path}: "), problems
+    named = {p.split(".")[-1] for p in _typed_leaves()} - {key}  # the message names no other
+    assert not [k for k in named if re.search(rf"\b{k}\b", problems[0])], problems
+
+
 # The validate contract: a config that validate_dict passes runs, and a PVD divergence is the
 # only fault a row may carry. Every field of the schema is drawn, bad values among the good.
 _FIELDS = {
@@ -770,7 +835,7 @@ _FIELDS = {
              "T": st.integers(1, 6), "N_u": st.sampled_from([1, 1, 2]), "n": st.integers(1, 5),
              "P": st.sampled_from([0.5, 1.0, 2.0])},
     "encoder": {"type": st.sampled_from(["linear", "saturating"]),
-                "init": st.sampled_from(["gaussian"] * 3 + ["identity"]),
+                "init": st.just("gaussian"),
                 "gain": st.sampled_from([0.5, 1.0, 2.0, 0.7, 0.0]), "file": st.none()},
     "pvd": {"enabled": st.sampled_from([True, True, False]),
             "J": st.sampled_from([2, 3, 2, 3, 1]), "J_in": st.integers(1, 2),
@@ -800,7 +865,7 @@ def _configs(draw):
     cfg = {sec: {key: draw(_FIELDS[sec][key]) for key in harness.DEFAULT_CONFIG[sec]}
            for sec in _FIELDS}
     d = cfg["dims"]
-    if draw(st.booleans()):  # an identity encoder needs n = N_t K T
+    if draw(st.booleans()):  # a square link matrix
         d["n"] = d["N_t"] * d["K"] * d["T"]
     model = draw(st.sampled_from(sorted(harness._CHANNEL_KEYS)))
     cfg["channel"] = {"model": model}
@@ -915,8 +980,9 @@ def test_cli_sweep_linked_field(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
     path = _write_cfg(tmp_path, tiny_config(trials=1, baselines={"lmmse": False,
                                                                  "oracle_lmmse": False}))
-    assert cli_main(["sweep", str(path), "--param", "dims.N_t", "--values", "1,2",
-                     "--link", "dims.N_r=2,4", "--out", str(out)]) == 0
+    # the CLI parses integral values to ints: the parse refuses a float count
+    assert cli_main(["sweep", str(path), "--param", "dims.N_t", "--values", "1,2.0",
+                     "--link", "dims.N_r=2.0,4", "--out", str(out)]) == 0
     assert seen == [2, 4]
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
@@ -942,31 +1008,8 @@ def test_cli_sweep_link_of_the_wrong_length_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["--link dims.N_r: '2*x' is not a number"]
 
 
-def test_cli_env_seed_not_an_integer_exit_1(tmp_path, capsys, monkeypatch):
-    # int() used to fail as a runtime failure (exit 2)
-    monkeypatch.setenv("PVDMIMO_SEED", "abc")
-    path = _write_cfg(tmp_path, tiny_config(trials=1))
-    assert cli_main(["run", str(path), "--out", str(tmp_path / "rows.csv")]) == 1
-    assert capsys.readouterr().err.splitlines() == ["PVDMIMO_SEED: must be an integer, got 'abc'"]
-
-
 def test_cli_sweep_values_not_numbers_exit_1(tmp_path, capsys):
     # float() used to fail as a runtime failure (exit 2)
     path = _write_cfg(tmp_path, tiny_config(trials=1))
     assert cli_main(["sweep", str(path), "--param", "snr_db", "--values", "a,b"]) == 1
     assert capsys.readouterr().err.splitlines() == ["--values: 'a' is not a number"]
-
-
-def test_cli_env_seed_override(tmp_path):
-    out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-    path = _write_cfg(tmp_path, tiny_config(trials=2))
-    # the child imports the same pvdmimo as this process, however pytest found it
-    src = os.path.dirname(os.path.dirname(pvdmimo.__file__))
-    env = dict(os.environ, PVDMIMO_SEED="777",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-m", "pvdmimo.cli", "run", str(path),
-                    "--out", str(out1)], env=env, check=True, capture_output=True)
-    # same effect as writing the seed into the config
-    cfg = tiny_config(trials=2, seed=777)
-    run_experiment(cfg, out=out2)
-    assert out1.read_bytes() == out2.read_bytes()
