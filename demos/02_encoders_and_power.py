@@ -4,9 +4,10 @@ The recovery engine needs two things from an encoder: the forward map and
 an exact vector-Jacobian product. This script checks both against finite
 differences, demonstrates the power constraint, compares the closed-form
 Jacobian norms against the dense ones, and round-trips encoder parameters
-through the text file format.
+through an .npz file.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -75,9 +76,9 @@ print(f"  ||H0 J||_F^2 closed form {hj2:12.6f}, dense "
       f"{np.linalg.norm(compound(H) @ J.reshape(big.N_t * big.K, -1)) ** 2:12.6f}")
 
 # parameters survive a file round trip
-with tempfile.NamedTemporaryFile(suffix=".txt", mode="w", delete=False) as fh:
-    path = fh.name
-save_encoder(saturating, path)
-back = load_encoder(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "saturating.npz")
+    save_encoder(saturating, path)
+    back = load_encoder(path)
 print(f"file round-trip max |A - A'| = {np.max(np.abs(back.A - saturating.A)):.1e}, "
       f"gain {back.gain}")

@@ -33,6 +33,8 @@ differentiated exactly.
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 
 
@@ -288,59 +290,41 @@ def jacobian_frobenius2(enc: Encoder, d: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Encoder parameter files: a small text format, dims then row-major entries.
+# Encoder parameter files: numpy .npz archives holding A, output_shape and,
+# for a saturating encoder only, gain.
 # ---------------------------------------------------------------------------
 
-_MAGIC = "pvdmimo-encoder v1"
-
-
 def save_encoder(enc: Encoder, path) -> None:
-    """Write encoder parameters as text: header (type, dims, gain), then
-    one 're im' line per matrix entry in row-major order."""
+    """Write a one-matrix encoder's parameters to an .npz archive at `path`."""
     if not isinstance(enc, _MatrixEncoder) or enc.A.ndim != 2:
         raise TypeError(f"cannot serialize {type(enc).__name__}: one (m, n) matrix only")
-    kind, gain = (("saturating", enc.gain) if isinstance(enc, SaturatingEncoder)
-                  else ("linear", None))
-    rows, cols = enc.output_shape
-    header = [_MAGIC, f"type {kind}", f"out_rows {rows}", f"out_cols {cols}",
-              f"input_dim {enc.input_dim}"] + ([] if gain is None else [f"gain {gain!r}"])
-    with open(path, "w") as fh:
-        fh.write("\n".join(header + ["entries", ""]))
-        for v in enc.A.ravel():
-            fh.write(f"{float(v.real)!r} {float(v.imag)!r}\n")
+    gain = {"gain": enc.gain} if isinstance(enc, SaturatingEncoder) else {}
+    with open(path, "wb") as fh:  # np.savez would append .npz to a bare path
+        np.savez(fh, A=enc.A, output_shape=enc.output_shape, **gain)
 
 
 def load_encoder(path) -> Encoder:
-    """Inverse of save_encoder; a malformed file raises one ValueError naming its fault."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"{path}: not a {_MAGIC} file")
-    if "entries" not in lines:
-        raise ValueError(f"{path}: missing 'entries' section")
-    i = lines.index("entries")
-    header = dict(ln.partition(" ")[::2] for ln in lines[1:i])
-
-    def value(key: str, cast=int):
-        if key not in header:
-            raise ValueError(f"{path}: missing header line {key!r}")
-        try:
-            return cast(header[key])
-        except ValueError:
-            raise ValueError(f"{path}: header {key} must be {cast.__name__}, "
-                             f"not {header[key]!r}") from None
-
-    kind, rows, cols, n = value("type", str), *map(value, ("out_rows", "out_cols", "input_dim"))
-    if kind not in ("linear", "saturating"):
-        raise ValueError(f"{path}: unknown encoder type {kind!r}")
+    """Inverse of save_encoder, the type set by whether `gain` is there; nothing
+    is unpickled. A malformed file raises one ValueError naming its fault; an
+    OSError propagates."""
     try:
-        vals = [complex(float(a), float(b))
-                for a, b in (ln.split() for ln in lines[i + 1:] if ln.strip())]
-    except ValueError:
-        raise ValueError(f"{path}: an entry line is not two numbers 're im'") from None
-    if len(vals) != rows * cols * n:
-        raise ValueError(f"{path}: {len(vals)} entries, expected {rows}*{cols}*{n}")
-    A = np.array(vals, dtype=np.complex128).reshape(rows * cols, n)
-    if kind == "linear":
-        return LinearEncoder(A, (rows, cols))
-    return SaturatingEncoder(A, value("gain", float), (rows, cols))
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError  # a bare .npy array
+        with npz:  # an object array raises ValueError here, unread
+            A, shape, gain = npz["A"], npz["output_shape"], npz.get("gain")
+    except KeyError as exc:  # "<name> is not a file in the archive"
+        raise ValueError(f"{path}: {exc.args[0]}") from None
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise ValueError(f"{path}: not an .npz archive of plain arrays") from None
+    if shape.shape != (2,) or shape.dtype.kind not in "iu" or not (shape > 0).all():
+        raise ValueError(f"{path}: output_shape must be two positive integers, got {shape}")
+    if A.ndim != 2 or A.dtype.kind not in "iufc":  # _MatrixEncoder checks the row count
+        raise ValueError(f"{path}: A must be a numeric matrix, got {A.dtype} {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError(f"{path}: A holds a non-finite entry: the encoder output would be too")
+    if gain is None:
+        return LinearEncoder(A, shape.tolist())  # Python ints: no overflow in rows * cols
+    if gain.shape or gain.dtype.kind not in "iuf":
+        raise ValueError(f"{path}: gain must be a real scalar, got {gain.dtype} {gain.shape}")
+    return SaturatingEncoder(A, float(gain), shape.tolist())

@@ -98,17 +98,20 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _covariance(spec, size: int, name: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """A Hermitian PSD size x size matrix, its entries numbers or [re, im]
-    pairs, and its square root (None for the identity)."""
+    """A Hermitian PSD size x size matrix, its entries finite numbers or [re, im]
+    pairs, and its square root (None for the identity), nonzero and finite."""
     try:
         R = np.array([[complex(*v) if isinstance(v, (list, tuple)) else complex(v) for v in row]
                       for row in spec], dtype=np.complex128)
     except (TypeError, ValueError):
         R = None
-    if R is None or R.shape != (size, size):
+    if R is None or R.shape != (size, size) or not np.isfinite(R).all():
         raise ValueError(f"the kronecker model needs a {size}x{size} matrix of numbers "
                          "or [re, im] pairs")
-    return R, hermitian_sqrt(R, name)  # raises unless Hermitian PSD
+    S = hermitian_sqrt(R, name)  # raises unless Hermitian PSD
+    if S is not None and not (S.any() and np.isfinite(S).all()):
+        raise ValueError(f"{name} must be nonzero, with a finite square root")
+    return R, S
 
 
 def _is_number(v) -> bool:
@@ -168,8 +171,8 @@ def _prior_builder(spec: dict, domain: str, shape: tuple) -> tuple:
 
 
 def _file_encoder(spec: dict, dims: MimoDims) -> Encoder:
-    """The encoder in spec["file"], checked against the config's type and
-    shape, and refused if it cannot be read or its matrix is not finite or zero."""
+    """The encoder in spec["file"] (load_encoder refuses a malformed file), checked
+    against the config's type and shape, and refused if unreadable or zero."""
     try:
         enc = load_encoder(spec["file"])
     except OSError as exc:
@@ -180,8 +183,6 @@ def _file_encoder(spec: dict, dims: MimoDims) -> Encoder:
     kind = "saturating" if isinstance(enc, SaturatingEncoder) else "linear"
     if spec["type"] in ("linear", "saturating") and kind != spec["type"]:
         raise ValueError(f"holds a {kind} encoder, encoder.type is {spec['type']!r}")
-    if not np.isfinite(enc.A).all():
-        raise ValueError("holds a non-finite entry: the encoder output would be too")
     if not np.any(enc.A):
         raise ValueError("holds a zero matrix: the encoder output has no power")
     return enc

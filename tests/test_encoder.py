@@ -1,4 +1,7 @@
-"""Encoder maps, exact adjoints, power normalization, Jacobian norms."""
+"""Encoder maps, exact adjoints, power normalization, Jacobian norms, files."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -249,7 +252,7 @@ def test_save_load_roundtrip(tmp_path):
     lin = random_linear(rng)
     sat = SaturatingEncoder(lin.A, 1.25, lin.output_shape)
     for enc in (lin, sat):
-        path = tmp_path / f"{type(enc).__name__}.txt"
+        path = tmp_path / f"{type(enc).__name__}.npz"
         save_encoder(enc, path)
         back = load_encoder(path)
         assert type(back) is type(enc)
@@ -260,3 +263,40 @@ def test_save_load_roundtrip(tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not an encoder\n")
         load_encoder(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 4), n=st.integers(1, 5),
+       gain=st.one_of(st.none(), st.floats(0.0, 1e300, exclude_min=True)),
+       seed=st.integers(0, 2**32 - 1))
+def test_save_load_roundtrip_is_bit_exact_over_shapes(rows, cols, n, gain, seed):
+    rng = np.random.default_rng(seed)
+    A = complex_normal(rng, (rows * cols, n))
+    enc = (LinearEncoder(A, (rows, cols)) if gain is None
+           else SaturatingEncoder(A, gain, (rows, cols)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "enc.npz")
+        save_encoder(enc, path)
+        back = load_encoder(path)
+    assert type(back) is type(enc) and back.output_shape == (rows, cols)
+    assert back.A.dtype == A.dtype and back.A.tobytes() == A.tobytes()
+    if gain is not None:
+        assert np.float64(back.gain).tobytes() == np.float64(gain).tobytes()
+    d = rng.standard_normal(n)
+    assert back.encode(d).tobytes() == enc.encode(d).tobytes()
+
+
+def _unpickled():
+    raise AssertionError("load_encoder unpickled an object array")
+
+
+class _Trap:
+    def __reduce__(self):
+        return _unpickled, ()
+
+
+def test_load_refuses_an_object_array_without_unpickling_it(tmp_path):
+    path = tmp_path / "enc.npz"
+    np.savez(path, A=np.array([_Trap()], dtype=object), output_shape=np.array([1, 1]))
+    with pytest.raises(ValueError, match="not an .npz archive of plain arrays"):
+        load_encoder(path)

@@ -3,6 +3,7 @@
 import copy
 import csv
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -318,6 +319,22 @@ def test_validate_kronecker_hermitian_psd():
                    "channel.R_tx: R_tx is not positive semidefinite (min eigval -1.000e+00)"]
 
 
+_SHAPE = "the kronecker model needs a {0}x{0} matrix of numbers or [re, im] pairs"
+_ROOT = "{0} must be nonzero, with a finite square root"
+
+
+@pytest.mark.parametrize("R_rx, R_tx, problem", [
+    ([[0.0, 0.0], [0.0, 0.0]], [[1.0]], "channel.R_rx: " + _ROOT.format("R_rx")),
+    ([[1.0, 0.0], [0.0, 1.0]], [[0.0]], "channel.R_tx: " + _ROOT.format("R_tx")),
+    ([[float("inf"), 0.0], [0.0, 1.0]], [[1.0]], "channel.R_rx: " + _SHAPE.format(2)),
+    ([[1.0, 0.0], [0.0, 1.0]], [[float("nan")]], "channel.R_tx: " + _SHAPE.format(1)),
+    ([[1e308, 1e308], [1e308, 1e308]], [[1.0]], "channel.R_rx: " + _ROOT.format("R_rx")),
+], ids=["rx-zero", "tx-zero", "rx-inf", "tx-nan", "rx-root-overflows"])
+def test_validate_kronecker_refuses_a_zero_or_nonfinite_covariance(R_rx, R_tx, problem):
+    # each used to pass validate, then flag every row "noise part has zero norm" or
+    # "sigma_n2 must be finite, got nan"
+    assert validate_dict(_kronecker(R_rx, R_tx)) == [problem]
+
 
 def test_run_takes_the_kronecker_roots_once_per_run(monkeypatch):
     # the parse takes each root once; neither the link nor a cell takes them again
@@ -514,7 +531,7 @@ def _encoder_file(tmp_path, out_shape, n):
     from pvdmimo.encoder import LinearEncoder, save_encoder
     rng = np.random.default_rng(17)
     enc = LinearEncoder(complex_normal(rng, (out_shape[0] * out_shape[1], n)), out_shape)
-    path = tmp_path / "enc.txt"
+    path = tmp_path / "enc.npz"
     save_encoder(enc, path)
     return enc, str(path)
 
@@ -543,7 +560,7 @@ def test_run_rejects_an_encoder_file_of_another_shape(tmp_path):
 
 def test_run_reports_an_encoder_file_it_cannot_read(tmp_path):
     # validate used to pass a file it could not read and leave it to the run
-    path = str(tmp_path / "no.txt")
+    path = str(tmp_path / "no.npz")
     cfg = tiny_config(trials=1, encoder={"type": "linear", "file": path},
                       baselines={"lmmse": False, "oracle_lmmse": False})
     problem = f"encoder.file: cannot read {path!r}: No such file or directory"
@@ -561,7 +578,7 @@ def test_an_encoder_file_validate_passes_runs(tmp_path, capsys, kind, power_mode
     from pvdmimo.channel import complex_normal
     from pvdmimo.encoder import LinearEncoder, SaturatingEncoder, save_encoder
     A = complex_normal(np.random.default_rng(5), (8, 3))  # tiny_config: (N_t*K, T) = (1, 8), n = 3
-    path = tmp_path / "enc.txt"
+    path = tmp_path / "enc.npz"
     if kind != "unreadable":
         save_encoder({"match": LinearEncoder(A, (1, 8)), "zero": LinearEncoder(0 * A, (1, 8)),
                       "nonfinite": LinearEncoder(np.where(np.eye(8, 3), np.nan, A), (1, 8)),
@@ -582,11 +599,14 @@ def test_an_encoder_file_validate_passes_runs(tmp_path, capsys, kind, power_mode
         assert capsys.readouterr().err.splitlines() == problems
 
 
-def _cut_last_line(text):
-    return text[:text.rstrip("\n").rfind("\n") + 1]
-
-
 _MIXTURE = {"type": "mixture", "means": [1.0, -1.0], "var": 0.25, "weights": [0.5, 0.5]}
+_NOT_NPZ = "{path}: not an .npz archive of plain arrays"
+
+
+def _npy(arrays):
+    buf = io.BytesIO()
+    np.save(buf, arrays["A"])
+    return buf.getvalue()
 
 
 @pytest.mark.parametrize("override, edit, problem", [
@@ -597,28 +617,45 @@ _MIXTURE = {"type": "mixture", "means": [1.0, -1.0], "var": 0.25, "weights": [0.
      "prior_source.weights: must be a list of numbers"),
     ({"prior_source": dict(_MIXTURE, weights=None)}, None,
      "prior_source.weights: must be a list of numbers"),
-    # were "encoder.file.out_rows: required", int()'s message, "encoder.file: must be a
-    # number" and numpy's reshape message
-    (None, lambda t: t.replace("out_rows 1\n", ""), "{path}: missing header line 'out_rows'"),
-    (None, lambda t: t.replace("input_dim 3", "input_dim 3.0"),
-     "{path}: header input_dim must be int, not '3.0'"),
-    (None, lambda t: t + "1.0 2.0 3.0\n", "{path}: an entry line is not two numbers 're im'"),
-    (None, _cut_last_line, "{path}: 23 entries, expected 1*8*3"),
+    # an edit maps the file's arrays to the arrays, or the bytes, written in their place
+    (None, lambda a: b"pvdmimo-encoder v1\n", _NOT_NPZ),
+    (None, lambda a: b"", _NOT_NPZ),
+    (None, _npy, _NOT_NPZ),
+    (None, lambda a: dict(a, A=np.array([None], dtype=object)), _NOT_NPZ),
+    (None, lambda a: {"A": a["A"]}, "{path}: output_shape is not a file in the archive"),
+    (None, lambda a: dict(a, output_shape=np.array([1.0, 8.0])),
+     "{path}: output_shape must be two positive integers, got [1. 8.]"),
+    (None, lambda a: dict(a, output_shape=np.array([-1, -8])),
+     "{path}: output_shape must be two positive integers, got [-1 -8]"),
+    (None, lambda a: dict(a, A=a["A"][..., None]),
+     "{path}: A must be a numeric matrix, got complex128 (8, 3, 1)"),
+    (None, lambda a: dict(a, A=a["A"].astype(str)),
+     "{path}: A must be a numeric matrix, got <U64 (8, 3)"),
+    (None, lambda a: dict(a, A=a["A"][:6]),
+     "A must be (m, n) or (N_u, m, n) with m = 8 rows for output [1, 8]"),
+    # 2**32 * 2**32 wraps to 0 in int64, which a 0-row A would match
+    (None, lambda a: dict(a, A=a["A"][:0], output_shape=np.array([2**32, 2**32])),
+     f"A must be (m, n) or (N_u, m, n) with m = {2**64} rows for output [{2**32}, {2**32}]"),
+    (None, lambda a: dict(a, gain=np.ones(2)),
+     "{path}: gain must be a real scalar, got float64 (2,)"),
     # passed as a saturating encoder whose every output is NaN
-    (None, lambda t: t.replace("type linear", "type saturating\ngain nan"),
-     "gain must be finite and > 0, got nan"),
-], ids=["means", "weights", "weights-null", "header-line", "header-value", "entry-line",
-        "entry-count", "gain-nan"])
+    (None, lambda a: dict(a, gain=np.nan), "gain must be finite and > 0, got nan"),
+], ids=["means", "weights", "weights-null", "text", "empty", "npy", "object-array",
+        "missing-array", "shape-float", "shape-negative", "A-rank", "A-text", "A-rows",
+        "A-rows-overflow", "gain-array", "gain-nan"])
 def test_validate_reports_a_mixture_field_or_an_encoder_file_fault_at_its_path(
         tmp_path, override, edit, problem):
     _, path = _encoder_file(tmp_path, (1, 8), 3)  # tiny_config: (N_t*K, T) = (1, 8), n = 3
     if edit is None:
         cfg = tiny_config(**override)
     else:
-        with open(path) as fh:
-            text = fh.read()
-        with open(path, "w") as fh:
-            fh.write(edit(text))
+        with np.load(path) as npz:
+            out = edit(dict(npz))
+        with open(path, "wb") as fh:
+            if isinstance(out, bytes):
+                fh.write(out)
+            else:
+                np.savez(fh, **out)
         cfg = tiny_config(encoder={"type": "linear", "file": path},
                           baselines={"lmmse": False, "oracle_lmmse": False})
         problem = "encoder.file: " + problem.format(path=path)
@@ -630,7 +667,7 @@ def test_run_rejects_an_encoder_file_of_another_type(tmp_path, capsys):
     # power_mode 'average', which calibrates linear encoders only
     from pvdmimo.channel import complex_normal
     from pvdmimo.encoder import SaturatingEncoder, save_encoder
-    path = tmp_path / "enc.txt"
+    path = tmp_path / "enc.npz"
     save_encoder(SaturatingEncoder(complex_normal(np.random.default_rng(3), (8, 3)), 1.25,
                                    (1, 8)), path)
     cfg = tiny_config(trials=1, power_mode="average",
@@ -872,7 +909,14 @@ def _configs(draw):
     if model == "kronecker":
         for key, size in (("R_rx", d["N_r"]), ("R_tx", d["N_t"])):
             rho = draw(st.sampled_from([0.0, 0.5, 0.9]))
-            cfg["channel"][key] = [[rho ** abs(i - j) for j in range(size)] for i in range(size)]
+            R = [[rho ** abs(i - j) for j in range(size)] for i in range(size)]
+            # a zero matrix or an infinite entry used to pass validate, then flag every row
+            fault = draw(st.sampled_from([None, None, None, 0.0, float("inf")]))
+            if fault == 0:
+                R = [[0.0] * size for _ in range(size)]
+            elif fault:
+                R[0][0] = fault
+            cfg["channel"][key] = R
     assert set(cfg["channel"]) == set(harness._CHANNEL_KEYS[model])
     for key in ("prior_channel", "prior_source", "source_draw"):
         if key == "source_draw" and draw(st.booleans()):
