@@ -83,6 +83,8 @@ _CHANNEL_KEYS = {"rayleigh": {"model": ""}, "kronecker": {"model": "", "R_rx": N
 _PRIOR_KEYS = {"gaussian": {"type": "", "mean": None, "var": 1.0},
                "mixture": {"type": "", "means": None, "var": 1.0, "weights": None}}
 _DOMAINS = {"prior_channel": "complex", "prior_source": "real", "source_draw": "real"}
+# The largest expected received power: a cell's squared signal norm has room for 1e6 times it.
+_MAX_POWER = np.finfo(np.float64).max / 1e6
 
 
 class ConfigError(ValueError):
@@ -108,7 +110,8 @@ def _covariance(spec, size: int, name: str) -> tuple[np.ndarray, np.ndarray | No
     if R is None or R.shape != (size, size) or not np.isfinite(R).all():
         raise ValueError(f"the kronecker model needs a {size}x{size} matrix of numbers "
                          "or [re, im] pairs")
-    S = hermitian_sqrt(R, name)  # raises unless Hermitian PSD
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing root is refused below
+        S = hermitian_sqrt(R, name)  # raises unless Hermitian PSD
     if S is not None and not (S.any() and np.isfinite(S).all()):
         raise ValueError(f"{name} must be nonzero, with a finite square root")
     return R, S
@@ -262,11 +265,19 @@ def _parse(user) -> tuple[dict, dict, list[str]]:
     if dims and enc["file"] and isinstance(enc["file"], str):
         parts["file_encoder"] = build("encoder.file", lambda: _file_encoder(enc, dims))
 
+    covs = []  # Rayleigh: identity covariances, of traces N_r and N_t
     if dims and ch.get("model") == "kronecker":
-        (R_rx, S_rx), (R_tx, S_tx) = (
+        (R_rx, S_rx), (R_tx, S_tx) = covs = [
             build(f"channel.{key}", lambda: _covariance(ch.get(key), size, key)) or (None, None)
-            for key, size in (("R_rx", dims.N_r), ("R_tx", dims.N_t)))
-        if R_rx is not None and R_tx is not None:
+            for key, size in (("R_rx", dims.N_r), ("R_tx", dims.N_t))]
+    if dims and all(R is not None for R, _ in covs):
+        # In logs of Python numbers (no overflow, no warning), before np.kron could overflow.
+        traces = [sum(map(float, R.diagonal().real)) for R, _ in covs] or [dims.N_r, dims.N_t]
+        factors = [dims.N_u, dims.P, dims.K, dims.T, *traces]  # a trace <= 0 cannot overflow
+        if min(factors) > 0 and sum(map(math.log, factors)) > math.log(_MAX_POWER):
+            problems.append(f"{'channel' if covs else 'dims.P'}: the expected received power "
+                            f"N_u P K T tr(R_rx) tr(R_tx) must be at most {_MAX_POWER:.3g}")
+        elif covs:
             parts["kron"] = S_rx, S_tx, np.kron(R_tx.T, R_rx)
 
     check(cfg["prior_channel"]["type"] != "mixture", "prior_channel",

@@ -10,11 +10,13 @@ log of
     transition(step j+1 | step j) * smoothed prior * calibrated likelihood,
 
 with every gradient averaged over L samples drawn from the current
-variational Gaussian. The likelihood is calibrated by propagating the
-Tweedie denoising errors of both estimates into an aggregated noise
-variance, so early steps (where the estimates are poor) are weighted
-down automatically. After the final step the variational means are the
-recovered channel and source.
+variational Gaussian. One generator draw makes the noise of all J_in x L
+samples of a step, in the order per inner iteration, per sample, per user:
+channel real and imaginary parts, then source. The likelihood is calibrated
+by propagating the Tweedie denoising errors of both estimates into an
+aggregated noise variance, so early steps (where the estimates are poor)
+are weighted down automatically. After the final step the variational
+means are the recovered channel and source.
 
 Users sit on axis 0 throughout. At each sample point each prior and the
 encoder are evaluated once for all users (`ScorePrior.at`,
@@ -179,23 +181,20 @@ class RecoveryResult:
     diagnostics: list[PvdStepDiag]
 
 
-def sample_variational(H_mean: np.ndarray, D_mean: np.ndarray, step: ReverseStep,
-                       rng: np.random.Generator):
-    """Draw one latent sample per user from the variational Gaussians.
+def sample_variational(H_shape: tuple, D_shape: tuple, step: ReverseStep,
+                       rng: np.random.Generator, J_in: int, L: int):
+    """The variational noise (noise_H, noise_D) of all J_in x L samples of a step.
 
-    H ~ CN(H_mean, 1/lambda_H) entrywise on the free block entries and
-    D ~ N(D_mean, 1/lambda_D), with the precisions of `step`; at j = 0, where
-    both are infinite, the means themselves are returned. One draw serves all
-    users, in a fixed order (per user: channel real and imaginary parts, then
-    source), so runs are reproducible bit-for-bit.
-    """
+    Sample l of inner iteration it is (H_mean + noise_H[it, l], D_mean + noise_D[it, l]):
+    CN(H_mean, 1/lambda_H) on the free block entries and N(D_mean, 1/lambda_D). At j = 0
+    (infinite precisions) it draws nothing and returns None: the means are the sample.
+    One draw, in the order per inner iteration, sample, user: channel re, im, source."""
     if math.isinf(step.lambda_H):
-        return H_mean, D_mean
-    h = H_mean[0].size
-    z = rng.standard_normal((len(D_mean), 2 * h + D_mean.shape[1]))
-    noise_H = (z[:, :h] + 1j * z[:, h:2 * h]) * math.sqrt(1.0 / step.lambda_H / 2.0)
-    return (H_mean + noise_H.reshape(H_mean.shape),
-            D_mean + z[:, 2 * h:] / math.sqrt(step.lambda_D))
+        return None
+    h = math.prod(H_shape[1:])
+    z = rng.standard_normal((J_in, L, D_shape[0], 2 * h + D_shape[1]))
+    noise_H = (z[..., :h] + 1j * z[..., h:2 * h]) * math.sqrt(1.0 / step.lambda_H / 2.0)
+    return noise_H.reshape((J_in, L) + H_shape), z[..., 2 * h:] / math.sqrt(step.lambda_D)
 
 
 def _denoised(x: np.ndarray, point: PriorPoint, sigma: float) -> np.ndarray:
@@ -249,7 +248,7 @@ def aggregated_noise_variance(lin: Linearization, H0j: np.ndarray, var_H, var_D,
     """
     N_r, K, T = dims.N_r, dims.K, dims.T
     F = lin.value
-    total = var_H * N_r * (F * F.conj()).real.reshape(F.shape[:-2] + (-1,)).sum(axis=-1)
+    total = var_H * N_r * np.add.reduce((F * F.conj()).real.reshape(*F.shape[:-2], -1), -1)
     j_frob2, hj_frob2 = lin.frobenius2(H0j)
     total = total + (var_D * hj_frob2 + var_H * var_D * N_r * j_frob2)
     return total / (N_r * K * T)
@@ -351,11 +350,11 @@ def run(Y: np.ndarray, encoder, prior_H, prior_D, dims: MimoDims, config: PvdCon
     diag: list[PvdStepDiag] = []
     for step in config.steps():
         j, sH, sD = step.j, step.sigma_H, step.sigma_D
+        draw = sample_variational(H_mean.shape, D_mean.shape, step, rng, config.J_in, config.L)
         for it in range(config.J_in):
-            acc_H = np.zeros(H_mean.shape, dtype=np.complex128)
-            acc_D = np.zeros(D_mean.shape)
-            for _ in range(config.L):
-                H_s, D_s = sample_variational(H_mean, D_mean, step, rng)
+            for sample in range(config.L):
+                H_s, D_s = ((H_mean, D_mean) if draw is None else
+                            (H_mean + draw[0][it, sample], D_mean + draw[1][it, sample]))
                 # One prior and one encoder evaluation for all users at this sample.
                 pt_H, pt_D = prior_H.at(H_s, sH), prior_D.at(D_s, sD)
                 H0j, D0j = _denoised(H_s, pt_H, sH), _denoised(D_s, pt_D, sD)
@@ -374,12 +373,17 @@ def run(Y: np.ndarray, encoder, prior_H, prior_D, dims: MimoDims, config: PvdCon
                 lik_H, lik_D = likelihood_scores(
                     Y, lin, H0j, var_dn, dims.sigma_n2, pt_H, pt_D, sH, sD)
                 tr_H, tr_D = transition_scores(H_latent, H_s, D_latent, D_s, step)
-                acc_H += tr_H + pt_H.score + lik_H
-                acc_D += tr_D + pt_D.score + lik_D
-            g_H, g_D = acc_H / config.L, acc_D / config.L
+                if sample:
+                    g_H += tr_H + pt_H.score + lik_H
+                    g_D += tr_D + pt_D.score + lik_D
+                else:  # the first sample's sums are fresh arrays, so later ones add into them
+                    g_H, g_D = tr_H + pt_H.score + lik_H, tr_D + pt_D.score + lik_D
+            if config.L > 1:
+                g_H, g_D = g_H / config.L, g_D / config.L
             H_mean = update_means(H_mean, g_H, step.eps_H)
             D_mean = update_means(D_mean, g_D, step.eps_D)
-            if not (np.isfinite(H_mean).all() and np.isfinite(D_mean).all()):
+            if not (np.logical_and.reduce(np.isfinite(H_mean), axis=None)
+                    and np.logical_and.reduce(np.isfinite(D_mean), axis=None)):
                 u = _first_bad_user(H_mean, D_mean)
                 # Name the first non-finite term of the last sample.
                 raise PvdDivergenceError(j, it, _first_nonfinite(

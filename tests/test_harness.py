@@ -10,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,44 @@ def test_validate_kronecker_refuses_a_zero_or_nonfinite_covariance(R_rx, R_tx, p
     # each used to pass validate, then flag every row "noise part has zero norm" or
     # "sigma_n2 must be finite, got nan"
     assert validate_dict(_kronecker(R_rx, R_tx)) == [problem]
+
+
+def test_validate_an_overflowing_root_raises_no_warning():
+    # the refused root used to print numpy's "invalid value encountered in multiply"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_dict(_kronecker([[1e308, 1e308], [1e308, 1e308]], [[1.0]])) == [
+            "channel.R_rx: " + _ROOT.format("R_rx")]
+
+
+def _power(P):
+    cfg = tiny_config(baselines={"lmmse": False})  # its pilots need a float P
+    cfg["dims"] = dict(cfg["dims"], P=P)
+    return cfg
+
+
+_POWER = "the expected received power N_u P K T tr(R_rx) tr(R_tx) must be at most 1.8e+302"
+
+
+@pytest.mark.parametrize("cfg, problem", [
+    (_kronecker([[1e308, 0.0], [0.0, 1e308]], [[1.0]]), "channel: " + _POWER),
+    (_kronecker([[1e300, 0.0], [0.0, 1e300]], [[1e300]]), "channel: " + _POWER),
+    (_kronecker([[1e150, 0.0], [0.0, 1e150]], [[1e152]]), "channel: " + _POWER),
+    (_power(1e308), "dims.P: " + _POWER),
+    (_power(1e302), "dims.P: " + _POWER),
+    (_power(10**400), "dims.P: " + _POWER),
+    (_power(1e301), None),  # 1.6e302: below the bound
+    (_kronecker([[1e150, 0.0], [0.0, 1e150]], [[1.1e151]]), None),  # 1.76e302
+    (_kronecker([[-1e-11, 0.0], [0.0, 1e-12]], [[1.0]]), None),  # a trace below 0 by rounding
+], ids=["rx-1e308", "rx-tx-1e300", "rx-tx-past-bound", "P-1e308", "P-past-bound", "P-int",
+        "P-below-bound", "rx-tx-below-bound", "rx-trace-negative"])
+def test_validate_refuses_a_received_power_near_overflow(cfg, problem):
+    # each refused config used to pass validate, then flag every row "sigma_n2 must be
+    # finite, got inf" (or nan); the check warns of no overflow on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        problems = validate_dict(cfg)
+    assert problems == ([] if problem is None else [problem])
 
 
 def test_run_takes_the_kronecker_roots_once_per_run(monkeypatch):

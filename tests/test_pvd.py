@@ -157,11 +157,30 @@ def _step(lam_H=1.0, lam_D=1.0):
                        gap_H=1.0, gap_D=1.0, eps_H=0.1, eps_D=0.1)
 
 
+def _sample(H_mean, D_mean, step, rng):
+    """One sample per user around the means: the step draw of one inner
+    iteration and one sample."""
+    noise = sample_variational(np.shape(H_mean), np.shape(D_mean), step, rng, 1, 1)
+    return ((H_mean, D_mean) if noise is None else
+            (H_mean + noise[0][0, 0], D_mean + noise[1][0, 0]))
+
+
+def _reference_sample(H_mean, D_mean, step, rng):
+    """The per-sample draw of one inner iteration, one generator call per
+    sample: the loop body the step draw replaced, kept as its oracle."""
+    if math.isinf(step.lambda_H):
+        return H_mean, D_mean
+    h = H_mean[0].size
+    z = rng.standard_normal((len(D_mean), 2 * h + D_mean.shape[1]))
+    noise_H = (z[:, :h] + 1j * z[:, h:2 * h]) * math.sqrt(1.0 / step.lambda_H / 2.0)
+    return (H_mean + noise_H.reshape(H_mean.shape),
+            D_mean + z[:, 2 * h:] / math.sqrt(step.lambda_D))
+
+
 def test_sampling_deterministic_at_infinite_precision():
     H_mean = [np.full((1, 2, 1), 1.0 + 2.0j)]
     D_mean = [np.full(3, -0.5)]
-    H_s, D_s = sample_variational(H_mean, D_mean, _step(math.inf, math.inf),
-                                  np.random.default_rng(0))
+    H_s, D_s = _sample(H_mean, D_mean, _step(math.inf, math.inf), np.random.default_rng(0))
     assert np.array_equal(H_s[0], H_mean[0])
     assert np.array_equal(D_s[0], D_mean[0])
 
@@ -170,9 +189,10 @@ def test_sampling_variance():
     H_mean = np.zeros((1, 1, 100, 100), dtype=complex)
     D_mean = np.zeros((1, 10_000))
     rng = np.random.default_rng(1)
+    noise_H, noise_D = sample_variational(H_mean.shape, D_mean.shape, _step(), rng, 10, 1)
     H_all, D_all = [], []
-    for _ in range(10):
-        H_s, D_s = sample_variational(H_mean, D_mean, _step(), rng)
+    for it in range(10):
+        H_s, D_s = H_mean + noise_H[it, 0], D_mean + noise_D[it, 0]
         H_all.append(H_s[0].ravel())
         D_all.append(D_s[0])
     H = np.concatenate(H_all)
@@ -184,9 +204,62 @@ def test_sampling_variance():
 
 def test_sampling_reproducible():
     means = (np.zeros((1, 1, 2, 1), dtype=complex), np.zeros((1, 3)))
-    a = sample_variational(*means, _step(), np.random.default_rng(5))
-    b = sample_variational(*means, _step(), np.random.default_rng(5))
+    a = _sample(*means, _step(), np.random.default_rng(5))
+    b = _sample(*means, _step(), np.random.default_rng(5))
     assert np.array_equal(a[0][0], b[0][0]) and np.array_equal(a[1][0], b[1][0])
+
+
+precisions = st.one_of(st.floats(1e-6, 1e6), st.just(math.inf))
+
+
+@settings(max_examples=80, deadline=None)
+@given(J_in=st.integers(1, 4), L=st.integers(1, 3), N_u=st.integers(1, 3),
+       K=st.integers(1, 3), N_r=st.integers(1, 3), N_t=st.integers(1, 2),
+       n=st.integers(1, 5), lam_H=precisions, lam_D=st.floats(1e-6, 1e6),
+       seed=st.integers(0, 2**16))
+def test_step_draw_equals_per_sample_draws(J_in, L, N_u, K, N_r, N_t, n, lam_H, lam_D, seed):
+    # one draw for the step fills the noise in the order of J_in x L per-sample
+    # draws, so every sample is bit-identical and the generator ends in the same
+    # state; at infinite precision (j = 0) neither draws anything
+    step = _step(lam_H, math.inf if math.isinf(lam_H) else lam_D)
+    means = np.random.default_rng(seed + 1)
+    shape_H, shape_D = (N_u, K, N_r, N_t), (N_u, n)
+    rng_step, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    state = rng_step.bit_generator.state
+    noise = sample_variational(shape_H, shape_D, step, rng_step, J_in, L)
+    if math.isinf(lam_H):
+        assert noise is None and rng_step.bit_generator.state == state
+        return
+    noise_H, noise_D = noise
+    assert noise_H.shape == (J_in, L) + shape_H and noise_D.shape == (J_in, L) + shape_D
+    for it in range(J_in):
+        for sample in range(L):
+            H_mean = complex_normal(means, shape_H)
+            D_mean = means.standard_normal(shape_D)
+            H_ref, D_ref = _reference_sample(H_mean, D_mean, step, rng_ref)
+            assert (H_mean + noise_H[it, sample]).tobytes() == H_ref.tobytes()
+            assert (D_mean + noise_D[it, sample]).tobytes() == D_ref.tobytes()
+    assert rng_step.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("N_u, L", [(1, 1), (2, 3)])
+def test_run_draws_one_block_of_normals_per_noisy_step(N_u, L):
+    # a run draws the start (latent and mean per user) and then J_in x L samples
+    # per step above j = 0, and nothing else: its generator ends where a fresh
+    # one does after that many normals
+    dims = MimoDims(N_r=2, N_t=1, K=2, T=4, N_u=N_u, n=3, P=1.0, sigma_n2=0.1)
+    scene = np.random.default_rng(21)
+    enc = LinearEncoder(complex_normal(scene, (N_u, 8, 3)) / math.sqrt(3), dims.signal_shape)
+    Y = complex_normal(scene, dims.output_shape)
+    sched = NoiseSchedule(0.05, 5.0, 6)
+    cfg = PvdConfig(schedule_H=sched, schedule_D=sched, J_in=3, L=L)
+    rng = np.random.default_rng(4)
+    run(Y, enc, GaussianPrior(np.zeros((2, 2, 1), complex), 1.0, "complex"),
+        GaussianPrior(np.zeros(3), 1.0, "real"), dims, cfg, rng)
+    per_user = 2 * dims.K * dims.N_r * dims.N_t + dims.n
+    fresh = np.random.default_rng(4)
+    fresh.standard_normal(N_u * per_user * (2 + (cfg.J - 1) * cfg.J_in * cfg.L))
+    assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 # --- tweedie and error variances -------------------------------------------------
@@ -531,7 +604,7 @@ def test_update_means_converges_to_prior_mean():
     eps = 0.5
     rng = np.random.default_rng(0)
     for step in range(200):
-        _, D_s = sample_variational(H_mean, D_mean, _step(math.inf, math.inf), rng)
+        _, D_s = _sample(H_mean, D_mean, _step(math.inf, math.inf), rng)
         score = prior.first_order(D_s[0], 0.0)
         D_mean[0] = update_means(D_mean[0], score, eps)
         if abs(D_mean[0][0] - 2.0) < 1e-3:
