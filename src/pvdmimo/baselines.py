@@ -147,16 +147,23 @@ def two_stage_decode(
 
     # ||H_k A_kt d - y_kt||^2 = ||R_k A_kt d - U_k^H y_kt||^2 + a constant
     U, R = np.linalg.qr(blocks)
-    W = (R @ enc.A.reshape(K, N_t, T_d * n)).reshape(-1, n)
+    Wr = np.empty((2, K, R.shape[-2], T_d * n))  # [Re W; Im W]; W_k = R_k A_k, min(N_r, N_t) rows
+    # W in products of at most 1 MiB or one block: a large W is never whole, and a
+    # small one takes one call, as a call per block costs more than its product
+    c = max(1, 2**20 // (2 * Wr[0, 0].nbytes))  # blocks per product
+    for k in range(0, K, c):
+        W = R[k:k + c] @ enc.A.reshape(K, N_t, T_d * n)[k:k + c]
+        Wr[0, k:k + c], Wr[1, k:k + c] = W.real, W.imag
+        del W  # before the next product is taken
+    Wr = Wr.reshape(-1, n)
     z = (U.conj().swapaxes(-1, -2) @ Y_d).reshape(-1)
-    Wr = np.concatenate([W.real, W.imag])
-    del W  # at most two full-size arrays, W and Wr, are alive at once
     mu = np.broadcast_to(np.asarray(prior.mean, dtype=np.float64), (n,)).copy()
     zr = np.concatenate([z.real, z.imag]) - Wr @ mu
     if sigma_n2 == 0:
         delta, *_ = np.linalg.lstsq(Wr, zr, rcond=None)
         return mu + delta
     lam = (sigma_n2 / 2.0) / prior.var0
-    G = Wr.T @ Wr
+    G, b = Wr.T @ Wr, Wr.T @ zr
+    del Wr  # the solve holds the n x n Gram only
     G.flat[::n + 1] += lam  # + lam I, in place
-    return mu + np.linalg.solve(G, Wr.T @ zr)
+    return mu + np.linalg.solve(G, b)

@@ -63,10 +63,12 @@ class MimoDims:
 
 
 def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
-    """Draw i.i.d. CN(0, var): real/imag parts independent N(0, var/2)."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) * np.sqrt(var / 2.0)
+    """Draw i.i.d. CN(0, var): real, then imaginary parts N(0, var/2), into one array."""
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z *= np.sqrt(var / 2.0)
+    return z
 
 
 def _cn_users(dims: MimoDims, rng: np.random.Generator) -> np.ndarray:

@@ -141,8 +141,11 @@ class _MatrixEncoder(Encoder):
         if key not in self._grams:
             K, T, n = self.output_shape[0] // N_t, self.output_shape[1], self.input_dim
             A4 = A.reshape(A.shape[:-2] + (K, N_t, T, n)).swapaxes(-3, -2)
-            S = np.concatenate([A4.real, A4.imag], axis=-2)  # ((N_u,) K, T, 2N_t, n)
-            G = (S @ S.swapaxes(-1, -2)).reshape(S.shape[:-2] + (2, N_t, 2, N_t))
+            G = np.empty(A4.shape[:-2] + (2 * N_t, 2 * N_t))
+            for i in np.ndindex(A4.shape[:-3]):  # one (user, block)'s real stack at a time
+                S = np.concatenate([A4[i].real, A4[i].imag], axis=-2)  # (T, 2N_t, n)
+                G[i] = S @ S.swapaxes(-1, -2)
+            G = G.reshape(G.shape[:-2] + (2, N_t, 2, N_t))
             self._grams[key] = G * np.array([[1, -1j], [1j, 1]])[:, None, :, None]
         return self._grams[key]
 

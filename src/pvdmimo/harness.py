@@ -400,8 +400,9 @@ def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], cal_stream:
     base = cfg.file_encoder  # None, or loaded and checked against the signal shape
     if base is None:
         As = [complex_normal(np.random.default_rng(np.random.SeedSequence([seed, 0xE2C0DE, i])),
-                             (m, n), 1.0) / np.sqrt(n) for i in range(users)]
+                             (m, n), 1.0) for i in range(users)]
         A = As[0][None] if users == 1 else np.stack(As)  # one user's A is not copied
+        A /= np.sqrt(n)
         base = (LinearEncoder(A, out_shape) if spec["type"] == "linear"
                 else SaturatingEncoder(A, spec["gain"], out_shape))
         del As, A  # kept, the drawn matrices would raise the calibration's peak memory
@@ -415,7 +416,8 @@ def _link_encoder(cfg: ExperimentConfig, out_shape: tuple[int, int], cal_stream:
         if mean_power == 0:
             raise ConfigError("encoder output power is zero under the source prior")
         scales.append(math.sqrt(cfg.dims.P * m / mean_power))
-    return LinearEncoder(np.array(scales)[:, None, None] * base.A, out_shape)
+    out = None if base is cfg.file_encoder else base.A  # the parsed config's A is not scaled
+    return LinearEncoder(np.multiply(np.array(scales)[:, None, None], base.A, out=out), out_shape)
 
 
 @dataclass

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import MimoDims, block_adjoint, superpose
+from .channel import MimoDims, block_adjoint, block_product, superpose
 from .encoder import Linearization, NonFiniteInputError
 from .priors import PriorPoint, ScorePrior
 
@@ -307,6 +307,8 @@ def _one(objs, what: str):
     return objs[0]
 
 
+# Overflows are left to the finiteness checks, which name the step and the quantity.
+@np.errstate(over="ignore", invalid="ignore")
 def run(Y: np.ndarray, encoder, prior_H, prior_D, dims: MimoDims, config: PvdConfig,
         rng: np.random.Generator) -> RecoveryResult:
     """Full reverse process: recover all users' channels and sources from Y.
@@ -393,12 +395,12 @@ def run(Y: np.ndarray, encoder, prior_H, prior_D, dims: MimoDims, config: PvdCon
         # Algorithm carry: latents take the refined means into step j-1. The
         # means are rebound, never written in place, so no copy is needed.
         H_latent, D_latent = H_mean, D_mean
-        diag.append(PvdStepDiag(
-            j=j, sigma_H=sH, sigma_D=sD,
-            residual=float(np.linalg.norm(Y - superpose(H_mean, encoder.encode(D_mean)))),
-            grad_norm_H=float(np.linalg.norm(g_H)),
-            grad_norm_D=float(np.linalg.norm(g_D)),
-        ))
+        X = encoder.encode(D_mean)
+        norms = [float(np.linalg.norm(a)) for a in (Y - superpose(H_mean, X), g_H, g_D)]
+        if not all(map(math.isfinite, norms)):  # finite means, overflowing norms
+            raise PvdDivergenceError(j, config.J_in - 1,
+                                     *_overflowed(norms, block_product(H_mean, X), g_H, g_D))
+        diag.append(PvdStepDiag(j, sH, sD, *norms))
 
     return RecoveryResult(channels=H_mean, sources=D_mean, residual=diag[-1].residual,
                           diagnostics=diag)
@@ -408,6 +410,14 @@ def _first_bad_user(*arrays) -> int | None:
     """The first user (row of axis 0) with a non-finite entry in any of `arrays`."""
     bad = np.any([~np.isfinite(a).reshape(len(a), -1).all(axis=1) for a in arrays], axis=0)
     return int(np.argmax(bad)) if bad.any() else None
+
+
+def _overflowed(norms, *per_user) -> tuple[str, int | None]:
+    """Name the first non-finite of `norms` and the first user whose own norm of it is."""
+    i = next(i for i, v in enumerate(norms) if not math.isfinite(v))
+    a = per_user[i].reshape(len(per_user[i]), -1)
+    return (("residual", "channel gradient norm", "source gradient norm")[i],
+            _first_bad_user(np.linalg.norm(a, axis=1)))
 
 
 def _first_nonfinite(*terms) -> str:

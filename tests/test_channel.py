@@ -319,3 +319,37 @@ def test_block_adjoint_is_the_compound_adjoint(dims, seed):
     lhs = np.vdot(block_product(H, X), Y).real
     rhs = np.vdot(X, HY).real
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(H) * np.linalg.norm(X) * np.linalg.norm(Y)
+
+
+# --- complex_normal: one complex array, drawn and scaled in place ----------------
+
+def _complex_normal_two_temporaries(rng, shape, var=1.0):
+    """complex_normal's earlier body, which summed its two real draws into a new array."""
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) * np.sqrt(var / 2.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.one_of(st.integers(0, 6), st.lists(st.integers(0, 5), max_size=3).map(tuple)),
+       var=st.one_of(st.sampled_from([1.0, 0.5, 1e-12, 3.7, 1e300]),
+                     st.floats(1e-6, 1e6)),
+       seed=seeds)
+def test_complex_normal_is_bit_identical_to_its_two_temporary_form(shape, var, seed):
+    z = complex_normal(np.random.default_rng(seed), shape, var)
+    ref = _complex_normal_two_temporaries(np.random.default_rng(seed), shape, var)
+    assert z.dtype == ref.dtype and z.shape == ref.shape
+    assert z.tobytes() == ref.tobytes()
+
+
+def test_complex_normal_holds_its_output_and_one_real_draw_at_its_peak():
+    # The two-temporary form peaked at about twice its output.
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        z = complex_normal(rng, (640, 512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * z.nbytes

@@ -300,3 +300,47 @@ def test_load_refuses_an_object_array_without_unpickling_it(tmp_path):
     np.savez(path, A=np.array([_Trap()], dtype=object), output_shape=np.array([1, 1]))
     with pytest.raises(ValueError, match="not an .npz archive of plain arrays"):
         load_encoder(path)
+
+
+# --- the block Grams, one (user, block) at a time ------------------------------
+
+def _gram_from_one_stack(enc, A, N_t):
+    """_MatrixEncoder._gram's earlier body: one real stack of all of A."""
+    K, T, n = enc.output_shape[0] // N_t, enc.output_shape[1], enc.input_dim
+    A4 = A.reshape(A.shape[:-2] + (K, N_t, T, n)).swapaxes(-3, -2)
+    S = np.concatenate([A4.real, A4.imag], axis=-2)
+    G = (S @ S.swapaxes(-1, -2)).reshape(S.shape[:-2] + (2, N_t, 2, N_t))
+    return G * np.array([[1, -1j], [1j, 1]])[:, None, :, None]
+
+
+@settings(max_examples=80, deadline=None)
+@given(users=st.sampled_from([None, 1, 2, 3]), K=st.integers(1, 3), N_t=st.integers(1, 3),
+       T=st.integers(1, 4), n=st.integers(1, 6), one_source=st.booleans(),
+       saturating=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_gram_per_block_is_bit_identical_to_the_one_stack_form(users, K, N_t, T, n, one_source,
+                                                                 saturating, seed):
+    rng = np.random.default_rng(seed)
+    A = complex_normal(rng, (() if users is None else (users,)) + (N_t * K * T, n))
+    enc = (SaturatingEncoder(A, 0.7, (N_t * K, T)) if saturating
+           else LinearEncoder(A, (N_t * K, T)))
+    A = enc.A[0] if one_source and users == 1 else enc.A  # as _check_input serves one source
+    G = enc._gram(A, N_t)
+    ref = _gram_from_one_stack(enc, A, N_t)
+    assert G.shape == ref.shape and G.tobytes() == ref.tobytes()
+
+
+def test_first_frobenius2_holds_under_a_third_of_the_matrix():
+    # At the medium workload's shape. The one real stack of all of A, the size
+    # of A itself, used to set this call's peak at 1.09x A.
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    K, N_r, N_t, T, n = 8, 16, 4, 24, 512
+    enc = LinearEncoder(complex_normal(rng, (N_t * K * T, n)) / np.sqrt(n), (N_t * K, T))
+    H, d = complex_normal(rng, (K, N_r, N_t)), rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        enc.linearize(d).frobenius2(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= enc.A.nbytes / 3

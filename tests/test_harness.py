@@ -136,6 +136,18 @@ def test_method_failure_recorded_not_raised():
     assert all(r.error == "" for r in lmmse_rows)
 
 
+def test_a_divergent_run_prints_no_numpy_warning():
+    # The reverse loop's overflows are left to its finiteness checks, which name
+    # the step and the quantity; a warning turned error would end up in the rows.
+    cfg = tiny_config()
+    cfg["pvd"] = dict(cfg["pvd"], zeta_H=1e9, zeta_D=1e9, sigma1_H=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = run_experiment(cfg)
+    assert {r.error.split(":")[0] for r in records if r.method == "pvd"} == {"PvdDivergenceError"}
+    assert all(r.error == "" for r in records if r.method == "lmmse")
+
+
 def test_a_failed_row_leaves_its_metric_cells_empty(tmp_path):
     # the metrics a failed method or scene does not report keep MetricsRecord's NaN default
     cfg = tiny_config(trials=2, force_error_trials=[[0, 1]])

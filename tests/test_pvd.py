@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -775,6 +776,27 @@ def test_run_divergence_names_the_quantity(side, part, j, what):
     with pytest.raises(PvdDivergenceError, match=f"non-finite {what} at reverse step j={j}, "
                        "inner iteration 0"):
         run(Y, enc, pH, pD, dims, cfg, rng)
+
+
+class _LoudEncoder(LinearEncoder):
+    """A linear encoder whose `encode`, which run calls only for each step's
+    residual, is 1e300 times too loud; the reverse loop itself stays finite."""
+
+    def encode(self, d):
+        return 1e300 * super().encode(d)
+
+
+def test_run_names_a_residual_norm_that_overflows():
+    # The means stay finite, but the residual's norm overflows: a divergence named
+    # at the step, not a numpy warning and an inf in the trace.
+    rng, dims, H, A, enc, d_true, Y, sn2 = _known_channel_scene(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PvdDivergenceError,
+                           match="^non-finite residual at reverse step j=3, inner iteration 1, "
+                                 "user 0$"):
+            run(Y, _LoudEncoder(A, (1, 16)), GaussianPrior(H, 1e-6, "complex"),
+                GaussianPrior(np.zeros(8), 1.0, "real"), dims, _tuned_cfg(J=4, J_in=2), rng)
 
 
 def test_run_reads_the_schedule_once_per_run(monkeypatch):
