@@ -148,17 +148,20 @@ def block_product(blocks: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def block_adjoint(blocks: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """H0^H @ Y from the (K, N_r, N_t) blocks of H0, stacked on a leading axis
-    like block_product's; Y is (N_r*K, T) and the result (..., N_t*K, T)."""
+    """H0^H @ Y from the (K, N_r, N_t) blocks of H0, stacked on leading axes
+    like block_product's; Y is (N_r*K, T), or one per cell of a batch
+    (B, N_r*K, T) for blocks (B, N_u, K, N_r, N_t), and the result
+    (..., N_t*K, T)."""
     *lead, K, N_r, N_t = blocks.shape
-    Yb = Y.reshape(K, N_r, -1)
-    return np.einsum("...krc,krt->...kct", blocks.conj(), Yb).reshape(*lead, K * N_t, -1)
+    Yb = Y.reshape(Y.shape[:-2] + (1,) * (Y.ndim > 2) + (K, N_r, -1))  # (B, 1): each cell's users
+    return np.einsum("...krc,...krt->...kct", blocks.conj(), Yb).reshape(*lead, K * N_t, -1)
 
 
 def superpose(H: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """sum_i H0_i X_i over the users' (N_u, K, N_r, N_t) channels and
-    (N_u, N_t*K, T) signals, added in user order."""
-    return np.add.accumulate(block_product(H, X))[-1]
+    """sum_i H0_i X_i over the users' (..., N_u, K, N_r, N_t) channels and
+    (..., N_u, N_t*K, T) signals, added in user order."""
+    Y = block_product(H, X)
+    return Y[..., 0, :, :] if Y.shape[-3] == 1 else np.add.accumulate(Y, axis=-3)[..., -1, :, :]
 
 
 def apply_channel(H: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -19,9 +19,10 @@ many are pushed through one point, and frobenius2(H) the Jacobian norms
 views of it; a power-normalized encode takes the value alone, without the
 radial term.
 
-Users sit on axis 0: d is one source (n,) or one per user (N_u, n), and
-every kernel indexes trailing axes only, so one source is the same code with
-no user axis. A matrix encoder's A is (m, n), shared by all users, or one per
+Users sit on the axis before the source's: d is one source (n,), one per
+user (N_u, n), or one per user of each cell of a batch (B, N_u, n), and every
+kernel indexes trailing axes only, so one source is the same code with no
+leading axis. A matrix encoder's A is (m, n), shared by all users, or one per
 user (N_u, m, n); N_u = 1 also serves one source.
 
 LinearEncoder applies a fixed complex matrix; SaturatingEncoder squashes
@@ -43,7 +44,7 @@ class NonFiniteInputError(ValueError):
 
 
 class Linearization:
-    """An encoder at its points d, one source (n,) or (N_u, n): `value` =
+    """An encoder at its points d, one source (n,) or (..., N_u, n): `value` =
     encode(d), calling it pulls a cotangent shaped like `value` back
     (c -> 2 Re(J^H vec c) per user), `jacobian()` is the dense J."""
 
@@ -87,7 +88,7 @@ class Encoder:
     output_shape: tuple[int, int]
 
     def linearize(self, d) -> Linearization:
-        """The encoder at d: one source (n,) or one per user (N_u, n)."""
+        """The encoder at d: one source (n,) or a stack of them (..., N_u, n)."""
         raise NotImplementedError
 
     # Views of linearize. Each concrete class binds them in its own body, so
@@ -122,12 +123,12 @@ class _MatrixEncoder(Encoder):
         self._grams: dict = {}
 
     def _check_input(self, d) -> tuple[np.ndarray, np.ndarray]:
-        """The sources d, checked, and the matrices that serve them: A, or the
-        one matrix of an A of shape (1, m, n) for one source."""
+        """The sources d, (..., N_u, n) or one (n,), checked, and the matrices
+        that serve them: A, or the one matrix of an A of shape (1, m, n) for one
+        source."""
         d = np.asarray(d, dtype=np.float64)
         A = self.A[0] if self.A.shape[:-2] == (1,) and d.ndim == 1 else self.A
-        if (d.ndim not in (1, 2) or d.shape[-1] != self.input_dim
-                or A.shape[:-2] not in ((), d.shape[:-1])):
+        if d.ndim < 1 or d.shape[-1] != self.input_dim or A.shape[:-2] not in ((), d.shape[-2:-1]):
             raise ValueError(f"sources of shape {d.shape} do not fit A of shape {self.A.shape}")
         if not np.isfinite(d).all():
             raise NonFiniteInputError("source vector contains non-finite entries")

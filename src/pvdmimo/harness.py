@@ -9,7 +9,10 @@ too. run_experiment then builds the link once (the fixed transmitter: one
 encoder over all users, their matrices stacked on axis 0, with its power
 calibration), executes every (snr, trial) cell with its own generator
 derived from (master seed, snr index, trial index), scores each enabled
-method on the cell's scene, and writes one CSV row per (trial, method). A
+method on the cell's scene, and writes one CSV row per (trial, method). The
+cells of one SNR point run as batches: their scenes are drawn in cell order,
+one pvd.run decodes them all, and each row is bit for bit that of the cell
+run alone, so any partition into batches (and workers) writes the same CSV. A
 fault in the link fails the run; a failed scene flags the row of every
 method, a failed method its own, and a metric a row does not report keeps
 MetricsRecord's NaN default, an empty cell. sweep repeats an experiment over
@@ -457,6 +460,8 @@ class _Scene:
     Y: np.ndarray
     snr_db: float  # empirical
     steps: list = field(default_factory=list)  # PVD per-step trace
+    pvd: object = None  # the cell's pv.run outcome: a RecoveryResult, or the exception
+    pvd_ms: float = math.nan  # its share of its batch's pv.run wall time
 
 
 def _scene(cfg: ExperimentConfig, link: _Link, snr_db: float,
@@ -477,9 +482,28 @@ def _scene(cfg: ExperimentConfig, link: _Link, snr_db: float,
         noise, signal + noise, mt.snr_db(signal, noise))
 
 
+def _decode(cfg: ExperimentConfig, link: _Link, scenes: list[_Scene]) -> None:
+    """One pv.run over the scenes of a batch, each drawing from its own generator:
+    each scene gets its outcome and an equal share of the wall time. A fault of
+    the batch as a whole is every scene's outcome."""
+    t0 = time.perf_counter()
+    try:
+        outcomes = pv.run(np.stack([sc.Y for sc in scenes]), link.encoder,
+                          cfg.prior_channel(np.stack([sc.channels for sc in scenes])),
+                          cfg.prior_source(np.stack([sc.sources for sc in scenes])),
+                          [sc.dims for sc in scenes], cfg.pvd, [sc.rng for sc in scenes])
+    except Exception as exc:  # noqa: BLE001 - record-and-continue policy
+        outcomes = [exc] * len(scenes)
+    ms = (time.perf_counter() - t0) * 1e3 / len(scenes)
+    for sc, outcome in zip(scenes, outcomes):
+        sc.pvd, sc.pvd_ms = outcome, ms
+
+
 def _pvd(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
-    result = pv.run(sc.Y, link.encoder, cfg.prior_channel(sc.channels),
-                    cfg.prior_source(sc.sources), sc.dims, cfg.pvd, sc.rng)
+    """The fields of the scene's decode (_decode): its exception raised, or its metrics."""
+    if isinstance(sc.pvd, Exception):
+        raise sc.pvd
+    result = sc.pvd
     sc.steps = result.diagnostics
     return {
         "nmse_db": mt.nmse_db(sc.channels, result.channels),
@@ -524,25 +548,40 @@ def _oracle_lmmse(cfg: ExperimentConfig, link: _Link, sc: _Scene) -> dict:
 _METHODS = {"pvd": _pvd, "lmmse": _lmmse, "oracle_lmmse": _oracle_lmmse}
 
 
-def _run_trial(cfg: ExperimentConfig, link: _Link, snr_idx: int, trial: int):
-    """Execute one (snr, trial) cell; returns (records, diagnostics rows).
+def _run_batch(cfg: ExperimentConfig, link: _Link, snr_idx: int, trials) -> list[tuple]:
+    """Execute the (snr, trial) cells of one batch; returns each cell's
+    (records, diagnostics rows), in trial order.
 
-    A failure while building the scene flags the row of every method; a
-    failing method flags its own row.
+    The scenes are drawn in cell order, then one pv.run decodes them all. A
+    failure while building a scene flags the row of every method of its cell;
+    a failing method flags its own row.
     """
-    raw = cfg.raw
-    snr_target = float(raw["snr_db"][snr_idx])
-    ss = np.random.SeedSequence([raw["seed"] & 0xFFFFFFFF, snr_idx, trial])
-    seed_int = int(ss.generate_state(1)[0])
-    try:
-        if (snr_idx, trial) in cfg.forced:
-            raise RuntimeError("forced divergent trial")
-        sc = _scene(cfg, link, snr_target, np.random.default_rng(ss))
-    except Exception as exc:  # noqa: BLE001 - record-and-continue policy
-        return [mt.MetricsRecord(trial=trial, seed=seed_int, snr_db=snr_target, method=method,
-                                 error=f"{type(exc).__name__}: {exc}")
-                for method in cfg.methods], []
+    snr_target = float(cfg.raw["snr_db"][snr_idx])
+    cells = []
+    for trial in trials:
+        ss = np.random.SeedSequence([cfg.raw["seed"] & 0xFFFFFFFF, snr_idx, trial])
+        seed_int = int(ss.generate_state(1)[0])
+        try:
+            if (snr_idx, trial) in cfg.forced:
+                raise RuntimeError("forced divergent trial")
+            sc = _scene(cfg, link, snr_target, np.random.default_rng(ss))
+        except Exception as exc:  # noqa: BLE001 - record-and-continue policy
+            sc = f"{type(exc).__name__}: {exc}"
+        cells.append((trial, seed_int, sc))
+    scenes = [sc for _, _, sc in cells if isinstance(sc, _Scene)]
+    if scenes and "pvd" in cfg.methods:
+        _decode(cfg, link, scenes)
+    return [_rows(cfg, link, snr_target, *cell) for cell in cells]
 
+
+def _rows(cfg: ExperimentConfig, link: _Link, snr_target: float, trial: int, seed_int: int,
+          sc: _Scene | str) -> tuple[list, list]:
+    """One cell's (records, diagnostics rows): each method scored on its scene,
+    or every row flagged with the scene's failure `sc`."""
+    raw = cfg.raw
+    if isinstance(sc, str):
+        return [mt.MetricsRecord(trial=trial, seed=seed_int, snr_db=snr_target, method=method,
+                                 error=sc) for method in cfg.methods], []
     records = []
     for method in cfg.methods:
         t0 = time.perf_counter()
@@ -551,12 +590,26 @@ def _run_trial(cfg: ExperimentConfig, link: _Link, snr_idx: int, trial: int):
             fields.update(_METHODS[method](cfg, link, sc))
         except Exception as exc:  # noqa: BLE001 - record-and-continue policy
             err = f"{type(exc).__name__}: {exc}"
-        wall = (time.perf_counter() - t0) * 1e3 if raw["record_timing"] else None
+        wall = None if not raw["record_timing"] else (
+            sc.pvd_ms if method == "pvd" else (time.perf_counter() - t0) * 1e3)
         records.append(mt.MetricsRecord(trial=trial, seed=seed_int, method=method,
                                         wall_ms=wall, error=err, **fields))
     diag_rows = [[snr_target, trial, *dataclasses.astuple(s)]
                  for s in sc.steps] if raw["diagnostics"] else []
     return records, diag_rows
+
+
+def _batches(cfg: ExperimentConfig) -> list[tuple[int, range]]:
+    """(snr index, trials) of each batch: the trials of one SNR point, cut into
+    even runs, as few as keep one reverse step's stacked draw under 1 MiB; with
+    several workers, a multiple of their number, so each gets its share."""
+    d, p, raw = cfg.dims, cfg.pvd, cfg.raw
+    cell = 8 * p.J_in * p.L * d.N_u * (2 * d.K * d.N_r * d.N_t + d.n)  # one cell's, in bytes
+    trials, w = raw["trials"], raw["workers"]
+    n = -(-trials // max(1, 2**20 // cell))
+    n = min(trials, n if w == 1 else -(-n // w) * w)
+    return [(si, range(k * trials // n, (k + 1) * trials // n))
+            for si in range(len(raw["snr_db"])) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +642,15 @@ def _init_worker(cfg_raw: dict) -> None:
     _worker = cfg, _build_link(cfg)
 
 
-def _pool_task(cell):
-    return _run_trial(*_worker, *cell)
+def _pool_task(batch):
+    return _run_batch(*_worker, *batch)
 
 
 def run_experiment(cfg: ExperimentConfig | dict, out=None) -> list[mt.MetricsRecord]:
     """Run every (snr, trial) cell and return records in deterministic order.
 
-    The link is built once here and once in each worker process; a fault
+    The cells run in batches (_batches); worker processes share out whole
+    batches. The link is built once here and once in each worker process; a fault
     there raises instead of flagging rows. Writes the results CSV to `out`
     (or cfg.raw['out']) when given; with diagnostics enabled a companion
     '<out>.diag.csv' carries the per-step reverse-process trace of every
@@ -606,15 +660,16 @@ def run_experiment(cfg: ExperimentConfig | dict, out=None) -> list[mt.MetricsRec
         cfg = ExperimentConfig.from_dict(cfg)
     raw = cfg.raw
     link = _build_link(cfg)
-    cells = [(si, t) for si in range(len(raw["snr_db"])) for t in range(raw["trials"])]
+    batches = _batches(cfg)
     if raw["workers"] > 1:
         # Imported here: a serial run never loads the process pool.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=raw["workers"], initializer=_init_worker,
                                  initargs=(raw,)) as pool:
-            results = list(pool.map(_pool_task, cells, chunksize=4))  # in cell order
+            batched = list(pool.map(_pool_task, batches))  # in batch order
     else:
-        results = [_run_trial(cfg, link, si, t) for si, t in cells]
+        batched = [_run_batch(cfg, link, si, trials) for si, trials in batches]
+    results = [cell for cells in batched for cell in cells]  # in cell order
     records = [rec for recs, _ in results for rec in recs]  # (snr, trial, method) order
     diag_rows = [row for _, rows in results for row in rows]
 

@@ -14,9 +14,9 @@ which computes the score and the trace, and on demand the chain vjp, from
 the same responsibilities and differences.
 
 A prior is over one user's arrays of event `shape`; `at` takes one such x
-or one per user, (N_u, *shape), and returns the score and chain vjp shaped
-like x and the trace per user, with no user axis for one x (one float where
-all users share it).
+or any stack of them, (..., N_u, *shape) (cells of a batch, then users),
+and returns the score and chain vjp shaped like x and the trace per stacked
+point, with no leading axis for one x (one float where all points share it).
 
 Conventions. A prior is declared over a "real" or "complex" domain. For
 complex variables all gradients are Wirtinger derivatives with respect to
@@ -111,13 +111,12 @@ class ScorePrior:
         return mean + rng.standard_normal(mean.shape) * np.sqrt(self.var0)
 
     def _check(self, x, sigma: float) -> np.ndarray:
-        """x as an array of the domain's type: one point, or one per user."""
+        """x as an array of the domain's type: one point, or a stack of them."""
         if sigma < 0:
             raise ValueError("sigma must be >= 0")
         x = np.asarray(x, dtype=_DTYPES[self.domain])
-        lead = x.ndim - len(self.shape)
-        if lead not in (0, 1) or x.shape[lead:] != self.shape:
-            raise ValueError(f"x has shape {x.shape}, expected {self.shape} or N_u of them")
+        if x.ndim < len(self.shape) or x.shape[x.ndim - len(self.shape):] != self.shape:
+            raise ValueError(f"x has shape {x.shape}, expected (..., *{self.shape})")
         return x
 
 
@@ -127,19 +126,23 @@ _VIEWS = (ScorePrior.first_order, ScorePrior.second_order_trace, ScorePrior.twee
 class GaussianPrior(ScorePrior):
     """Isotropic Gaussian prior: each free entry ~ N(M, var) or CN(M, var),
     the variance held as `var0`. The event shape is `shape` (default: the
-    mean's); a mean of shape (N_u, *shape) anchors each user at its own row."""
+    mean's); a mean of shape (..., N_u, *shape) anchors each user (of each
+    cell of a batch) at its own row, and takes x stacked the same way."""
 
     def __init__(self, mean, var: float, domain: str = "real", shape=None):
         mean = np.asarray(mean, dtype=_DTYPES.get(domain))  # an unknown domain is a fault below
         shape = mean.shape if shape is None else tuple(shape)
-        lead = mean.ndim - len(shape)
-        fits = lead in (0, 1) and mean.shape[lead:] == shape
+        fits = mean.ndim >= len(shape) and mean.shape[mean.ndim - len(shape):] == shape
         super().__init__(var, domain, [] if fits else [
-            f"mean has shape {mean.shape}, expected {shape} or (N_u, *{shape})"])
+            f"mean has shape {mean.shape}, expected (..., *{shape})"])
         self.mean, self.shape, self.dim = mean, shape, math.prod(shape)
 
     def at(self, x, sigma: float) -> PriorPoint:
         x = self._check(x, sigma)
+        m = self.mean.ndim
+        if m > len(self.shape) and x.shape[x.ndim - m:] != self.mean.shape:  # an anchored mean
+            raise ValueError(f"x has shape {x.shape}, its leading axes do not end in "
+                             f"those of the mean, {self.mean.shape}")
         s2 = self._s2(sigma)
         # dG/dy = -I/v in real coordinates; the chain factor collapses to
         # the scalar var0 / (var0 + sigma^2) in both domains, and the trace is
@@ -183,7 +186,7 @@ class GaussianMixturePrior(ScorePrior):
         self.dim = self.means[0].size
 
     def _log_resp(self, x: np.ndarray, sigma: float):
-        """Over the B = N_u (or 1) rows of x: log responsibilities (B, C),
+        """Over the B rows of x (its points, flattened): log responsibilities (B, C),
         differences M_c - x (B, C, dim) and log Z (B, 1)."""
         s2 = self._s2(sigma)
         diffs = self.means.reshape(self.n_components, -1) - x.reshape(-1, 1, self.dim)

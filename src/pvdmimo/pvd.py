@@ -27,6 +27,11 @@ term alike.
 The constants of each reverse step (noise levels, precisions, variance gaps,
 step sizes) come from one table, `PvdConfig.steps()`, built once per run.
 
+`run` also decodes a batch of independent cells (one received block each,
+with its own noise power and generator) in one loop: every array then carries
+a cell axis in front of the users, every kernel indexes trailing axes only,
+and each cell's outcome is bit for bit that of its lone run.
+
 All complex gradients are Wirtinger derivatives with respect to the
 conjugate; under this convention the transition score is literally
 (value_{j+1} - value_j) / (sigma_{j+1}^2 - sigma_j^2) in both domains.
@@ -34,6 +39,8 @@ conjugate; under this convention the transition score is literally
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -182,17 +189,20 @@ class RecoveryResult:
 
 
 def sample_variational(H_shape: tuple, D_shape: tuple, step: ReverseStep,
-                       rng: np.random.Generator, J_in: int, L: int):
+                       rng, J_in: int, L: int):
     """The variational noise (noise_H, noise_D) of all J_in x L samples of a step.
 
     Sample l of inner iteration it is (H_mean + noise_H[it, l], D_mean + noise_D[it, l]):
     CN(H_mean, 1/lambda_H) on the free block entries and N(D_mean, 1/lambda_D). At j = 0
     (infinite precisions) it draws nothing and returns None: the means are the sample.
-    One draw, in the order per inner iteration, sample, user: channel re, im, source."""
+    One draw, in the order per inner iteration, sample, user: channel re, im, source;
+    for a batch (shapes (B, N_u, ...), one generator per cell) one such draw per cell."""
     if math.isinf(step.lambda_H):
         return None
-    h = math.prod(H_shape[1:])
-    z = rng.standard_normal((J_in, L, D_shape[0], 2 * h + D_shape[1]))
+    h = math.prod(H_shape[-3:])
+    shape = (J_in, L, D_shape[-2], 2 * h + D_shape[-1])
+    z = (rng.standard_normal(shape) if isinstance(rng, np.random.Generator)
+         else np.stack([r.standard_normal(shape) for r in rng], axis=2))
     noise_H = (z[..., :h] + 1j * z[..., h:2 * h]) * math.sqrt(1.0 / step.lambda_H / 2.0)
     return noise_H.reshape((J_in, L) + H_shape), z[..., 2 * h:] / math.sqrt(step.lambda_D)
 
@@ -202,8 +212,11 @@ def _denoised(x: np.ndarray, point: PriorPoint, sigma: float) -> np.ndarray:
 
 
 def _error_variance(point: PriorPoint, s: float, dim: int):
+    v = s * s + s**4 * point.trace / dim
+    if isinstance(v, float):  # a trace shared by all users: Python's clamp, 4x cheaper
+        return min(max(v, 0.0), s * s)
     # ufuncs, not np.clip: its Python wrapper costs more than the arithmetic here
-    return np.minimum(np.maximum(s * s + s**4 * point.trace / dim, 0.0), s * s)
+    return np.minimum(np.maximum(v, 0.0), s * s)
 
 
 def tweedie(prior_H: ScorePrior, prior_D: ScorePrior, H_j: np.ndarray, D_j: np.ndarray,
@@ -254,8 +267,8 @@ def aggregated_noise_variance(lin: Linearization, H0j: np.ndarray, var_H, var_D,
     return total / (N_r * K * T)
 
 
-def likelihood_scores(Y: np.ndarray, lin: Linearization, H0j: np.ndarray, var_dn: float,
-                      sigma_n2: float, point_H: PriorPoint, point_D: PriorPoint,
+def likelihood_scores(Y: np.ndarray, lin: Linearization, H0j: np.ndarray, var_dn,
+                      sigma_n2, point_H: PriorPoint, point_D: PriorPoint,
                       sigma_H: float, sigma_D: float):
     """Gradients of the calibrated log-likelihood in every user's latents.
 
@@ -267,17 +280,24 @@ def likelihood_scores(Y: np.ndarray, lin: Linearization, H0j: np.ndarray, var_dn
     sources and H0j their (N_u, K, N_r, N_t) channels. Both are then pulled
     back through the Tweedie maps x -> x + sigma^2 S(x) by the prior
     evaluations at the latent points (H_j, D_j), point_H and point_D; at
-    sigma = 0 the map is the identity and the pullback is skipped.
+    sigma = 0 the map is the identity and the pullback is skipped. For a
+    batch, Y is (B, N_r K, T), H0j (B, N_u, K, N_r, N_t), and var_dn and
+    sigma_n2 hold one value per cell.
     """
-    s2 = var_dn + sigma_n2
-    if s2 <= 0:
+    s2_H = s2_D = var_dn + sigma_n2
+    batched = getattr(s2_D, "ndim", 0)
+    if not (min(s2_D.tolist()) if batched else s2_D) > 0:  # a list's min: 0.5 us, not 3
         raise ValueError("var_dn + sigma_n2 must be > 0")
-    n_u, K, N_r, N_t = H0j.shape
+    if batched:  # one per cell of a batch, over its cell's arrays
+        s2_D = s2_D.reshape(s2_D.shape + (1, 1, 1))
+        s2_H = s2_D[..., None]
+    K, N_r, N_t = H0j.shape[-3:]
     F = lin.value
     R = Y - superpose(H0j, F)
-    gH = np.einsum("krt,ukct->ukrc", R.reshape(K, N_r, -1),
-                   F.reshape(n_u, K, N_t, -1).conj()) / s2
-    gD = lin(block_adjoint(H0j, R) / s2)
+    gH = np.einsum("krt,ukct->ukrc" if R.ndim == 2 else "bkrt,bukct->bukrc",
+                   R.reshape(R.shape[:-2] + (K, N_r, -1)),
+                   F.reshape(F.shape[:-2] + (K, N_t, -1)).conj()) / s2_H
+    gD = lin(block_adjoint(H0j, R) / s2_D)
     return (point_H.chain_vjp(gH) if sigma_H > 0 else gH,
             point_D.chain_vjp(gD) if sigma_D > 0 else gD)
 
@@ -307,10 +327,26 @@ def _one(objs, what: str):
     return objs[0]
 
 
+def _per_cell(prior) -> bool:
+    """Whether the prior's mean is anchored per cell of a batch, (B, N_u, *shape)."""
+    mean = getattr(prior, "mean", None)
+    return mean is not None and mean.ndim >= len(prior.shape) + 2
+
+
+def _cells(prior, keep):
+    """The prior over the cells `keep` selects: a mean anchored per cell is cut to
+    them; any other prior serves every cell as it is."""
+    if not _per_cell(prior):
+        return prior
+    prior = copy.copy(prior)
+    prior.mean = prior.mean[keep]
+    return prior
+
+
 # Overflows are left to the finiteness checks, which name the step and the quantity.
 @np.errstate(over="ignore", invalid="ignore")
-def run(Y: np.ndarray, encoder, prior_H, prior_D, dims: MimoDims, config: PvdConfig,
-        rng: np.random.Generator) -> RecoveryResult:
+def run(Y: np.ndarray, encoder, prior_H, prior_D, dims: MimoDims | list[MimoDims],
+        config: PvdConfig, rng: np.random.Generator | list) -> RecoveryResult | list:
     """Full reverse process: recover all users' channels and sources from Y.
 
     encoder / prior_H / prior_D are each one object over all users: an
@@ -320,106 +356,217 @@ def run(Y: np.ndarray, encoder, prior_H, prior_D, dims: MimoDims, config: PvdCon
     N_u = 1 case runs the identical code path as the multi-user case. The
     per-step trace is returned in `diagnostics`; writing it out is left to
     the caller.
+
+    A batch of B cells passes Y as (B, N_r K, T), `dims` and `rng` as lists
+    of B: each cell's MimoDims (equal but for sigma_n2) and generator; an
+    anchored prior mean then stacks the cells in front of the users. Each
+    cell draws from its own generator in a lone run's order, and the result
+    is a list of B outcomes: a cell's RecoveryResult, bit for bit its lone
+    run's, or the exception its lone run raises. A failed cell leaves the
+    batch and the others carry on; a fault of the batch as a whole raises.
     """
+    batch = isinstance(rng, (list, tuple))
     Y = np.asarray(Y, dtype=np.complex128)
-    if Y.shape != dims.output_shape:
-        raise ValueError(f"Y has shape {Y.shape}, expected {dims.output_shape}")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("Y contains non-finite entries")
-    if not dims.sigma_n2 > 0:
-        raise ValueError(f"dims.sigma_n2 must be > 0 (it alone weights the j=0 "
-                         f"likelihood), got {dims.sigma_n2!r}")
-    n_u = dims.N_u
+    cells = list(dims) if batch else [dims]
+    dims = cells[0]
+    shape = (len(cells),) + dims.output_shape if batch else dims.output_shape
+    if Y.shape != shape:
+        raise ValueError(f"Y has shape {Y.shape}, expected {shape}")
+    if batch and (len(rng) != len(cells) or any(
+            dataclasses.replace(d, sigma_n2=0.0) != dataclasses.replace(dims, sigma_n2=0.0)
+            for d in cells)):
+        raise ValueError("a batch needs one generator per cell and cell dims that differ "
+                         "in sigma_n2 only")
+    out: list = [None] * len(cells)
+    for c, (Y_c, d) in enumerate(zip(Y if batch else [Y], cells)):
+        if not np.all(np.isfinite(Y_c)):
+            out[c] = ValueError("Y contains non-finite entries")
+        elif not d.sigma_n2 > 0:
+            out[c] = ValueError(f"dims.sigma_n2 must be > 0 (it alone weights the j=0 "
+                                f"likelihood), got {d.sigma_n2!r}")
+    if not batch and out[0] is not None:
+        raise out[0]
     encoder = _one(encoder, "encoder")
     prior_H, prior_D = _one(prior_H, "channel prior"), _one(prior_D, "source prior")
     if encoder.output_shape != dims.signal_shape:
         raise ValueError(f"encoder output {encoder.output_shape} != signal shape "
                          f"{dims.signal_shape}")
-    dim_H = dims.K * dims.N_r * dims.N_t
     for what, prior, domain, dim in (
-            ("channel", prior_H, "complex", dim_H), ("source", prior_D, "real", dims.n)):
+            ("channel", prior_H, "complex", dims.K * dims.N_r * dims.N_t),
+            ("source", prior_D, "real", dims.n)):
         if prior.domain != domain or prior.dim != dim:
             raise ValueError(f"{what} prior must be {domain} with {dim} entries, "
                              f"got {prior.domain} with {prior.dim}")
+    if not batch:
+        outcome = _reverse(Y, dims.sigma_n2, rng, encoder, prior_H, prior_D, dims, config)[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+    if any(_per_cell(p) and len(p.mean) != len(cells) for p in (prior_H, prior_D)):
+        raise ValueError("a prior mean anchored per cell needs one row per cell of the batch")
+    live = [c for c, outcome in enumerate(out) if outcome is None]
+    if len(live) > 1:
+        at, sigma_n2, gens = (np.array(live), np.array([cells[c].sigma_n2 for c in live]),
+                              [rng[c] for c in live])
+    elif live:  # one cell runs as a lone run does, with no cell axis
+        at = live[0]
+        sigma_n2, gens = cells[at].sigma_n2, rng[at]
+    if live:
+        for c, outcome in zip(live, _reverse(Y[at], sigma_n2, gens, encoder, _cells(prior_H, at),
+                                             _cells(prior_D, at), dims, config)):
+            out[c] = outcome
+    return out
 
-    # One draw: per user the latent channel (re, im) and source, then the same for the means.
-    z = rng.standard_normal((n_u, 2, 2 * dim_H + dims.n))
-    H_latent, H_mean = (
-        (z[:, i, :dim_H] + 1j * z[:, i, dim_H:2 * dim_H]).reshape(n_u, dims.K, dims.N_r, dims.N_t)
+
+def _reverse(Y, sigma_n2, rng, encoder, prior_H, prior_D, dims: MimoDims, config: PvdConfig):
+    """The reverse process of one cell (Y (N_r K, T), a float sigma_n2, a
+    generator) or of a batch (Y (B, N_r K, T), sigma_n2 (B,), B generators),
+    its inputs checked: one outcome per cell, its RecoveryResult or its
+    PvdDivergenceError. A cell that fails leaves the batch, and the inner
+    iteration (or step trace) it failed in is taken again by the cells left."""
+    lead = Y.shape[:-2]  # () or (B,): every array below carries it in front of the users
+    ids = list(range(len(rng))) if lead else [0]  # the live cells' places in `out`
+    out, diag = [None] * len(ids), [[] for _ in ids]
+    dim_H, J_in, L = dims.K * dims.N_r * dims.N_t, config.J_in, config.L
+    # One draw per cell: per user the latent channel (re, im) and source, then the same
+    # for the means.
+    z = np.stack([g.standard_normal((dims.N_u, 2, 2 * dim_H + dims.n))
+                  for g in (rng if lead else [rng])])
+    z = z.reshape(lead + z.shape[1:])
+    H_latent, H_mean = ((z[..., i, :dim_H] + 1j * z[..., i, dim_H:2 * dim_H]).reshape(
+        lead + (dims.N_u, dims.K, dims.N_r, dims.N_t))
         * np.sqrt(config.schedule_H.variance(config.J - i) / 2.0) for i in (0, 1))
-    D_latent, D_mean = (z[:, i, 2 * dim_H:] * config.schedule_D.value(config.J - i) for i in (0, 1))
-
-    diag: list[PvdStepDiag] = []
+    D_latent, D_mean = (z[..., i, 2 * dim_H:] * config.schedule_D.value(config.J - i)
+                        for i in (0, 1))
+    g_H = g_D = None
     for step in config.steps():
         j, sH, sD = step.j, step.sigma_H, step.sigma_D
-        draw = sample_variational(H_mean.shape, D_mean.shape, step, rng, config.J_in, config.L)
-        for it in range(config.J_in):
-            for sample in range(config.L):
-                H_s, D_s = ((H_mean, D_mean) if draw is None else
-                            (H_mean + draw[0][it, sample], D_mean + draw[1][it, sample]))
-                # One prior and one encoder evaluation for all users at this sample.
-                pt_H, pt_D = prior_H.at(H_s, sH), prior_D.at(D_s, sD)
-                H0j, D0j = _denoised(H_s, pt_H, sH), _denoised(D_s, pt_D, sD)
-                try:
-                    lin = encoder.linearize(D0j)
-                except NonFiniteInputError as exc:  # the samples are finite; the estimate is not
-                    raise PvdDivergenceError(j, it, "Tweedie source estimate",
-                                             _first_bad_user(D0j)) from exc
-                noise = aggregated_noise_variance(
-                    lin, H0j, _error_variance(pt_H, sH, dim_H),
-                    _error_variance(pt_D, sD, dims.n), dims)
-                var_dn = float(np.add.accumulate(noise)[-1])  # summed in user order
-                if not math.isfinite(var_dn):
-                    raise PvdDivergenceError(j, it, "aggregated noise variance",
-                                             _first_bad_user(noise))
-                lik_H, lik_D = likelihood_scores(
-                    Y, lin, H0j, var_dn, dims.sigma_n2, pt_H, pt_D, sH, sD)
-                tr_H, tr_D = transition_scores(H_latent, H_s, D_latent, D_s, step)
-                if sample:
-                    g_H += tr_H + pt_H.score + lik_H
-                    g_D += tr_D + pt_D.score + lik_D
-                else:  # the first sample's sums are fresh arrays, so later ones add into them
-                    g_H, g_D = tr_H + pt_H.score + lik_H, tr_D + pt_D.score + lik_D
-            if config.L > 1:
-                g_H, g_D = g_H / config.L, g_D / config.L
-            H_mean = update_means(H_mean, g_H, step.eps_H)
-            D_mean = update_means(D_mean, g_D, step.eps_D)
-            if not (np.logical_and.reduce(np.isfinite(H_mean), axis=None)
-                    and np.logical_and.reduce(np.isfinite(D_mean), axis=None)):
-                u = _first_bad_user(H_mean, D_mean)
-                # Name the first non-finite term of the last sample.
-                raise PvdDivergenceError(j, it, _first_nonfinite(
-                    ("likelihood score", lik_H[u], lik_D[u]),
-                    ("prior score", pt_H.score[u], pt_D.score[u]),
-                    ("transition score", tr_H[u], tr_D[u])), u)
-        # Algorithm carry: latents take the refined means into step j-1. The
-        # means are rebound, never written in place, so no copy is needed.
-        H_latent, D_latent = H_mean, D_mean
-        X = encoder.encode(D_mean)
-        norms = [float(np.linalg.norm(a)) for a in (Y - superpose(H_mean, X), g_H, g_D)]
-        if not all(map(math.isfinite, norms)):  # finite means, overflowing norms
-            raise PvdDivergenceError(j, config.J_in - 1,
-                                     *_overflowed(norms, block_product(H_mean, X), g_H, g_D))
-        diag.append(PvdStepDiag(j, sH, sD, *norms))
+        draw = sample_variational(H_mean.shape, D_mean.shape, step, rng, J_in, L)
+        it = 0
+        while it <= J_in:  # the inner iterations, then the step's trace
+            if it < J_in:
+                for sample in range(L):
+                    H_s, D_s = ((H_mean, D_mean) if draw is None else
+                                (H_mean + draw[0][it, sample], D_mean + draw[1][it, sample]))
+                    # One prior and one encoder evaluation for all users at this sample.
+                    pt_H, pt_D = prior_H.at(H_s, sH), prior_D.at(D_s, sD)
+                    H0j, D0j = _denoised(H_s, pt_H, sH), _denoised(D_s, pt_D, sD)
+                    try:
+                        lin = encoder.linearize(D0j)
+                    except NonFiniteInputError:  # the samples are finite; the estimate is not
+                        bad = _fail(out, ids, lead, _bad_cells(lead, D0j), _user_error,
+                                    j, it, "Tweedie source estimate", D0j)
+                        break
+                    noise = aggregated_noise_variance(
+                        lin, H0j, _error_variance(pt_H, sH, dim_H),
+                        _error_variance(pt_D, sD, dims.n), dims)
+                    # summed in user order; a lone run's as a float, cheaper than a numpy scalar
+                    var_dn = (np.add.accumulate(noise, axis=-1)[..., -1] if lead
+                              else float(np.add.accumulate(noise)[-1]))
+                    if not (np.isfinite(var_dn).all() if lead else math.isfinite(var_dn)):
+                        bad = _fail(out, ids, lead, ~np.isfinite(var_dn), _user_error,
+                                    j, it, "aggregated noise variance", noise)
+                        break
+                    lik_H, lik_D = likelihood_scores(
+                        Y, lin, H0j, var_dn, sigma_n2, pt_H, pt_D, sH, sD)
+                    tr_H, tr_D = transition_scores(H_latent, H_s, D_latent, D_s, step)
+                    if sample:
+                        g_H += tr_H + pt_H.score + lik_H
+                        g_D += tr_D + pt_D.score + lik_D
+                    else:  # the first sample's sums are fresh arrays, so later ones add into them
+                        g_H, g_D = tr_H + pt_H.score + lik_H, tr_D + pt_D.score + lik_D
+                else:
+                    if L > 1:
+                        g_H, g_D = g_H / L, g_D / L
+                    H_next = update_means(H_mean, g_H, step.eps_H)
+                    D_next = update_means(D_mean, g_D, step.eps_D)
+                    if (np.logical_and.reduce(np.isfinite(H_next), axis=None)
+                            and np.logical_and.reduce(np.isfinite(D_next), axis=None)):
+                        H_mean, D_mean, it = H_next, D_next, it + 1
+                        continue
+                    bad = _fail(out, ids, lead, _bad_cells(lead, H_next, D_next), _mean_error,
+                                j, it, H_next, D_next, lik_H, lik_D, pt_H.score, pt_D.score,
+                                tr_H, tr_D)
+            else:
+                # Algorithm carry: latents take the refined means into step j-1. The
+                # means are rebound, never written in place, so no copy is needed.
+                H_latent, D_latent = H_mean, D_mean
+                X = encoder.encode(D_mean)
+                norms = np.sqrt(np.stack((_norm2(Y - superpose(H_mean, X), lead),
+                                          _norm2(g_H, lead), _norm2(g_D, lead)), axis=-1))
+                rows = norms.reshape(-1, 3).tolist()  # per cell: its three norms
+                bad = [not all(map(math.isfinite, row)) for row in rows]
+                if not any(bad):
+                    for c, row in zip(ids, rows):
+                        diag[c].append(PvdStepDiag(j, sH, sD, *row))
+                    break
+                bad = _fail(out, ids, lead, np.array(bad), _norm_error, j, J_in - 1, norms,
+                            H_mean, X, g_H, g_D)
+            keep = ~bad  # the failed cells leave; the others take this pass again
+            if not keep.any():
+                return out
+            Y, sigma_n2, H_latent, D_latent, H_mean, D_mean, g_H, g_D = (
+                a if a is None else a[keep]
+                for a in (Y, sigma_n2, H_latent, D_latent, H_mean, D_mean, g_H, g_D))
+            lead = Y.shape[:-2]
+            draw = draw and (draw[0][:, :, keep], draw[1][:, :, keep])
+            rng = [g for g, k in zip(rng, keep) if k]
+            ids = [c for c, k in zip(ids, keep) if k]
+            prior_H, prior_D = _cells(prior_H, keep), _cells(prior_D, keep)
 
-    return RecoveryResult(channels=H_mean, sources=D_mean, residual=diag[-1].residual,
-                          diagnostics=diag)
+    for p, c in enumerate(ids):
+        at = (p,) if lead else ()
+        out[c] = RecoveryResult(channels=H_mean[at], sources=D_mean[at],
+                                residual=diag[c][-1].residual, diagnostics=diag[c])
+    return out
+
+
+def _norm2(a: np.ndarray, lead: tuple) -> np.ndarray:
+    """||a||^2 per cell, formed as np.linalg.norm forms it."""
+    f = a.reshape(lead + (-1,))
+    if np.iscomplexobj(f):
+        return np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag)
+    return np.vecdot(f, f)
+
+
+def _bad_cells(lead: tuple, *arrays) -> np.ndarray:
+    """Per cell: whether any of `arrays` has a non-finite entry in it."""
+    return np.any([~np.isfinite(a).reshape(lead + (-1,)).all(axis=-1) for a in arrays], axis=0)
+
+
+def _fail(out: list, ids: list, lead: tuple, bad: np.ndarray, error, *args) -> np.ndarray:
+    """Record error(c, *args) as the outcome of each live cell that `bad` flags; c
+    indexes the cell's rows of the batch arrays (the whole arrays of a lone run)."""
+    for p in np.flatnonzero(bad):
+        out[ids[p]] = error((p,) if lead else (), *args)
+    return bad
+
+
+def _user_error(c, j: int, it: int, what: str, per_user: np.ndarray) -> PvdDivergenceError:
+    return PvdDivergenceError(j, it, what, _first_bad_user(per_user[c]))
+
+
+def _mean_error(c, j: int, it: int, H: np.ndarray, D: np.ndarray, *terms) -> PvdDivergenceError:
+    """Non-finite means: name the first non-finite term (channel, then source
+    part) of the last sample, in the first user they show in."""
+    u = _first_bad_user(H[c], D[c])
+    names = ("likelihood score", "prior score", "transition score")
+    bad = (name for name, t_H, t_D in zip(names, terms[::2], terms[1::2])
+           if not (np.isfinite(t_H[c][u]).all() and np.isfinite(t_D[c][u]).all()))
+    return PvdDivergenceError(j, it, next(bad, "variational mean"), u)
+
+
+def _norm_error(c, j: int, it: int, norms, H, X, g_H, g_D) -> PvdDivergenceError:
+    """Finite means, an overflowing step norm: name the first, and the first
+    user whose own norm of it overflows."""
+    i = int(np.argmin(np.isfinite(norms[c])))
+    a = (block_product(H[c], X[c]), g_H[c], g_D[c])[i]
+    return PvdDivergenceError(j, it, ("residual", "channel gradient norm",
+                                      "source gradient norm")[i],
+                              _first_bad_user(np.linalg.norm(a.reshape(len(a), -1), axis=1)))
 
 
 def _first_bad_user(*arrays) -> int | None:
     """The first user (row of axis 0) with a non-finite entry in any of `arrays`."""
     bad = np.any([~np.isfinite(a).reshape(len(a), -1).all(axis=1) for a in arrays], axis=0)
     return int(np.argmax(bad)) if bad.any() else None
-
-
-def _overflowed(norms, *per_user) -> tuple[str, int | None]:
-    """Name the first non-finite of `norms` and the first user whose own norm of it is."""
-    i = next(i for i, v in enumerate(norms) if not math.isfinite(v))
-    a = per_user[i].reshape(len(per_user[i]), -1)
-    return (("residual", "channel gradient norm", "source gradient norm")[i],
-            _first_bad_user(np.linalg.norm(a, axis=1)))
-
-
-def _first_nonfinite(*terms) -> str:
-    bad = (what for what, *arrays in terms if not all(np.all(np.isfinite(a)) for a in arrays))
-    return next(bad, "variational mean")

@@ -165,6 +165,15 @@ def test_a_failed_row_leaves_its_metric_cells_empty(tmp_path):
     assert rows[2]["snr_db"] == rows[3]["snr_db"] == "15.0"  # the cell's target
 
 
+def test_record_timing_shares_a_batch_decode_among_its_cells(monkeypatch):
+    # a clock that ticks one second per reading: one batched decode of the three trials,
+    # then one lmmse call per cell
+    ticks = iter(range(1000))
+    monkeypatch.setattr(harness, "time", type("Clock", (), {"perf_counter": lambda: next(ticks)}))
+    records = run_experiment(tiny_config(trials=3, record_timing=True))
+    assert [(r.method, r.wall_ms) for r in records] == [("pvd", 1e3 / 3), ("lmmse", 1e3)] * 3
+
+
 @pytest.mark.parametrize("on", [True, False])
 def test_record_timing_fills_wall_ms(tmp_path, on):
     cfg = tiny_config(trials=2, record_timing=on, force_error_trials=[[0, 1]])
@@ -797,21 +806,44 @@ def test_sweep_unknown_path_error():
         sweep(tiny_config(), "dims.bogus", [1])
 
 
-@pytest.mark.parametrize("cfg", [
-    tiny_config(trials=4),
+@pytest.mark.parametrize("conf, trials, workers, sizes", [
+    ("default", 300, 1, [150, 150]),  # at most 273 of its cells fit under 1 MiB
+    ("default", 300, 3, [100, 100, 100]),
+    ("known_channel", 100, 1, [100]),
+    ("known_channel", 100, 4, [25, 25, 25, 25]),  # one batch per worker
+    ("known_channel", 2, 3, [1, 1]),
+])
+def test_batches_cut_each_snr_point_into_even_runs(conf, trials, workers, sizes):
+    with open(ROOT / "configs" / f"{conf}.json") as fh:
+        cfg = ExperimentConfig.from_dict(dict(json.load(fh), trials=trials, workers=workers))
+    batches = harness._batches(cfg)
+    for si in range(len(cfg.raw["snr_db"])):
+        runs = [r for i, r in batches if i == si]
+        assert [len(r) for r in runs] == sizes
+        assert [t for r in runs for t in r] == list(range(trials))
+    assert [i for i, _ in batches] == sorted(i for i, _ in batches)
+
+
+@pytest.mark.parametrize("cfg, workers", [
+    (tiny_config(trials=4), 2),
     # per-worker link: calibrated encoders, pilot chain and covariance oracle
-    tiny_config(trials=4, power_mode="average",
-                dims={"N_r": 3, "N_t": 2, "K": 2, "T": 8, "N_u": 1, "n": 3, "P": 1.0},
-                channel={"model": "kronecker", "R_rx": [[1.0, 0.5, 0.25], [0.5, 1.0, 0.5],
-                                                        [0.25, 0.5, 1.0]],
-                         "R_tx": [[1.0, [0.3, 0.1]], [[0.3, -0.1], 1.0]]},
-                baselines={"lmmse": True, "oracle_lmmse": True, "N_p": 2}),
-], ids=["rayleigh", "kronecker-average-baselines"])
-def test_workers_match_serial(tmp_path, cfg):
+    (tiny_config(trials=4, power_mode="average",
+                 dims={"N_r": 3, "N_t": 2, "K": 2, "T": 8, "N_u": 1, "n": 3, "P": 1.0},
+                 channel={"model": "kronecker", "R_rx": [[1.0, 0.5, 0.25], [0.5, 1.0, 0.5],
+                                                         [0.25, 0.5, 1.0]],
+                          "R_tx": [[1.0, [0.3, 0.1]], [[0.3, -0.1], 1.0]]},
+                 baselines={"lmmse": True, "oracle_lmmse": True, "N_p": 2}), 2),
+    # three workers over three SNR points of 4 trials, each cut into batches of 1, 1
+    # and 2 trials, with a forced error inside the first point's batch of 2
+    (tiny_config(trials=4, snr_db=[5.0, 15.0, 25.0], force_error_trials=[[0, 2]]), 3),
+], ids=["rayleigh", "kronecker-average-baselines", "three-workers-forced-cell"])
+def test_workers_match_serial(tmp_path, cfg, workers):
     p1, p2 = tmp_path / "serial.csv", tmp_path / "pool.csv"
-    run_experiment(dict(cfg, workers=1), out=p1)
-    run_experiment(dict(cfg, workers=2), out=p2)
+    run_experiment(dict(cfg, workers=1, diagnostics=True), out=p1)
+    run_experiment(dict(cfg, workers=workers, diagnostics=True), out=p2)
     assert p1.read_bytes() == p2.read_bytes()
+    assert (tmp_path / "serial.csv.diag.csv").read_bytes() == \
+        (tmp_path / "pool.csv.diag.csv").read_bytes()
 
 
 def test_a_serial_run_does_not_load_the_process_pool():

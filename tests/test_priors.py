@@ -270,9 +270,9 @@ def test_prior_validation():
     (lambda: GaussianPrior(np.zeros(3), 0.0, "bogus"),
      ["var must be > 0", "unknown domain 'bogus'"]),
     (lambda: GaussianPrior(np.zeros((2, 4)), -1.0, "real", shape=(3,)),
-     ["var must be > 0", "mean has shape (2, 4), expected (3,) or (N_u, *(3,))"]),
+     ["var must be > 0", "mean has shape (2, 4), expected (..., *(3,))"]),
     (lambda: GaussianPrior(np.zeros((2, 4)), 1.0, "bogus", shape=(3,)),
-     ["unknown domain 'bogus'", "mean has shape (2, 4), expected (3,) or (N_u, *(3,))"]),
+     ["unknown domain 'bogus'", "mean has shape (2, 4), expected (..., *(3,))"]),
 ], ids=["var-and-sum", "every-weight-rule", "var-and-domain", "var-and-mean-shape",
         "domain-and-mean-shape"])
 def test_prior_constructors_report_every_fault(make, faults):
@@ -290,18 +290,29 @@ def test_validate_reports_every_fault_of_a_mixture_prior():
 
 
 def test_prior_rejects_shapes_off_its_event_shape():
+    # any leading axes (cells of a batch, then users) are taken; a wrong event shape is not
     with pytest.raises(ValueError, match="mean has shape"):
         GaussianPrior(np.zeros((2, 4)), 1.0, "real", shape=(3,))
     with pytest.raises(ValueError, match="mean has shape"):
-        GaussianPrior(np.zeros((2, 2, 3)), 1.0, "real", shape=(3,))  # two leading axes
+        GaussianPrior(np.zeros((2, 2, 4)), 1.0, "real", shape=(3,))  # two leading axes
     anchored = GaussianPrior(np.zeros((2, 3)), 1.0, "real", shape=(3,))
-    assert anchored.shape == (3,) and anchored.dim == 3
+    batched = GaussianPrior(np.zeros((4, 2, 3)), 1.0, "real", shape=(3,))  # 4 cells, 2 users
+    assert anchored.shape == batched.shape == (3,) and anchored.dim == batched.dim == 3
+    plain = GaussianPrior(np.zeros(3), 1.0, "real")
     mix = GaussianMixturePrior(np.zeros((2, 3)), 1.0, [0.5, 0.5], "real")
-    for prior in (GaussianPrior(np.zeros(3), 1.0, "real"), anchored, mix):
-        for x in (np.zeros(4), np.zeros((2, 4)), np.zeros((2, 2, 3)), np.zeros(())):
+    for prior in (plain, anchored, batched, mix):
+        for x in (np.zeros(4), np.zeros((2, 4)), np.zeros((2, 2, 4)), np.zeros(())):
             with pytest.raises(ValueError, match="x has shape"):
                 prior.at(x, 0.5)
+        assert prior.at(np.zeros((4, 2, 3)), 0.5).score.shape == (4, 2, 3)
+    for prior in (plain, anchored, mix):
         assert prior.at(np.zeros((2, 3)), 0.5).score.shape == (2, 3)
+    # an anchored mean's leading axes must end x's: the user axis, then the cells
+    for prior, x in ((anchored, np.zeros(3)), (anchored, np.zeros((3, 3))),
+                     (anchored, np.zeros((4, 3, 3))), (batched, np.zeros((2, 3))),
+                     (batched, np.zeros((5, 2, 3)))):
+        with pytest.raises(ValueError, match="x has shape"):
+            prior.at(x, 0.5)
 
 
 def test_sampling_statistics():

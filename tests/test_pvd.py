@@ -441,6 +441,19 @@ def test_likelihood_scores_scalar_hand():
     assert np.allclose(gD[0], 2.0)
 
 
+@pytest.mark.parametrize("var_dn, sigma_n2", [
+    (0.0, 0.0), (-0.5, 0.25), (np.array([0.1, -1.0]), np.array([1.0, 0.5]))],
+    ids=["zero", "negative", "one-cell-of-a-batch"])
+def test_likelihood_scores_refuse_a_total_variance_not_positive(var_dn, sigma_n2):
+    lead = np.shape(var_dn)
+    enc = LinearEncoder(np.array([[1.0 + 0j]]), (1, 1))
+    Y = np.full(lead + (1, 1), 2.0 + 0j)
+    H = np.ones(lead + (1, 1, 1, 1), dtype=complex)
+    with pytest.raises(ValueError, match=r"var_dn \+ sigma_n2 must be > 0"):
+        likelihood_scores(Y, enc.linearize(np.ones(lead + (1, 1))), H, var_dn, sigma_n2,
+                          None, None, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("s_H, s_D", [(0.0, 0.0), (0.6, 0.8)],
                          ids=["sigma-zero", "sigma-positive"])
 def test_likelihood_scores_match_fd(s_H, s_D):

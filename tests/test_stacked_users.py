@@ -129,6 +129,7 @@ def test_stacked_link_decodes_as_per_user_lists():
     link = harness._build_link(cfg)
     sc = harness._scene(cfg, link, 10.0, np.random.default_rng(5))
     rng = copy.deepcopy(sc.rng)
+    harness._decode(cfg, link, [sc])  # a batch of this one scene
     fields = harness._pvd(cfg, link, sc)
     # the same link and priors, one object per user, through the per-user loop
     base = link.encoder.base
