@@ -715,7 +715,7 @@ def sweep(cfg_raw: dict, param: str, values: list, links: dict | None = None,
 
     `links` maps other config paths to one value per swept value, e.g.
     {"dims.N_r": [8, 16]} for values [1, 2]. Each point runs with a seed
-    derived from (master seed, point index).
+    derived from (the point's master seed, swept or not, point index).
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
@@ -730,8 +730,9 @@ def sweep(cfg_raw: dict, param: str, values: list, links: dict | None = None,
         _set_path(point, param, value)
         for path, vals in links.items():
             _set_path(point, path, vals[idx])
+        point = ExperimentConfig.from_dict(point).raw  # a swept or linked seed checked too
         point["seed"] = int(np.random.SeedSequence(
-            [base["seed"] & 0xFFFFFFFF, 0x5EE9, idx]).generate_state(1)[0])
+            [point["seed"] & 0xFFFFFFFF, 0x5EE9, idx]).generate_state(1)[0])
         point["out"] = None
         records = run_experiment(point)
         ok = [r for r in records if not r.error]

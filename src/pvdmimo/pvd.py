@@ -18,19 +18,17 @@ aggregated noise variance, so early steps (where the estimates are poor)
 are weighted down automatically. After the final step the variational
 means are the recovered channel and source.
 
-Users sit on axis 0 throughout. At each sample point each prior and the
-encoder are evaluated once for all users (`ScorePrior.at`,
-`Encoder.linearize`), and that one evaluation feeds the Tweedie estimates,
-their error variances, the aggregated noise, the likelihood and the prior
-term alike.
+`run` decodes a batch of independent cells (one received block each, with
+its own noise power and generator) in one loop, and a lone run is a batch of
+one cell: every array of the loop carries the cell axis, then the users. At
+each sample point each prior and the encoder are evaluated once for all users
+of all cells (`ScorePrior.at`, `Encoder.linearize`), and that one evaluation
+feeds the Tweedie estimates, their error variances, the aggregated noise, the
+likelihood and the prior term alike. Every kernel indexes trailing axes only,
+so a cell's outcome does not depend on the batch it runs in.
 
 The constants of each reverse step (noise levels, precisions, variance gaps,
 step sizes) come from one table, `PvdConfig.steps()`, built once per run.
-
-`run` also decodes a batch of independent cells (one received block each,
-with its own noise power and generator) in one loop: every array then carries
-a cell axis in front of the users, every kernel indexes trailing axes only,
-and each cell's outcome is bit for bit that of its lone run.
 
 All complex gradients are Wirtinger derivatives with respect to the
 conjugate; under this convention the transition score is literally
@@ -189,20 +187,22 @@ class RecoveryResult:
 
 
 def sample_variational(H_shape: tuple, D_shape: tuple, step: ReverseStep,
-                       rng, J_in: int, L: int):
+                       rng: list, J_in: int, L: int):
     """The variational noise (noise_H, noise_D) of all J_in x L samples of a step.
 
     Sample l of inner iteration it is (H_mean + noise_H[it, l], D_mean + noise_D[it, l]):
     CN(H_mean, 1/lambda_H) on the free block entries and N(D_mean, 1/lambda_D). At j = 0
     (infinite precisions) it draws nothing and returns None: the means are the sample.
-    One draw, in the order per inner iteration, sample, user: channel re, im, source;
-    for a batch (shapes (B, N_u, ...), one generator per cell) one such draw per cell."""
+    `rng` is a list of one generator per cell (one for shapes with no cell axis), each
+    drawn once, in the order per inner iteration, sample, user: channel re, im, source."""
+    if not (isinstance(rng, list) and len(D_shape) < 4 and math.prod(D_shape[:-2]) == len(rng)):
+        raise ValueError(f"need one generator per cell, got {rng!r} for sources {D_shape}")
     if math.isinf(step.lambda_H):
         return None
     h = math.prod(H_shape[-3:])
     shape = (J_in, L, D_shape[-2], 2 * h + D_shape[-1])
-    z = (rng.standard_normal(shape) if isinstance(rng, np.random.Generator)
-         else np.stack([r.standard_normal(shape) for r in rng], axis=2))
+    z = np.stack([r.standard_normal(shape) for r in rng], axis=2).reshape(
+        (J_in, L) + D_shape[:-1] + (-1,))
     noise_H = (z[..., :h] + 1j * z[..., h:2 * h]) * math.sqrt(1.0 / step.lambda_H / 2.0)
     return noise_H.reshape((J_in, L) + H_shape), z[..., 2 * h:] / math.sqrt(step.lambda_D)
 
@@ -280,23 +280,19 @@ def likelihood_scores(Y: np.ndarray, lin: Linearization, H0j: np.ndarray, var_dn
     sources and H0j their (N_u, K, N_r, N_t) channels. Both are then pulled
     back through the Tweedie maps x -> x + sigma^2 S(x) by the prior
     evaluations at the latent points (H_j, D_j), point_H and point_D; at
-    sigma = 0 the map is the identity and the pullback is skipped. For a
-    batch, Y is (B, N_r K, T), H0j (B, N_u, K, N_r, N_t), and var_dn and
-    sigma_n2 hold one value per cell.
+    sigma = 0 the map is the identity and the pullback is skipped. Any
+    leading axes in front of the users (the cells of a batch: Y (B, N_r K, T),
+    H0j (B, N_u, K, N_r, N_t)) carry through, with var_dn and sigma_n2 one
+    value per leading index.
     """
-    s2_H = s2_D = var_dn + sigma_n2
-    batched = getattr(s2_D, "ndim", 0)
-    if not (min(s2_D.tolist()) if batched else s2_D) > 0:  # a list's min: 0.5 us, not 3
+    s2_D = np.asarray(var_dn + sigma_n2)[..., None, None, None]  # over (N_u, N_t K, T)
+    if not all(v > 0 for v in s2_D.ravel().tolist()):  # NaN fails too
         raise ValueError("var_dn + sigma_n2 must be > 0")
-    if batched:  # one per cell of a batch, over its cell's arrays
-        s2_D = s2_D.reshape(s2_D.shape + (1, 1, 1))
-        s2_H = s2_D[..., None]
     K, N_r, N_t = H0j.shape[-3:]
     F = lin.value
     R = Y - superpose(H0j, F)
-    gH = np.einsum("krt,ukct->ukrc" if R.ndim == 2 else "bkrt,bukct->bukrc",
-                   R.reshape(R.shape[:-2] + (K, N_r, -1)),
-                   F.reshape(F.shape[:-2] + (K, N_t, -1)).conj()) / s2_H
+    gH = np.einsum("...krt,...ukct->...ukrc", R.reshape(R.shape[:-2] + (K, N_r, -1)),
+                   F.reshape(F.shape[:-2] + (K, N_t, -1)).conj()) / s2_D[..., None]
     gD = lin(block_adjoint(H0j, R) / s2_D)
     return (point_H.chain_vjp(gH) if sigma_H > 0 else gH,
             point_D.chain_vjp(gD) if sigma_D > 0 else gD)
@@ -361,30 +357,36 @@ def run(Y: np.ndarray, encoder, prior_H, prior_D, dims: MimoDims | list[MimoDims
     of B: each cell's MimoDims (equal but for sigma_n2) and generator; an
     anchored prior mean then stacks the cells in front of the users. Each
     cell draws from its own generator in a lone run's order, and the result
-    is a list of B outcomes: a cell's RecoveryResult, bit for bit its lone
-    run's, or the exception its lone run raises. A failed cell leaves the
-    batch and the others carry on; a fault of the batch as a whole raises.
+    is a list of B outcomes: a cell's RecoveryResult or the exception that
+    ended it. A failed cell leaves the batch and the others carry on; a
+    fault of the batch as a whole raises. A lone run (Y (N_r K, T), one
+    MimoDims, one generator) is a batch of that one cell: it returns the
+    cell's RecoveryResult or raises its exception.
     """
-    batch = isinstance(rng, (list, tuple))
+    lone = not isinstance(rng, (list, tuple))
     Y = np.asarray(Y, dtype=np.complex128)
-    cells = list(dims) if batch else [dims]
+    if lone:
+        Y, dims, rng = Y[None], [dims], [rng]
+    cells = list(dims)
+    if not cells:
+        raise ValueError("a batch needs at least one cell")
     dims = cells[0]
-    shape = (len(cells),) + dims.output_shape if batch else dims.output_shape
+    shape = (len(cells),) + dims.output_shape
     if Y.shape != shape:
-        raise ValueError(f"Y has shape {Y.shape}, expected {shape}")
-    if batch and (len(rng) != len(cells) or any(
+        raise ValueError(f"Y has shape {Y.shape[lone:]}, expected {shape[lone:]}")
+    if len(rng) != len(cells) or any(
             dataclasses.replace(d, sigma_n2=0.0) != dataclasses.replace(dims, sigma_n2=0.0)
-            for d in cells)):
+            for d in cells):
         raise ValueError("a batch needs one generator per cell and cell dims that differ "
                          "in sigma_n2 only")
     out: list = [None] * len(cells)
-    for c, (Y_c, d) in enumerate(zip(Y if batch else [Y], cells)):
+    for c, (Y_c, d) in enumerate(zip(Y, cells)):
         if not np.all(np.isfinite(Y_c)):
             out[c] = ValueError("Y contains non-finite entries")
         elif not d.sigma_n2 > 0:
             out[c] = ValueError(f"dims.sigma_n2 must be > 0 (it alone weights the j=0 "
                                 f"likelihood), got {d.sigma_n2!r}")
-    if not batch and out[0] is not None:
+    if lone and out[0] is not None:  # a lone run's input faults come before the others
         raise out[0]
     encoder = _one(encoder, "encoder")
     prior_H, prior_D = _one(prior_H, "channel prior"), _one(prior_D, "source prior")
@@ -397,44 +399,33 @@ def run(Y: np.ndarray, encoder, prior_H, prior_D, dims: MimoDims | list[MimoDims
         if prior.domain != domain or prior.dim != dim:
             raise ValueError(f"{what} prior must be {domain} with {dim} entries, "
                              f"got {prior.domain} with {prior.dim}")
-    if not batch:
-        outcome = _reverse(Y, dims.sigma_n2, rng, encoder, prior_H, prior_D, dims, config)[0]
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
     if any(_per_cell(p) and len(p.mean) != len(cells) for p in (prior_H, prior_D)):
         raise ValueError("a prior mean anchored per cell needs one row per cell of the batch")
-    live = [c for c, outcome in enumerate(out) if outcome is None]
-    if len(live) > 1:
-        at, sigma_n2, gens = (np.array(live), np.array([cells[c].sigma_n2 for c in live]),
-                              [rng[c] for c in live])
-    elif live:  # one cell runs as a lone run does, with no cell axis
-        at = live[0]
-        sigma_n2, gens = cells[at].sigma_n2, rng[at]
-    if live:
-        for c, outcome in zip(live, _reverse(Y[at], sigma_n2, gens, encoder, _cells(prior_H, at),
-                                             _cells(prior_D, at), dims, config)):
+    live = np.array([c for c, outcome in enumerate(out) if outcome is None], dtype=int)
+    if len(live):
+        for c, outcome in zip(live, _reverse(
+                Y[live], np.array([cells[c].sigma_n2 for c in live]), [rng[c] for c in live],
+                encoder, _cells(prior_H, live), _cells(prior_D, live), dims, config)):
             out[c] = outcome
-    return out
+    if lone and isinstance(out[0], Exception):
+        raise out[0]
+    return out[0] if lone else out
 
 
 def _reverse(Y, sigma_n2, rng, encoder, prior_H, prior_D, dims: MimoDims, config: PvdConfig):
-    """The reverse process of one cell (Y (N_r K, T), a float sigma_n2, a
-    generator) or of a batch (Y (B, N_r K, T), sigma_n2 (B,), B generators),
-    its inputs checked: one outcome per cell, its RecoveryResult or its
-    PvdDivergenceError. A cell that fails leaves the batch, and the inner
-    iteration (or step trace) it failed in is taken again by the cells left."""
-    lead = Y.shape[:-2]  # () or (B,): every array below carries it in front of the users
-    ids = list(range(len(rng))) if lead else [0]  # the live cells' places in `out`
+    """The reverse process of a batch of cells (Y (B, N_r K, T), sigma_n2 (B,),
+    B generators), its inputs checked: one outcome per cell, its RecoveryResult
+    or its PvdDivergenceError. Every array carries the cell axis in front of
+    the users. A cell that fails leaves the batch, and the inner iteration (or
+    step trace) it failed in is taken again by the cells left."""
+    ids = list(range(len(rng)))  # the live cells' places in `out`
     out, diag = [None] * len(ids), [[] for _ in ids]
     dim_H, J_in, L = dims.K * dims.N_r * dims.N_t, config.J_in, config.L
     # One draw per cell: per user the latent channel (re, im) and source, then the same
     # for the means.
-    z = np.stack([g.standard_normal((dims.N_u, 2, 2 * dim_H + dims.n))
-                  for g in (rng if lead else [rng])])
-    z = z.reshape(lead + z.shape[1:])
+    z = np.stack([g.standard_normal((dims.N_u, 2, 2 * dim_H + dims.n)) for g in rng])
     H_latent, H_mean = ((z[..., i, :dim_H] + 1j * z[..., i, dim_H:2 * dim_H]).reshape(
-        lead + (dims.N_u, dims.K, dims.N_r, dims.N_t))
+        z.shape[:2] + (dims.K, dims.N_r, dims.N_t))
         * np.sqrt(config.schedule_H.variance(config.J - i) / 2.0) for i in (0, 1))
     D_latent, D_mean = (z[..., i, 2 * dim_H:] * config.schedule_D.value(config.J - i)
                         for i in (0, 1))
@@ -454,17 +445,15 @@ def _reverse(Y, sigma_n2, rng, encoder, prior_H, prior_D, dims: MimoDims, config
                     try:
                         lin = encoder.linearize(D0j)
                     except NonFiniteInputError:  # the samples are finite; the estimate is not
-                        bad = _fail(out, ids, lead, _bad_cells(lead, D0j), _user_error,
+                        bad = _fail(out, ids, _bad_cells(D0j), _user_error,
                                     j, it, "Tweedie source estimate", D0j)
                         break
                     noise = aggregated_noise_variance(
                         lin, H0j, _error_variance(pt_H, sH, dim_H),
                         _error_variance(pt_D, sD, dims.n), dims)
-                    # summed in user order; a lone run's as a float, cheaper than a numpy scalar
-                    var_dn = (np.add.accumulate(noise, axis=-1)[..., -1] if lead
-                              else float(np.add.accumulate(noise)[-1]))
-                    if not (np.isfinite(var_dn).all() if lead else math.isfinite(var_dn)):
-                        bad = _fail(out, ids, lead, ~np.isfinite(var_dn), _user_error,
+                    var_dn = np.add.accumulate(noise, axis=-1)[..., -1]  # in user order
+                    if not all(map(math.isfinite, var_dn.tolist())):
+                        bad = _fail(out, ids, ~np.isfinite(var_dn), _user_error,
                                     j, it, "aggregated noise variance", noise)
                         break
                     lik_H, lik_D = likelihood_scores(
@@ -484,7 +473,7 @@ def _reverse(Y, sigma_n2, rng, encoder, prior_H, prior_D, dims: MimoDims, config
                             and np.logical_and.reduce(np.isfinite(D_next), axis=None)):
                         H_mean, D_mean, it = H_next, D_next, it + 1
                         continue
-                    bad = _fail(out, ids, lead, _bad_cells(lead, H_next, D_next), _mean_error,
+                    bad = _fail(out, ids, _bad_cells(H_next, D_next), _mean_error,
                                 j, it, H_next, D_next, lik_H, lik_D, pt_H.score, pt_D.score,
                                 tr_H, tr_D)
             else:
@@ -492,15 +481,15 @@ def _reverse(Y, sigma_n2, rng, encoder, prior_H, prior_D, dims: MimoDims, config
                 # means are rebound, never written in place, so no copy is needed.
                 H_latent, D_latent = H_mean, D_mean
                 X = encoder.encode(D_mean)
-                norms = np.sqrt(np.stack((_norm2(Y - superpose(H_mean, X), lead),
-                                          _norm2(g_H, lead), _norm2(g_D, lead)), axis=-1))
-                rows = norms.reshape(-1, 3).tolist()  # per cell: its three norms
+                norms = np.sqrt(np.stack((_norm2(Y - superpose(H_mean, X)),
+                                          _norm2(g_H), _norm2(g_D)), axis=-1))
+                rows = norms.tolist()  # per cell: its three norms
                 bad = [not all(map(math.isfinite, row)) for row in rows]
                 if not any(bad):
                     for c, row in zip(ids, rows):
                         diag[c].append(PvdStepDiag(j, sH, sD, *row))
                     break
-                bad = _fail(out, ids, lead, np.array(bad), _norm_error, j, J_in - 1, norms,
+                bad = _fail(out, ids, np.array(bad), _norm_error, j, J_in - 1, norms,
                             H_mean, X, g_H, g_D)
             keep = ~bad  # the failed cells leave; the others take this pass again
             if not keep.any():
@@ -508,37 +497,33 @@ def _reverse(Y, sigma_n2, rng, encoder, prior_H, prior_D, dims: MimoDims, config
             Y, sigma_n2, H_latent, D_latent, H_mean, D_mean, g_H, g_D = (
                 a if a is None else a[keep]
                 for a in (Y, sigma_n2, H_latent, D_latent, H_mean, D_mean, g_H, g_D))
-            lead = Y.shape[:-2]
             draw = draw and (draw[0][:, :, keep], draw[1][:, :, keep])
             rng = [g for g, k in zip(rng, keep) if k]
             ids = [c for c, k in zip(ids, keep) if k]
             prior_H, prior_D = _cells(prior_H, keep), _cells(prior_D, keep)
 
     for p, c in enumerate(ids):
-        at = (p,) if lead else ()
-        out[c] = RecoveryResult(channels=H_mean[at], sources=D_mean[at],
+        out[c] = RecoveryResult(channels=H_mean[p], sources=D_mean[p],
                                 residual=diag[c][-1].residual, diagnostics=diag[c])
     return out
 
 
-def _norm2(a: np.ndarray, lead: tuple) -> np.ndarray:
-    """||a||^2 per cell, formed as np.linalg.norm forms it."""
-    f = a.reshape(lead + (-1,))
-    if np.iscomplexobj(f):
-        return np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag)
-    return np.vecdot(f, f)
+def _norm2(a: np.ndarray) -> np.ndarray:
+    """||a||^2 per cell, formed as np.linalg.norm forms it (a real `a` adds a zero)."""
+    f = a.reshape(len(a), -1)
+    return np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag)
 
 
-def _bad_cells(lead: tuple, *arrays) -> np.ndarray:
-    """Per cell: whether any of `arrays` has a non-finite entry in it."""
-    return np.any([~np.isfinite(a).reshape(lead + (-1,)).all(axis=-1) for a in arrays], axis=0)
+def _bad_cells(*arrays) -> np.ndarray:
+    """Per row of axis 0 (a cell, or a user): whether any of `arrays` is non-finite in it."""
+    return np.any([~np.isfinite(a).reshape(len(a), -1).all(axis=-1) for a in arrays], axis=0)
 
 
-def _fail(out: list, ids: list, lead: tuple, bad: np.ndarray, error, *args) -> np.ndarray:
-    """Record error(c, *args) as the outcome of each live cell that `bad` flags; c
-    indexes the cell's rows of the batch arrays (the whole arrays of a lone run)."""
+def _fail(out: list, ids: list, bad: np.ndarray, error, *args) -> np.ndarray:
+    """Record error(p, *args) as the outcome of each live cell that `bad` flags; p
+    indexes the cell's rows of the batch arrays."""
     for p in np.flatnonzero(bad):
-        out[ids[p]] = error((p,) if lead else (), *args)
+        out[ids[p]] = error(p, *args)
     return bad
 
 
@@ -568,5 +553,4 @@ def _norm_error(c, j: int, it: int, norms, H, X, g_H, g_D) -> PvdDivergenceError
 
 def _first_bad_user(*arrays) -> int | None:
     """The first user (row of axis 0) with a non-finite entry in any of `arrays`."""
-    bad = np.any([~np.isfinite(a).reshape(len(a), -1).all(axis=1) for a in arrays], axis=0)
-    return int(np.argmax(bad)) if bad.any() else None
+    return next(iter(np.flatnonzero(_bad_cells(*arrays)).tolist()), None)

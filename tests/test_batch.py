@@ -154,6 +154,8 @@ def test_a_batch_refuses_what_no_cell_can_run():
                                                                     n=3, P=2.0)], cfg, gens)
     with pytest.raises(ValueError, match=r"Y has shape \(3, 2, 4\), expected \(2, 2, 4\)"):
         pv.run(np.concatenate([Y, Y[:1]]), enc, prior_H(truth), prior_D, cells, cfg, gens)
+    with pytest.raises(ValueError, match="a batch needs at least one cell"):
+        pv.run(Y[:0], enc, prior_H(truth[:0]), prior_D, [], cfg, [])
 
 
 def _spans():

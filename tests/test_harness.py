@@ -796,6 +796,15 @@ def test_sweep_linked_parameter():
             sweep(cfg, param, values, links=links)
 
 
+def test_sweep_derives_each_point_seed_from_a_swept_seed():
+    # each point's seed used to come from the base seed, so every seed sweep gave one result
+    cfg = tiny_config(trials=2)
+    a, b = (sweep(cfg, "seed", seeds) for seeds in ([1, 2], [30, 40]))
+    assert [r["nmse_db_median"] for r in a] != [r["nmse_db_median"] for r in b]
+    with pytest.raises(ConfigError, match="seed"):
+        sweep(cfg, "seed", [1.5])
+
+
 def test_sweep_empty_values_error():
     with pytest.raises(ConfigError):
         sweep(tiny_config(), "snr_db", [])

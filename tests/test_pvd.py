@@ -161,7 +161,7 @@ def _step(lam_H=1.0, lam_D=1.0):
 def _sample(H_mean, D_mean, step, rng):
     """One sample per user around the means: the step draw of one inner
     iteration and one sample."""
-    noise = sample_variational(np.shape(H_mean), np.shape(D_mean), step, rng, 1, 1)
+    noise = sample_variational(np.shape(H_mean), np.shape(D_mean), step, [rng], 1, 1)
     return ((H_mean, D_mean) if noise is None else
             (H_mean + noise[0][0, 0], D_mean + noise[1][0, 0]))
 
@@ -190,7 +190,7 @@ def test_sampling_variance():
     H_mean = np.zeros((1, 1, 100, 100), dtype=complex)
     D_mean = np.zeros((1, 10_000))
     rng = np.random.default_rng(1)
-    noise_H, noise_D = sample_variational(H_mean.shape, D_mean.shape, _step(), rng, 10, 1)
+    noise_H, noise_D = sample_variational(H_mean.shape, D_mean.shape, _step(), [rng], 10, 1)
     H_all, D_all = [], []
     for it in range(10):
         H_s, D_s = H_mean + noise_H[it, 0], D_mean + noise_D[it, 0]
@@ -210,6 +210,18 @@ def test_sampling_reproducible():
     assert np.array_equal(a[0][0], b[0][0]) and np.array_equal(a[1][0], b[1][0])
 
 
+@pytest.mark.parametrize("shape_H, shape_D, rng", [
+    ((1, 2, 1, 1), (1, 3), np.random.default_rng(0)),  # a bare generator
+    ((1, 2, 1, 1), (1, 3), [np.random.default_rng(0)] * 2),  # no cell axis, two generators
+    ((3, 1, 2, 1, 1), (3, 1, 3), [np.random.default_rng(0)] * 2),  # three cells, two
+    ((2, 1, 1, 2, 1, 1), (2, 1, 1, 3), [np.random.default_rng(0)] * 2),  # two leading axes
+])
+def test_sampling_refuses_generators_that_do_not_match_the_cells(shape_H, shape_D, rng):
+    for step in (_step(), _step(math.inf, math.inf)):
+        with pytest.raises(ValueError, match="one generator per cell"):
+            sample_variational(shape_H, shape_D, step, rng, 1, 1)
+
+
 precisions = st.one_of(st.floats(1e-6, 1e6), st.just(math.inf))
 
 
@@ -227,7 +239,7 @@ def test_step_draw_equals_per_sample_draws(J_in, L, N_u, K, N_r, N_t, n, lam_H, 
     shape_H, shape_D = (N_u, K, N_r, N_t), (N_u, n)
     rng_step, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     state = rng_step.bit_generator.state
-    noise = sample_variational(shape_H, shape_D, step, rng_step, J_in, L)
+    noise = sample_variational(shape_H, shape_D, step, [rng_step], J_in, L)
     if math.isinf(lam_H):
         assert noise is None and rng_step.bit_generator.state == state
         return
@@ -898,6 +910,21 @@ def test_run_refuses_a_bad_observation_or_encoder(bad, message):
     with pytest.raises(ValueError, match=message):
         run(Y, enc, _GOOD_H, _GOOD_D, dims, _tuned_cfg(J=3, J_in=2), rng)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("noise, message", [
+    (0.1, "Y contains non-finite entries"), (0.0, "dims.sigma_n2 must be > 0")])
+def test_a_lone_run_names_its_observation_fault_before_its_model_faults(noise, message):
+    # the observation's faults are checked first, though the encoder and both
+    # priors are wrong as well
+    dims, enc, Y = _entry_scene()
+    dims = dataclasses.replace(dims, sigma_n2=noise)
+    Y = Y.copy()
+    Y[0, 0] = np.nan if noise else Y[0, 0]
+    with pytest.raises(ValueError, match=message):
+        run(Y, LinearEncoder(enc.A, (4, 2)), GaussianPrior(np.zeros(8), 1.0, "real"),
+            GaussianPrior(np.zeros(3, complex), 1.0, "complex"), dims, _tuned_cfg(J=3, J_in=2),
+            np.random.default_rng(0))
 
 
 def test_pvd_config_refuses_schedules_of_different_lengths():

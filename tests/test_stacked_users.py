@@ -184,7 +184,7 @@ class _PoisonedPrior(GaussianPrior):
         if sigma != self.bad_sigma:
             return pt
         score = pt.score.copy()
-        score[1] = np.nan
+        score[(Ellipsis, 1) + (slice(None),) * len(self.shape)] = np.nan
         return pt._replace(score=score)
 
 
